@@ -27,6 +27,7 @@ rate guarantees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,22 @@ def supports_kernel(mode: str, problem: FiniteSumProblem,
 
 
 def _affine_parts(problem: FiniteSumProblem):
-    if problem.affine is None:
+    affine = problem.affine
+    if affine is None:
         raise ValueError("kernels require an affine-gradient problem")
-    D = problem.affine.D
-    C = problem.affine.C
-    return D, C, D.mean(axis=0), C.mean(axis=0)
+    return affine.D, affine.C, affine.d_mean, affine.c_mean
+
+
+def _step_tables(adj: AdjustmentSchedule, n_steps: int):
+    """Stepsizes eta_k (k < n_steps) and weights psi_k (k <= n_steps).
+
+    Python-float lists built from one scalar schedule call per entry, the
+    calls the per-path simulators make: evaluating the schedule on an index
+    array may round psi differently by an ulp (see :mod:`sgflow.schedules`).
+    """
+    eta = [float(adj.eta_k(k)) for k in range(n_steps)]
+    psi = [float(adj.psi_k(k)) for k in range(n_steps + 1)]
+    return eta, psi
 
 
 def _check_record_ks(record_ks, n_steps: int) -> np.ndarray:
@@ -186,6 +198,10 @@ def _observable_rows(U: np.ndarray, d_mean: np.ndarray, c_mean: np.ndarray,
 
 
 def _mark_divergence(X, alive, diverged, div_step, k_next):
+    # a finite sum implies finite entries; a sum that overflows on finite
+    # entries falls through to the exact per-row test, which flags nothing
+    if math.isfinite(X.sum()):
+        return
     bad = alive & ~np.isfinite(X).all(axis=1)
     if np.any(bad):
         diverged[bad] = True
@@ -215,8 +231,7 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     ks = _check_record_ks(record_ks, n_steps)
     n_paths = len(gens)
     b = batch.size_at_step(0, adj.h)
-    eta = np.array([adj.eta_k(k) for k in range(n_steps)])
-    psi = np.array([adj.psi_k(k) for k in range(n_steps + 1)])
+    eta, psi = _step_tables(adj, n_steps)
     X = np.tile(np.asarray(x0, dtype=float).reshape(problem.d), (n_paths, 1))
     rec = _BlockRecorder(ks, n_paths, problem.d, weights)
     alive = np.ones(n_paths, dtype=bool)
@@ -241,7 +256,8 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                 idx = I[:, i, :]
                 U = X - problem.x_star
                 G = (D[idx] * U[:, None, :] + C[idx]).mean(axis=1)
-                X = X - eta[k] * G
+                G *= eta[k]
+                X -= G
                 _mark_divergence(X, alive, diverged, div_step, k + 1)
                 visit(k + 1)
     return rec.finish(diverged, div_step)
@@ -258,8 +274,7 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
         raise ValueError("kernel_pgd needs a constant-covariance family")
     ks = _check_record_ks(record_ks, n_steps)
     n_paths = len(gens)
-    eta = np.array([adj.eta_k(k) for k in range(n_steps)])
-    psi = np.array([adj.psi_k(k) for k in range(n_steps + 1)])
+    eta, psi = _step_tables(adj, n_steps)
     coef = np.array([adj.eta_k(k) / np.sqrt(batch.size_at_step(k, adj.h))
                      for k in range(n_steps)])
     X = np.tile(np.asarray(x0, dtype=float).reshape(problem.d), (n_paths, 1))
@@ -279,15 +294,29 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
         rec.record(k, X, acc_f, acc_g)
 
     sig_scalar = _scalar_of(sig)
+    x_star = problem.x_star
+    G = np.empty_like(X)
     visit(0)
+    # X <- (X - eta_k G) - coef_k noise_k, in place with the same operations
+    # in the same order as the per-path recursion
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, Z in _normal_chunks(gens, n_steps, problem.d):
+            if sig_scalar is not None:  # noise_k = coef_k (s z_k), per chunk
+                Z *= sig_scalar
+                Z *= coef[k0:k0 + Z.shape[1], None]
             for i in range(Z.shape[1]):
                 k = k0 + i
-                G = (X - problem.x_star) * d_mean + c_mean
-                noise = (sig_scalar * Z[:, i, :] if sig_scalar is not None
-                         else Z[:, i, :] @ sig.T)
-                X = X - eta[k] * G - coef[k] * noise
+                np.subtract(X, x_star, out=G)
+                G *= d_mean
+                G += c_mean
+                G *= eta[k]
+                X -= G
+                if sig_scalar is not None:
+                    X -= Z[:, i, :]
+                else:
+                    noise = Z[:, i, :] @ sig.T
+                    noise *= coef[k]
+                    X -= noise
                 _mark_divergence(X, alive, diverged, div_step, k + 1)
                 visit(k + 1)
     return rec.finish(diverged, div_step)
@@ -331,19 +360,31 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
         rec.record(k, X, acc_f, acc_g)
 
     sig_scalar = _scalar_of(sigma_matrix)
+    drift = drift_coef.tolist()
+    x_star = problem.x_star
+    G = np.empty_like(X)
     visit(0)
+    # X <- X + (dt (-c_k G) + sqrt(dt) noise_k), in place with the same
+    # operations in the same order as the per-path integrator
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, Z in _normal_chunks(gens, n_steps, problem.d):
+            if sig_scalar is not None:  # noise_k = (v_k s) z_k, per chunk
+                Z *= (vol_coef[k0:k0 + Z.shape[1]] * sig_scalar)[:, None]
+                Z *= sqrt_dt
             for i in range(Z.shape[1]):
                 k = k0 + i
-                G = (X - problem.x_star) * d_mean + c_mean
-                step = dt * (-drift_coef[k] * G)
+                np.subtract(X, x_star, out=G)
+                G *= d_mean
+                G += c_mean
+                G *= -drift[k]
+                G *= dt
                 if sig_scalar is not None:
-                    step = step + sqrt_dt * ((vol_coef[k] * sig_scalar) * Z[:, i, :])
+                    G += Z[:, i, :]
                 else:
-                    M = vol_coef[k] * sigma_matrix
-                    step = step + sqrt_dt * (Z[:, i, :] @ M.T)
-                X = X + step
+                    noise = Z[:, i, :] @ (vol_coef[k] * sigma_matrix).T
+                    noise *= sqrt_dt
+                    G += noise
+                X += G
                 _mark_divergence(X, alive, diverged, div_step, k + 1)
                 visit(k + 1)
     return rec.finish(diverged, div_step)

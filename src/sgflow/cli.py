@@ -45,6 +45,7 @@ from .harness import (
     verify_bound,
     weak_error_experiment,
 )
+from .harness import _json_clean  # one JSON cleaner for reports and CLI payloads
 from .harness import _run_one_path  # single-trajectory dispatch shared with ensembles
 from .problems import (
     FiniteSumProblem,
@@ -321,23 +322,6 @@ def _write_csv(path: Path, header: list, columns: list) -> None:
         for i in range(n):
             fh.write(",".join(col[i] if isinstance(col[i], str) else _fmt(col[i])
                               for col in columns) + "\n")
-
-
-def _json_clean(v):
-    if isinstance(v, (np.floating, float)):
-        f = float(v)
-        return f if math.isfinite(f) else repr(f)
-    if isinstance(v, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_json_clean(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_json_clean(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _json_clean(x) for k, x in v.items()}
-    return v
 
 
 def _write_json(path: Path, payload: dict) -> None:

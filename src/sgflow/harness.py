@@ -197,8 +197,7 @@ def _observable_arrays(problem: FiniteSumProblem, states: np.ndarray):
     """(f_gap, grad_norm_sq, dist_sq) row-wise for a (n, d) block of states."""
     if problem.affine is not None:
         U = states - problem.x_star
-        d_mean = problem.affine.D.mean(axis=0)
-        c_mean = problem.affine.C.mean(axis=0)
+        d_mean, c_mean = problem.affine.d_mean, problem.affine.c_mean
         G = U * d_mean + c_mean
         f_gap = (0.5 * np.einsum("nd,nd->n", U, U * d_mean) + U @ c_mean
                  - problem.constants.f_star)
@@ -408,39 +407,46 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, (np.floating, float)):
-                f = float(v)
-                return f if math.isfinite(f) else repr(f)
-            if isinstance(v, (np.integer, int)):
-                return int(v)
-            if isinstance(v, (np.bool_, bool)):
-                return bool(v)
-            if isinstance(v, np.ndarray):
-                return [clean(x) for x in v.tolist()]
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, VerificationReport):
-                return v.to_json_dict()
-            return v
         return {
             "experiment": self.experiment,
             "passed": bool(self.passed),
             "slack_se": float(self.slack_se),
-            "max_violation_se": clean(self.max_violation_se),
+            "max_violation_se": _json_clean(self.max_violation_se),
             "n_paths": int(self.n_paths),
             "runtime_seconds": float(self.runtime_seconds),
             "checkpoints": [
-                {"at": clean(c), "empirical": clean(e), "reference": clean(r),
-                 "se": clean(s), "pass": bool(p)}
+                {"at": _json_clean(c), "empirical": _json_clean(e),
+                 "reference": _json_clean(r), "se": _json_clean(s),
+                 "pass": bool(p)}
                 for c, e, r, s, p in zip(self.checkpoints, self.empirical,
                                          self.reference, self.se,
                                          self.checkpoint_pass)
             ],
-            "details": clean(self.details),
+            "details": _json_clean(self.details),
         }
+
+
+def _json_clean(v):
+    """v with NumPy values, tuples and reports turned into JSON types.
+
+    Non-finite floats become their repr ('inf', 'nan').
+    """
+    if isinstance(v, (np.floating, float)):
+        f = float(v)
+        return f if math.isfinite(f) else repr(f)
+    if isinstance(v, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(v)
+    if isinstance(v, (np.integer, int)):
+        return int(v)
+    if isinstance(v, np.ndarray):
+        return [_json_clean(x) for x in v.tolist()]
+    if isinstance(v, (list, tuple)):
+        return [_json_clean(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _json_clean(x) for k, x in v.items()}
+    if isinstance(v, VerificationReport):
+        return v.to_json_dict()
+    return v
 
 
 def _violations(empirical, reference, se, slack_se, two_sided=False):
@@ -778,7 +784,7 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
     near the first-order guarantee.  Error ratios at successive stepsizes
     are reported alongside.
     """
-    if problem.affine is None or np.any(problem.affine.C.mean(axis=0) != 0.0):
+    if problem.affine is None or np.any(problem.affine.c_mean != 0.0):
         raise ValueError("the weak-error probe needs an affine family with "
                          "mean-zero gradient noise (analytic mean available)")
     h_list = [float(h) for h in h_list]
@@ -786,7 +792,7 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
         raise ValueError("need at least two stepsizes to fit a slope")
     x0 = np.asarray(x0, dtype=float)
     t0 = time.perf_counter()
-    d_mean = problem.affine.D.mean(axis=0)
+    d_mean = problem.affine.d_mean
     analytic = problem.x_star + np.exp(-d_mean * T) * (x0 - problem.x_star)
 
     seq = (seed if isinstance(seed, np.random.SeedSequence)

@@ -17,7 +17,7 @@ numerically with :func:`verify_class`; they are never inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,10 +74,20 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class _AffineParts:
-    """Per-component affine gradient data: grad f_i(x) = D[i] ⊙ (x - x*) + C[i]."""
+    """Per-component affine gradient data: grad f_i(x) = D[i] ⊙ (x - x*) + C[i].
+
+    ``d_mean`` and ``c_mean`` are the component means of D and C, computed
+    once here for every full-gradient and observable evaluation.
+    """
 
     D: np.ndarray  # (N, d) per-component diagonal curvatures
     C: np.ndarray  # (N, d) per-component gradient offsets
+    d_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    c_mean: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_mean", self.D.mean(axis=0))
+        object.__setattr__(self, "c_mean", self.C.mean(axis=0))
 
 
 class FiniteSumProblem:
@@ -149,9 +159,7 @@ class FiniteSumProblem:
         x = self._check_x(x)
         if self.affine is not None:
             u = x - self.x_star
-            d_mean = self.affine.D.mean(axis=0)
-            c_mean = self.affine.C.mean(axis=0)
-            return float(0.5 * u @ (d_mean * u) + c_mean @ u)
+            return float(0.5 * u @ (self.affine.d_mean * u) + self.affine.c_mean @ u)
         return float(np.mean([f(x) for f, _ in self._components]))
 
     def gap(self, x: np.ndarray) -> float:
@@ -163,7 +171,7 @@ class FiniteSumProblem:
         x = self._check_x(x)
         if self.affine is not None:
             u = x - self.x_star
-            return self.affine.D.mean(axis=0) * u + self.affine.C.mean(axis=0)
+            return self.affine.d_mean * u + self.affine.c_mean
         return np.mean([np.asarray(g(x), dtype=float) for _, g in self._components],
                        axis=0).reshape(self.d)
 

@@ -8,7 +8,21 @@ where ``h`` is a fixed discretization stepsize and ``psi`` is a nonincreasing
 * ``power(a)`` —  psi(t) = (1 + t)^(-a)  with  a in (0, 1].
 
 The discrete weights are read off the continuous function on the step grid,
-``psi_k = psi(h*k)``, so both views share a single source of truth.
+``psi_k = psi(h*k)``.  Both views share one formula but not always one
+rounding.  On an array argument NumPy evaluates ``power`` with its vector
+loop, which on SIMD hosts (AVX-512) can differ by one ulp from the scalar
+``pow`` applied to a Python or ``np.float64`` argument.  The per-path
+simulators take their schedule values one scalar at a time, so the ensemble
+kernels build their coefficient tables from the same scalar calls, one per
+step, and stay bitwise equal to them.  ``harness._node_weights`` still
+evaluates the discrete psi_k on an index array; its weights may sit an ulp
+away from the scalar ones, and are left so because changing them would
+change the weighted averages' output bytes.
+
+A scalar argument (``int``, ``float`` or ``np.float64``) skips the array
+conversion, but gets the same ``np.float64`` arithmetic, result type and
+errors as a 0-d array argument.  Overflow gives ``inf``, as NumPy scalar
+arithmetic does, not the ``OverflowError`` of Python floats.
 
 The running integral ``phi(t) = ∫_0^t psi(s) ds`` acts as a deformed clock: every
 convergence rate in :mod:`sgflow.bounds` is a function of ``phi(t)`` rather than
@@ -18,6 +32,7 @@ time-changed process in :mod:`sgflow.continuous`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +47,10 @@ __all__ = [
     "randomized_index",
     "randomized_time",
 ]
+
+# Exact argument types of the scalar path; bool and NumPy integers take the
+# array path.
+_SCALARS = (int, float, np.float64)
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,12 @@ class AdjustmentSchedule:
 
     def psi(self, t):
         """Adjustment value psi(t); accepts scalars or arrays, requires t >= 0."""
+        if type(t) in _SCALARS:
+            if t < 0:
+                raise ValueError("psi is only defined for t >= 0")
+            if self.family == "constant":
+                return 1.0
+            return (1.0 + np.float64(t)) ** (-self.a)
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("psi is only defined for t >= 0")
@@ -76,6 +101,10 @@ class AdjustmentSchedule:
 
     def psi_k(self, k):
         """Discrete weight psi_k = psi(h*k) for step index k >= 0."""
+        if type(k) in _SCALARS:
+            if k < 0:
+                raise ValueError("step index must be >= 0")
+            return self.psi(self.h * float(k))
         k = np.asarray(k)
         if np.any(k < 0):
             raise ValueError("step index must be >= 0")
@@ -115,6 +144,12 @@ class BatchSchedule:
 
     def value(self, t):
         """Unrounded b(t) >= 1 (used by the SDE integrators)."""
+        if type(t) in _SCALARS:
+            if t < 0:
+                raise ValueError("batch schedule is only defined for t >= 0")
+            if self.family == "constant":
+                return np.float64(self.b)
+            return self.b0 + self.rate * np.float64(t)
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("batch schedule is only defined for t >= 0")
@@ -126,7 +161,14 @@ class BatchSchedule:
 
     def size_at_step(self, k, h: float):
         """Integer batch size b_k = round-half-up(b(h*k)), clamped to >= 1."""
-        v = self.value(np.asarray(k, dtype=float) * h)
+        if type(k) in _SCALARS:
+            v = self.value(float(k) * h)
+            # below 2**63 floor agrees with the int64 cast; inf and nan fail
+            # the test and take the cast
+            if v < 2.0 ** 63:
+                return max(math.floor(v + 0.5), 1)
+        else:
+            v = self.value(np.asarray(k, dtype=float) * h)
         out = np.maximum(np.floor(np.asarray(v) + 0.5).astype(int), 1)
         return int(out) if out.ndim == 0 else out
 
@@ -169,9 +211,14 @@ def phi(schedule: AdjustmentSchedule, t):
 
     Strictly increasing with phi(0) = 0.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("phi is only defined for t >= 0")
+    if type(t) in _SCALARS:
+        if t < 0:
+            raise ValueError("phi is only defined for t >= 0")
+        t = np.float64(t)
+    else:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValueError("phi is only defined for t >= 0")
     if schedule.family == "constant":
         out = t.copy()
     elif schedule.a == 1.0:
@@ -188,9 +235,14 @@ def phi_inverse(schedule: AdjustmentSchedule, s):
     Closed forms: constant -> s;  power(1) -> e^s - 1;
     power(a != 1) -> (1 + (1-a) s)^(1/(1-a)) - 1.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("phi_inverse is only defined for s >= 0")
+    if type(s) in _SCALARS:
+        if s < 0:
+            raise ValueError("phi_inverse is only defined for s >= 0")
+        s = np.float64(s)
+    else:
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0):
+            raise ValueError("phi_inverse is only defined for s >= 0")
     if schedule.family == "constant":
         out = s.copy()
     elif schedule.a == 1.0:

@@ -433,6 +433,9 @@ def test_landscape_stretch_deterministic_power_laws():
     assert report.details["slopes"]["coord_0"] == pytest.approx(-1.0, abs=0.02)
     assert report.details["slopes"]["coord_1"] == pytest.approx(0.5, abs=0.02)
     assert report.details["max_error_vs_closed_form"] <= report.details["tolerance"]
+    # booleans stay JSON booleans, not 1/0
+    payload = json.loads(json.dumps(report.to_json_dict()))
+    assert payload["details"]["slope_ok"] is True
 
 
 def test_landscape_stretch_rejects_bad_inputs():

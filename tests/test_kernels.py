@@ -377,3 +377,63 @@ def test_divergence_flags_match_simulator():
             assert res.divergence_step[path] == traj.divergence_step
         else:
             assert np.array_equal(res.states[path], traj.states)
+
+
+def _run_kernel(kind, p, x0, n_steps, gens):
+    adj, batch = AdjustmentSchedule(h=1.0), BatchSchedule()
+    ks = np.arange(n_steps + 1)
+    if kind == "pgd":
+        return kernel_pgd(p, adj, batch, x0, n_steps, gens, ks)
+    return kernel_mb_pgf(p, adj, batch, x0, 1.0, n_steps, gens, ks)
+
+
+def _run_simulator(kind, p, x0, n_steps, rng):
+    adj, batch = AdjustmentSchedule(h=1.0), BatchSchedule()
+    if kind == "pgd":
+        return run_pgd(p, adj, batch, x0, n_steps, rng)
+    return simulate_mb_pgf(p, adj, batch, x0, 1.0, float(n_steps), rng)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stiff", [
+    lambda: make_isotropic_quadratic(6e102, 2, sigma_star_sq=1.0),
+    lambda: make_perturbed_quadratic([6e102, 6e102], [0.0, 0.0], NOISE),
+], ids=["scalar-vol", "matrix-vol"])
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf"])
+def test_overflow_flagged_at_simulator_step(kind, stiff):
+    # curvature 6e102 with h = dt = 1 multiplies the offset by about -6e102
+    # per step: depending on its draws a path overflows at step 4 or 5, so
+    # within 4 steps some paths diverge and some do not
+    p = stiff()
+    x0, n_steps, paths = np.zeros(2), 4, 30
+
+    res = _run_kernel(kind, p, x0, n_steps, gen_list(seed, paths))
+    trajs = [_run_simulator(kind, p, x0, n_steps, rng)
+             for rng in gen_list(seed, paths)]
+
+    assert any(t.diverged for t in trajs)
+    assert not all(t.diverged for t in trajs)
+    for path, traj in enumerate(trajs):
+        assert res.diverged[path] == traj.diverged
+        assert res.divergence_step[path] == (traj.divergence_step
+                                             if traj.diverged else -1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # simulator observables
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf"])
+def test_overflowing_sum_of_finite_states_not_flagged(kind):
+    # every entry stays near 1.5e308, so the block's sum overflows although
+    # each state is finite: the sum filter must defer to the exact test
+    p = make_isotropic_quadratic(1e-300, 2, sigma_star_sq=0.2)
+    x0, n_steps, paths = np.array([1.5e308, 1.5e308]), 5, 6
+
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.tile(x0, (paths, 1)).sum())
+    res = _run_kernel(kind, p, x0, n_steps, gen_list(seed, paths))
+    ref = stack_paths(lambda rng: _run_simulator(kind, p, x0, n_steps, rng),
+                      seed, paths)
+
+    assert np.all(np.isfinite(res.states)) and np.all(res.states > 1e308)
+    assert not res.diverged.any()
+    assert np.all(res.divergence_step == -1)
+    assert np.array_equal(res.states, ref)

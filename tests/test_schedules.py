@@ -181,3 +181,85 @@ def test_clock_functions_reject_bad_arguments():
         randomized_index(adj, -1, rng)
     with pytest.raises(ValueError):
         randomized_time(adj, 0.0, rng)
+
+
+# -- scalar path ---------------------------------------------------------------
+
+ADJUSTMENTS = [
+    AdjustmentSchedule(h=0.1),
+    AdjustmentSchedule(h=0.1, family="power", a=0.5),
+    AdjustmentSchedule(h=0.3, family="power", a=1.0),
+    AdjustmentSchedule(h=0.05, family="power", a=0.3),
+]
+BATCHES = [
+    BatchSchedule(b=3),
+    BatchSchedule(family="linear-growth", b0=1.0, rate=2.5),
+]
+# integers along a long run, and floats over twelve decades
+SCALAR_INTS = list(range(0, 100_000, 613))
+SCALAR_FLOATS = list(np.geomspace(1e-6, 1e6, 301)) + [0.0, 0.5, 2.0]
+
+
+def _scalar_methods(adj, batch):
+    return {
+        "psi": adj.psi,
+        "psi_k": adj.psi_k,
+        "eta_k": adj.eta_k,
+        "phi": lambda x: phi(adj, x),
+        "phi_inverse": lambda x: phi_inverse(adj, x),
+        "value": batch.value,
+        "size_at_step": lambda x: batch.size_at_step(x, adj.h),
+    }
+
+
+def _bits(v):
+    return v if isinstance(v, int) else np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("adj", ADJUSTMENTS, ids=lambda s: f"{s.family}-{s.a}")
+@pytest.mark.parametrize("batch", BATCHES, ids=lambda s: s.family)
+def test_scalar_path_matches_0d_array_path(adj, batch):
+    # int, float and np.float64 arguments skip the array conversion; they
+    # must give the bits and the type a 0-d array argument gives
+    for name, f in _scalar_methods(adj, batch).items():
+        for x in SCALAR_INTS + SCALAR_FLOATS:
+            args = [float(x), np.float64(x), np.asarray(x)]
+            if isinstance(x, int):
+                args.append(x)
+            with np.errstate(over="ignore"):  # e^s - 1 at large s
+                ref = f(np.asarray(x, dtype=float))
+                results = [f(arg) for arg in args]
+            for arg, got in zip(args, results):
+                assert type(got) is type(ref), (name, arg)
+                assert _bits(got) == _bits(ref), (name, arg)
+
+
+def test_scalar_path_result_types():
+    const, power = ADJUSTMENTS[0], ADJUSTMENTS[1]
+    for arg in (3, 3.0, np.float64(3.0), np.asarray(3.0)):
+        assert type(const.psi(arg)) is float and const.psi(arg) == 1.0
+        assert type(const.eta_k(arg)) is float
+        assert type(power.psi(arg)) is np.float64
+        assert type(power.eta_k(arg)) is np.float64
+        assert type(phi(const, arg)) is np.float64
+        assert type(phi_inverse(power, arg)) is np.float64
+        assert type(BATCHES[0].value(arg)) is np.float64
+        assert type(BATCHES[1].value(arg)) is np.float64
+        assert type(BATCHES[1].size_at_step(arg, 0.5)) is int
+
+
+@pytest.mark.parametrize("bad", [-1, -0.5, np.float64(-2.0), np.asarray(-1.0)])
+def test_scalar_path_rejects_negative_arguments(bad):
+    for adj in ADJUSTMENTS:
+        for name, f in _scalar_methods(adj, BATCHES[1]).items():
+            with pytest.raises(ValueError):
+                f(bad)
+
+
+@pytest.mark.parametrize("adj", ADJUSTMENTS[1:], ids=lambda s: f"a={s.a}")
+@pytest.mark.parametrize("s", [1e308, 10**300, np.float64(1e300)])
+def test_phi_inverse_overflows_to_inf(adj, s):
+    # NumPy float arithmetic overflows to inf; Python-float ** would raise
+    with np.errstate(over="ignore"):
+        out = phi_inverse(adj, s)
+    assert type(out) is np.float64 and out == np.inf

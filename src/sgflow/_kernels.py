@@ -12,17 +12,21 @@ per-path generators reproduces the simulator's sample paths (up to
 floating-point association in the matrix products; the test suite pins the
 equivalence and its tolerance).
 
-Kernels cover only the shapes the experiments hit: affine-gradient finite
-sums, constant batch sizes, and constant state-volatility factors for the
-diffusions (the variance-reduced delay kernel additionally requires the
-two-component one-dimensional family).  Everything else falls back to the
-plain per-path simulators.
+Kernels cover only the shapes the experiments hit, and
+:func:`supports_kernel` states exactly which: affine-gradient finite sums and
+constant batch sizes, a constant volatility matrix for the Gaussian
+surrogate, a constant covariance for the mini-batch diffusions, and the
+two-component one-dimensional family for the variance-reduced delay kernel.
+The harness makes that decision before any path runs and sends every other
+configuration to the plain per-path simulators; a kernel's own errors reach
+the caller.
 
-Alongside the recorded states, kernels can accumulate the running
-``psi``-weighted sums of the observables (prefix sums over iterates for the
-discrete recursions, trapezoidal quadrature over the grid for the
-diffusions); these are the empirical counterparts of the randomized-output
-rate guarantees.
+Each kernel keeps only its recursion loop.  :class:`_BlockRecorder` does the
+bookkeeping they share: the record grid, the divergence flags, the snapshots
+and the running ``psi``-weighted sums of the observables (prefix sums over
+iterates for the discrete recursions, trapezoidal quadrature over the grid
+for the diffusions), which are the empirical counterparts of the
+randomized-output rate guarantees.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .schedules import (
     BatchSchedule,
     StalenessSchedule,
     phi_inverse,
+    record_steps,
 )
 
 __all__ = [
@@ -78,25 +83,28 @@ class KernelResult:
 
 
 def supports_kernel(mode: str, problem: FiniteSumProblem,
-                    batch: BatchSchedule | None) -> bool:
-    """Whether the fast path can run this configuration.
+                    batch: BatchSchedule | None,
+                    volatility_mode: str = "exact") -> bool:
+    """Whether a kernel covers this configuration.
 
-    Discrete/diffusion kernels need an affine gradient family and a constant
-    batch size; the mini-batch diffusions additionally need a constant
-    covariance (or the constant-volatility mode, checked by the caller);
-    the variance-reduced kernels need the two-component family (and d = 1
-    for the delay equation, whose volatility is state-dependent).
+    Every kernel needs an affine gradient family and a constant batch size.
+    The Gaussian surrogate needs a constant volatility matrix: the constant
+    volatility mode or a constant covariance.  The mini-batch diffusions
+    need a constant covariance in either volatility mode, and the delay
+    kernel needs the two-component family with d = 1 (its volatility is
+    state-dependent).
     """
     if problem.affine is None:
         return False
     if batch is not None and batch.family != "constant":
         return False
-    if mode in ("sgd", "pgd"):
+    if mode in ("sgd", "svrg"):
         return True
+    if mode == "pgd":
+        return (volatility_mode == "constant"
+                or problem.has_constant_mb_covariance)
     if mode in ("mb-pgf", "time-changed"):
         return problem.has_constant_mb_covariance
-    if mode == "svrg":
-        return True
     if mode == "vr-pgf":
         return problem.d == 1 and problem.n_components == 2
     return False
@@ -121,92 +129,118 @@ def _step_tables(adj: AdjustmentSchedule, n_steps: int):
     return eta, psi
 
 
-def _check_record_ks(record_ks, n_steps: int) -> np.ndarray:
-    ks = np.asarray(record_ks, dtype=int)
-    if ks.ndim != 1 or ks.size == 0:
-        raise ValueError("record_ks must be a non-empty 1-d index array")
-    if np.any(np.diff(ks) <= 0):
-        raise ValueError("record_ks must be strictly increasing")
-    if ks[0] < 0 or ks[-1] > n_steps:
-        raise ValueError(f"record_ks must lie within [0, {n_steps}]")
-    return ks
+def _draw_chunks(gens, n_steps: int, width: int, dtype, method: str, *args):
+    """Yield (k0, B) with B[p] the next chunk of ``g.method(*args)`` draws.
+
+    Every chunk is drawn into one reused (n_paths, chunk, width) buffer, so
+    only one chunk is ever alive; the consumer must be done with a chunk
+    before it asks for the next.
+    """
+    n_paths = len(gens)
+    chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * width)))
+    buf = np.empty((n_paths, chunk, width), dtype=dtype)
+    for k0 in range(0, n_steps, chunk):
+        B = buf[:, :min(chunk, n_steps - k0)]
+        for p, g in enumerate(gens):
+            B[p] = getattr(g, method)(*args, size=B.shape[1:])
+        yield k0, B
 
 
 def _normal_chunks(gens, n_steps: int, d: int):
     """Yield (k0, Z) with Z[p] the next chunk of N(0,1) steps for path p."""
-    n_paths = len(gens)
-    chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * d)))
-    k0 = 0
-    while k0 < n_steps:
-        size = min(chunk, n_steps - k0)
-        Z = np.empty((n_paths, size, d))
-        for p, g in enumerate(gens):
-            Z[p] = g.standard_normal((size, d))
-        yield k0, Z
-        k0 += size
+    yield from _draw_chunks(gens, n_steps, d, np.float64, "standard_normal")
 
 
 def _index_chunks(gens, n_steps: int, n_components: int, b: int):
     """Yield (k0, I) with I[p] the next chunk of batch index draws for path p."""
-    n_paths = len(gens)
-    chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * b)))
-    k0 = 0
-    while k0 < n_steps:
-        size = min(chunk, n_steps - k0)
-        I = np.empty((n_paths, size, b), dtype=np.int64)
-        for p, g in enumerate(gens):
-            I[p] = g.integers(0, n_components, size=(size, b))
-        yield k0, I
-        k0 += size
+    yield from _draw_chunks(gens, n_steps, b, np.int64, "integers", 0, n_components)
 
 
 class _BlockRecorder:
-    """Snapshots the state block (and accumulators) at the requested steps."""
+    """The bookkeeping every kernel shares for its (n_paths, d) state block.
 
-    def __init__(self, record_ks: np.ndarray, n_paths: int, d: int,
-                 with_weights: bool):
-        self.record_ks = record_ks
-        self.states = np.empty((n_paths, record_ks.size, d))
-        self.wsum_f = np.zeros((n_paths, record_ks.size)) if with_weights else None
-        self.wsum_g = np.zeros((n_paths, record_ks.size)) if with_weights else None
+    It resolves the record grid, flags the paths whose state turns
+    non-finite, snapshots the block at the recorded steps and, given the
+    weights ``psi`` (per step index, or per grid node with ``dt``),
+    accumulates every alive path's psi-weighted sums of f - f* and
+    |grad f|^2: prefix sums over the iterates without ``dt``, trapezoid
+    integrals over the grid with it.  A kernel starts its block with
+    :meth:`start` and calls :meth:`record` once after every step.
+    """
+
+    def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
+                 record_ks, psi=None, dt: float | None = None):
+        self.record_ks = record_steps(n_steps, record_ks=record_ks)
+        n_rec = self.record_ks.size
+        self.problem = problem
+        self.states = np.empty((n_paths, n_rec, problem.d))
+        self.alive = np.ones(n_paths, dtype=bool)
+        self.diverged = np.zeros(n_paths, dtype=bool)
+        self.div_step = np.full(n_paths, -1)
+        self.psi, self.dt = psi, dt
+        self.acc_f = np.zeros(n_paths)
+        self.acc_g = np.zeros(n_paths)
+        self.wsum_f = np.zeros((n_paths, n_rec)) if psi is not None else None
+        self.wsum_g = np.zeros((n_paths, n_rec)) if psi is not None else None
+        self._steps = self.record_ks.tolist() + [-1]  # -1: past the grid
         self._cursor = 0
 
-    def record(self, k: int, X: np.ndarray,
-               acc_f: np.ndarray | None = None,
-               acc_g: np.ndarray | None = None) -> None:
-        if self._cursor >= self.record_ks.size or k != self.record_ks[self._cursor]:
-            return
-        self.states[:, self._cursor, :] = X
-        if self.wsum_f is not None:
-            self.wsum_f[:, self._cursor] = acc_f
-            self.wsum_g[:, self._cursor] = acc_g
-        self._cursor += 1
+    def start(self, x0) -> np.ndarray:
+        """The block of n_paths copies of x0, recorded as step 0."""
+        X = np.tile(np.asarray(x0, dtype=float).reshape(self.problem.d),
+                    (self.alive.size, 1))
+        self.record(0, X)
+        return X
 
-    def finish(self, diverged: np.ndarray, div_step: np.ndarray) -> KernelResult:
+    def record(self, k: int, X: np.ndarray) -> None:
+        """Flag, accumulate and (on the grid) snapshot the block after step k."""
+        # a finite sum implies finite entries; a sum that overflows on finite
+        # entries falls through to the exact per-row test, which flags nothing
+        if k and not math.isfinite(X.sum()):
+            self._flag(k, X)
+        if self.psi is not None:
+            self._accumulate(k, X)
+        i = self._cursor
+        if k != self._steps[i]:
+            return
+        self.states[:, i, :] = X
+        if self.wsum_f is not None:
+            self.wsum_f[:, i] = self.acc_f
+            self.wsum_g[:, i] = self.acc_g
+        self._cursor = i + 1
+
+    def check(self, k: int, X: np.ndarray) -> None:
+        """Flag the paths whose state is non-finite after step k, unrecorded."""
+        if not math.isfinite(X.sum()):
+            self._flag(k, X)
+
+    def _flag(self, k: int, X: np.ndarray) -> None:
+        bad = self.alive & ~np.isfinite(X).all(axis=1)
+        if np.any(bad):
+            self.diverged[bad] = True
+            self.div_step[bad] = k
+            self.alive &= ~bad
+
+    def _accumulate(self, k: int, X: np.ndarray) -> None:
+        p = self.problem
+        f_gap, grad_sq = p.affine.block_observables(X - p.x_star,
+                                                    p.constants.f_star)
+        alive, w = self.alive, self.psi[k]
+        if self.dt is None:
+            self.acc_f[alive] += w * f_gap[alive]
+            self.acc_g[alive] += w * grad_sq[alive]
+            return
+        wf, wg = w * f_gap, w * grad_sq
+        if k > 0:
+            self.acc_f[alive] += (0.5 * self.dt) * (self._prev_f + wf)[alive]
+            self.acc_g[alive] += (0.5 * self.dt) * (self._prev_g + wg)[alive]
+        self._prev_f, self._prev_g = wf, wg
+
+    def finish(self) -> KernelResult:
         assert self._cursor == self.record_ks.size, "missed a recording step"
         return KernelResult(record_ks=self.record_ks, states=self.states,
-                            diverged=diverged, divergence_step=div_step,
+                            diverged=self.diverged, divergence_step=self.div_step,
                             wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g)
-
-
-def _observable_rows(U: np.ndarray, d_mean: np.ndarray, c_mean: np.ndarray,
-                     f_star: float):
-    """(f_gap, grad_norm_sq) for a block of offsets U = X - x*."""
-    G = U * d_mean + c_mean
-    f_gap = 0.5 * np.einsum("pd,pd->p", U, U * d_mean) + U @ c_mean - f_star
-    return f_gap, np.einsum("pd,pd->p", G, G)
-
-
-def _mark_divergence(X, alive, diverged, div_step, k_next):
-    # a finite sum implies finite entries; a sum that overflows on finite
-    # entries falls through to the exact per-row test, which flags nothing
-    if math.isfinite(X.sum()):
-        return
-    bad = alive & ~np.isfinite(X).all(axis=1)
-    if np.any(bad):
-        diverged[bad] = True
-        div_step[bad] = k_next
-        alive &= ~bad
 
 
 def _scalar_of(matrix: np.ndarray) -> float | None:
@@ -227,28 +261,12 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, n_steps: int, gens,
                   record_ks, weights: bool = False) -> KernelResult:
     """Vectorised mini-batch SGD (constant batch size, affine gradients)."""
-    D, C, d_mean, c_mean = _affine_parts(problem)
-    ks = _check_record_ks(record_ks, n_steps)
-    n_paths = len(gens)
+    D, C, _, _ = _affine_parts(problem)
     b = batch.size_at_step(0, adj.h)
     eta, psi = _step_tables(adj, n_steps)
-    X = np.tile(np.asarray(x0, dtype=float).reshape(problem.d), (n_paths, 1))
-    rec = _BlockRecorder(ks, n_paths, problem.d, weights)
-    alive = np.ones(n_paths, dtype=bool)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1)
-    acc_f = np.zeros(n_paths)
-    acc_g = np.zeros(n_paths)
-
-    def visit(k: int) -> None:
-        if weights:
-            f_gap, grad_sq = _observable_rows(X - problem.x_star, d_mean,
-                                              c_mean, problem.constants.f_star)
-            acc_f[alive] += psi[k] * f_gap[alive]
-            acc_g[alive] += psi[k] * grad_sq[alive]
-        rec.record(k, X, acc_f, acc_g)
-
-    visit(0)
+    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
+                         psi if weights else None)
+    X = rec.start(x0)
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, I in _index_chunks(gens, n_steps, problem.n_components, b):
             for i in range(I.shape[1]):
@@ -258,45 +276,27 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                 G = (D[idx] * U[:, None, :] + C[idx]).mean(axis=1)
                 G *= eta[k]
                 X -= G
-                _mark_divergence(X, alive, diverged, div_step, k + 1)
-                visit(k + 1)
-    return rec.finish(diverged, div_step)
+                rec.record(k + 1, X)
+    return rec.finish()
 
 
 def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int, gens, record_ks,
                volatility_mode: str = "exact",
                weights: bool = False) -> KernelResult:
-    """Vectorised Gaussian surrogate with a constant volatility matrix."""
+    """Vectorised Gaussian surrogate (constant batch size and volatility matrix)."""
     _, _, d_mean, c_mean = _affine_parts(problem)
     sig = _pgd_constant_sigma(problem, volatility_mode)
     if sig is None:
         raise ValueError("kernel_pgd needs a constant-covariance family")
-    ks = _check_record_ks(record_ks, n_steps)
-    n_paths = len(gens)
     eta, psi = _step_tables(adj, n_steps)
-    coef = np.array([adj.eta_k(k) / np.sqrt(batch.size_at_step(k, adj.h))
-                     for k in range(n_steps)])
-    X = np.tile(np.asarray(x0, dtype=float).reshape(problem.d), (n_paths, 1))
-    rec = _BlockRecorder(ks, n_paths, problem.d, weights)
-    alive = np.ones(n_paths, dtype=bool)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1)
-    acc_f = np.zeros(n_paths)
-    acc_g = np.zeros(n_paths)
-
-    def visit(k: int) -> None:
-        if weights:
-            f_gap, grad_sq = _observable_rows(X - problem.x_star, d_mean,
-                                              c_mean, problem.constants.f_star)
-            acc_f[alive] += psi[k] * f_gap[alive]
-            acc_g[alive] += psi[k] * grad_sq[alive]
-        rec.record(k, X, acc_f, acc_g)
-
+    coef = np.array(eta) / np.sqrt(batch.size_at_step(0, adj.h))
+    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
+                         psi if weights else None)
+    X = rec.start(x0)
     sig_scalar = _scalar_of(sig)
     x_star = problem.x_star
     G = np.empty_like(X)
-    visit(0)
     # X <- (X - eta_k G) - coef_k noise_k, in place with the same operations
     # in the same order as the per-path recursion
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,53 +317,33 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                     noise = Z[:, i, :] @ sig.T
                     noise *= coef[k]
                     X -= noise
-                _mark_divergence(X, alive, diverged, div_step, k + 1)
-                visit(k + 1)
-    return rec.finish(diverged, div_step)
+                rec.record(k + 1, X)
+    return rec.finish()
 
 
 def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
                         n_steps: int, gens, record_ks,
                         drift_coef: np.ndarray, vol_coef: np.ndarray,
-                        sigma_matrix: np.ndarray,
+                        volatility_mode: str,
                         node_psi: np.ndarray | None) -> KernelResult:
     """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma dB.
 
     ``drift_coef``/``vol_coef`` are the per-step scalars c(t_k), v(t_k);
-    ``node_psi`` (grid values of psi) switches on trapezoidal accumulation of
-    the weighted observables.
+    sigma is the constant matrix of ``volatility_mode``, which needs a
+    constant covariance; ``node_psi`` (grid values of psi) switches on
+    trapezoidal accumulation of the weighted observables.
     """
     _, _, d_mean, c_mean = _affine_parts(problem)
-    ks = _check_record_ks(record_ks, n_steps)
-    n_paths = len(gens)
-    weights = node_psi is not None
-    X = np.tile(np.asarray(x0, dtype=float).reshape(problem.d), (n_paths, 1))
-    rec = _BlockRecorder(ks, n_paths, problem.d, weights)
-    alive = np.ones(n_paths, dtype=bool)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1)
-    acc_f = np.zeros(n_paths)
-    acc_g = np.zeros(n_paths)
-    prev_f = prev_g = None
+    if not problem.has_constant_mb_covariance:
+        raise ValueError("the diffusion kernels need a constant-covariance family")
+    sigma_matrix = _pgd_constant_sigma(problem, volatility_mode)
+    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt)
+    X = rec.start(x0)
     sqrt_dt = np.sqrt(dt)
-
-    def visit(k: int) -> None:
-        nonlocal prev_f, prev_g
-        if weights:
-            f_gap, grad_sq = _observable_rows(X - problem.x_star, d_mean,
-                                              c_mean, problem.constants.f_star)
-            wf, wg = node_psi[k] * f_gap, node_psi[k] * grad_sq
-            if k > 0:
-                acc_f[alive] += (0.5 * dt) * (prev_f + wf)[alive]
-                acc_g[alive] += (0.5 * dt) * (prev_g + wg)[alive]
-            prev_f, prev_g = wf, wg
-        rec.record(k, X, acc_f, acc_g)
-
     sig_scalar = _scalar_of(sigma_matrix)
     drift = drift_coef.tolist()
     x_star = problem.x_star
     G = np.empty_like(X)
-    visit(0)
     # X <- X + (dt (-c_k G) + sqrt(dt) noise_k), in place with the same
     # operations in the same order as the per-path integrator
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,9 +365,8 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
                     noise *= sqrt_dt
                     G += noise
                 X += G
-                _mark_divergence(X, alive, diverged, div_step, k + 1)
-                visit(k + 1)
-    return rec.finish(diverged, div_step)
+                rec.record(k + 1, X)
+    return rec.finish()
 
 
 def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -395,9 +374,6 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   record_ks, volatility_mode: str = "exact",
                   weights: bool = False) -> KernelResult:
     """Vectorised annealed gradient flow with constant covariance factor."""
-    sig = _pgd_constant_sigma(problem, volatility_mode)
-    if sig is None:
-        raise ValueError("kernel_mb_pgf needs a constant-covariance family")
     h = adj.h
     times = np.arange(n_steps) * dt
     drift_coef = np.array([adj.psi(t) for t in times])
@@ -406,7 +382,7 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     node_psi = (np.array([adj.psi(k * dt) for k in range(n_steps + 1)])
                 if weights else None)
     return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               drift_coef, vol_coef, sig, node_psi)
+                               drift_coef, vol_coef, volatility_mode, node_psi)
 
 
 def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -414,9 +390,6 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                         gens, record_ks,
                         volatility_mode: str = "constant") -> KernelResult:
     """Vectorised unwarped process: unit drift rate, decaying noise amplitude."""
-    sig = _pgd_constant_sigma(problem, volatility_mode)
-    if sig is None:
-        raise ValueError("kernel_time_changed needs a constant-covariance family")
     h = adj.h
     vol_coef = np.empty(n_steps)
     for k in range(n_steps):
@@ -424,46 +397,39 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
         vol_coef[k] = np.sqrt(h * adj.psi(warped) / batch.value(warped))
     drift_coef = np.ones(n_steps)
     return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               drift_coef, vol_coef, sig, node_psi=None)
+                               drift_coef, vol_coef, volatility_mode,
+                               node_psi=None)
 
 
 def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
                 n_epochs: int, x0, gens, record_ks) -> KernelResult:
     """Vectorised SVRG with uniform epoch-end resampling (affine, b = 1)."""
     D, C, d_mean, c_mean = _affine_parts(problem)
+    if epoch_steps < 1:
+        raise ValueError("epoch_steps must be >= 1")
     m = epoch_steps
-    n_steps = m * n_epochs
-    ks = _check_record_ks(record_ks, n_steps)
     n_paths = len(gens)
-    d = problem.d
-    X = np.tile(np.asarray(x0, dtype=float).reshape(d), (n_paths, 1))
-    rec = _BlockRecorder(ks, n_paths, d, with_weights=False)
-    alive = np.ones(n_paths, dtype=bool)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1)
-    window = np.empty((n_paths, m, d))
+    rec = _BlockRecorder(problem, m * n_epochs, n_paths, record_ks)
+    X = rec.start(x0)
+    window = np.empty((n_paths, m, problem.d))
     rows = np.arange(n_paths)
-    rec.record(0, X)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_epochs):
             pivot = X.copy()
             grad_pivot = (pivot - problem.x_star) * d_mean + c_mean
-            I = np.empty((n_paths, m), dtype=np.int64)
-            for p, g in enumerate(gens):
-                I[p] = g.integers(0, problem.n_components, size=m)
+            I = np.array([g.integers(0, problem.n_components, size=m)
+                          for g in gens])
             for i in range(m):
                 window[:, i, :] = X
                 G = D[I[:, i]] * (X - pivot) + grad_pivot
                 X = X - h * G
-                _mark_divergence(X, alive, diverged, div_step, j * m + i + 1)
                 if i < m - 1:
                     rec.record(j * m + i + 1, X)
-            J = np.empty(n_paths, dtype=np.int64)
-            for p, g in enumerate(gens):
-                J[p] = g.integers(0, m)
+            rec.check((j + 1) * m, X)  # the epoch's last step, before the jump
+            J = np.array([g.integers(0, m) for g in gens])
             X = window[rows, J, :].copy()
             rec.record((j + 1) * m, X)
-    return rec.finish(diverged, div_step)
+    return rec.finish()
 
 
 def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
@@ -479,35 +445,25 @@ def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     D, C, d_mean, c_mean = _affine_parts(problem)
     if problem.d != 1 or problem.n_components != 2:
         raise ValueError("kernel_vr_pgf covers the two-component 1-d family")
-    ks = _check_record_ks(record_ks, n_steps)
-    ratio = staleness.epoch_time / dt
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError("epoch time must be a positive multiple of dt")
-    q = int(round(ratio))
+    q = staleness.grid_steps(dt)
     h = staleness.h
     n_paths = len(gens)
-    x = np.tile(float(np.asarray(x0, dtype=float).reshape(1)[0]), n_paths)
+    rec = _BlockRecorder(problem, n_steps, n_paths, record_ks)
+    x = rec.start(x0)[:, 0]
     xs = float(problem.x_star[0])
     d0, d1 = float(D[0, 0]), float(D[1, 0])
     dm, cm = float(d_mean[0]), float(c_mean[0])
-    rec = _BlockRecorder(ks, n_paths, 1, with_weights=False)
-    alive = np.ones(n_paths, dtype=bool)
-    diverged = np.zeros(n_paths, dtype=bool)
-    div_step = np.full(n_paths, -1)
     window = np.empty((n_paths, q))
     rows = np.arange(n_paths)
     sqrt_dt = np.sqrt(dt)
     sqrt_h = np.sqrt(h)
-    rec.record(0, x[:, None])
     # Noise must be drawn in epoch-sized blocks: the per-path stream
     # interleaves q normal increments with one jump draw per epoch.
     with np.errstate(over="ignore", invalid="ignore"):
         k0 = 0
         while k0 < n_steps:
             q_eff = min(q, n_steps - k0)
-            Z = np.empty((n_paths, q_eff))
-            for p, g in enumerate(gens):
-                Z[p] = g.standard_normal(q_eff)
+            Z = np.array([g.standard_normal(q_eff) for g in gens])
             for i in range(q_eff):
                 k = k0 + i
                 window[:, k % q] = x
@@ -522,11 +478,8 @@ def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
                 step = dt * (-grad) + sqrt_dt * (sqrt_h * s) * Z[:, i]
                 x = x + step
                 if with_jumps and (k + 1) % q == 0:
-                    J = np.empty(n_paths, dtype=np.int64)
-                    for p, g in enumerate(gens):
-                        J[p] = g.integers(0, q)
+                    J = np.array([g.integers(0, q) for g in gens])
                     x = window[rows, J].copy()
-                _mark_divergence(x[:, None], alive, diverged, div_step, k + 1)
                 rec.record(k + 1, x[:, None])
             k0 += q_eff
-    return rec.finish(diverged, div_step)
+    return rec.finish()

@@ -45,6 +45,7 @@ from .harness import (
     verify_bound,
     weak_error_experiment,
 )
+from .harness import _MODES  # the run modes RunSpec accepts
 from .harness import _json_clean  # one JSON cleaner for reports and CLI payloads
 from .harness import _run_one_path  # single-trajectory dispatch shared with ensembles
 from .problems import (
@@ -53,12 +54,11 @@ from .problems import (
     make_perturbed_quadratic,
     make_spread_quadratic,
 )
-from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
+from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule, record_steps
 
 DEFAULT_SEED = 1729
 
 _SECTIONS = ("problem", "schedule", "simulation", "ensemble", "output", "verify")
-_MODES = ("sgd", "pgd", "svrg", "mb-pgf", "vr-pgf", "time-changed")
 _EXPERIMENTS = ("bound", "time-change", "landscape", "weak-error", "ball", "pl-probe")
 
 _PROBLEM_KEYS = {
@@ -269,12 +269,11 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
                        n_steps=n_steps, dt=dt, T=T, h=h, epoch_steps=m,
                        n_epochs=n_epochs, staleness=staleness,
                        volatility_mode=volatility, weights=weights)
+        spec.record_every = (record_every if record_every is not None
+                             else max(1, spec.total_steps // 1000))
+        spec.resolved_record_ks()  # a bad record grid is a config error
     except ValueError as e:
         raise ConfigError(f"[simulation] {e}") from e
-    if record_every is not None:
-        spec.record_every = record_every
-    else:
-        spec.record_every = max(1, spec.total_steps // 1000)
     return spec
 
 
@@ -406,17 +405,12 @@ def _bound_grid(cfg: dict, bound: RateBound, m: int | None,
         n = int(round(T / dt))
         stride = _get(sec, "record_every", _as_int,
                       default=max(1, n // 1000), where="simulation")
-        ks = np.arange(0, n + 1, stride)
-        if ks[-1] != n:
-            ks = np.append(ks, n)
-        ts = ks * dt
+        ts = record_steps(n, stride) * dt
         return ts, ts
     n_steps = _get(sec, "n_steps", _as_int, required=True, where="simulation")
     stride = _get(sec, "record_every", _as_int,
                   default=max(1, n_steps // 1000), where="simulation")
-    ks = np.arange(0, n_steps + 1, stride)
-    if ks[-1] != n_steps:
-        ks = np.append(ks, n_steps)
+    ks = record_steps(n_steps, stride)
     return ks.astype(float), ks
 
 

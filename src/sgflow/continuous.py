@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import Trajectory, _Recorder
+from .discrete import Trajectory, _pgd_constant_sigma, _Recorder
 from .estimators import sigma_mb, sigma_vr
 from .problems import FiniteSumProblem
 from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule, phi_inverse
@@ -73,11 +73,7 @@ class SdeSpec:
         if self.jump_rule not in (None, "uniform_epoch"):
             raise ValueError(f"unknown jump rule {self.jump_rule!r}")
         if self.delay is not None:
-            ratio = self.delay.epoch_time / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError(
-                    f"epoch time {self.delay.epoch_time} must be a positive "
-                    f"multiple of dt={self.dt} so delayed states lie on the grid")
+            self.delay.grid_steps(self.dt)
         elif self.jump_rule is not None:
             raise ValueError("a jump rule needs a delay schedule (epochs)")
 
@@ -105,7 +101,7 @@ def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
     q = None
     epoch_window = None
     if spec.delay is not None:
-        q = int(round(spec.delay.epoch_time / spec.dt))
+        q = spec.delay.grid_steps(spec.dt)
         epoch_window = np.empty((q, d))
     sqrt_dt = np.sqrt(spec.dt)
     for k in range(K):
@@ -132,17 +128,9 @@ def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
 
 def _mb_volatility(problem: FiniteSumProblem, volatility_mode: str) -> Callable:
     """State part sigma(x) of the mini-batch volatility, exact or constant."""
-    if volatility_mode == "constant":
-        s2 = problem.constants.sigma_star_sq
-        if s2 is None:
-            raise ValueError("volatility_mode='constant' needs a declared sigma_star_sq")
-        const = np.sqrt(s2) * np.eye(problem.d)
+    const = _pgd_constant_sigma(problem, volatility_mode)
+    if const is not None:
         return lambda x: const
-    if volatility_mode != "exact":
-        raise ValueError(f"unknown volatility_mode {volatility_mode!r}")
-    if problem.has_constant_mb_covariance:
-        cached = sigma_mb(problem, problem.x_star).sqrt_matrix
-        return lambda x: cached
     return lambda x: sigma_mb(problem, x).sqrt_matrix
 
 

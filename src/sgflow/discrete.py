@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import mb_estimate, sigma_mb, vr_estimate
 from .problems import FiniteSumProblem
-from .schedules import AdjustmentSchedule, BatchSchedule
+from .schedules import AdjustmentSchedule, BatchSchedule, record_steps
 
 __all__ = ["Trajectory", "run_mb_sgd", "run_pgd", "run_svrg_option2"]
 
@@ -56,15 +56,10 @@ class _Recorder:
 
     def __init__(self, problem: FiniteSumProblem | None, d: int, n_steps: int,
                  dt: float, record_every: int = 1, track_jumps: bool = False):
-        if record_every < 1:
-            raise ValueError("record_every must be >= 1")
         self.problem = problem
         self.dt = dt
         self.record_every = record_every
-        idx = np.arange(0, n_steps + 1, record_every)
-        if idx[-1] != n_steps:
-            idx = np.append(idx, n_steps)
-        self._record_steps = idx
+        self._record_steps = idx = record_steps(n_steps, record_every)
         n_rec = idx.size
         self.times = idx * dt
         self.states = np.empty((n_rec, d))

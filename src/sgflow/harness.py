@@ -3,10 +3,11 @@
 ``ensemble_run`` simulates many independent sample paths of any of the six
 run modes (the three discrete recursions and the three diffusions), derives
 every path's generator from one master seed, and aggregates the observables
-into means, variances and standard errors on a shared record grid.  Fast
-vectorised kernels (:mod:`sgflow._kernels`) are used whenever the
-configuration supports them; otherwise each path runs through the plain
-simulator.  Either way the sample paths — and hence the statistics — are the
+into means, variances and standard errors on a shared record grid.  A
+vectorised kernel (:mod:`sgflow._kernels`) runs the ensemble exactly when
+``_kernels.supports_kernel`` covers the configuration, else every path runs
+through the plain simulator; a kernel's errors are raised, not turned into a
+fallback.  Either way the sample paths — and hence the statistics — are the
 same, and results are deterministic functions of (config, seed).
 
 On top of the runner sit the named experiments: rate-bound verification
@@ -50,6 +51,7 @@ from .schedules import (
     discrete_phi,
     phi,
     phi_inverse,
+    record_steps,
 )
 
 __all__ = [
@@ -146,6 +148,7 @@ class RunSpec:
         elif self.mode == "vr-pgf":
             if self.staleness is None or self.dt is None or self.T is None:
                 raise ValueError("mode 'vr-pgf' needs staleness, dt and T")
+            self.staleness.grid_steps(self.dt)
         if self.volatility_mode is None:
             self.volatility_mode = "constant" if self.mode == "time-changed" else "exact"
         if self.weights and self.mode in ("svrg", "vr-pgf", "time-changed"):
@@ -168,18 +171,7 @@ class RunSpec:
         return self.dt
 
     def resolved_record_ks(self) -> np.ndarray:
-        n = self.total_steps
-        if self.record_ks is not None:
-            ks = np.asarray(self.record_ks, dtype=int)
-            if ks.ndim != 1 or ks.size == 0 or np.any(np.diff(ks) <= 0):
-                raise ValueError("record_ks must be a non-empty increasing index array")
-            if ks[0] < 0 or ks[-1] > n:
-                raise ValueError(f"record_ks out of range [0, {n}]")
-            return ks
-        ks = np.arange(0, n + 1, self.record_every)
-        if ks[-1] != n:
-            ks = np.append(ks, n)
-        return ks
+        return record_steps(self.total_steps, self.record_every, self.record_ks)
 
 
 def geometric_checkpoints(last: int, n_points: int = 30, start: int = 1) -> np.ndarray:
@@ -197,11 +189,8 @@ def _observable_arrays(problem: FiniteSumProblem, states: np.ndarray):
     """(f_gap, grad_norm_sq, dist_sq) row-wise for a (n, d) block of states."""
     if problem.affine is not None:
         U = states - problem.x_star
-        d_mean, c_mean = problem.affine.d_mean, problem.affine.c_mean
-        G = U * d_mean + c_mean
-        f_gap = (0.5 * np.einsum("nd,nd->n", U, U * d_mean) + U @ c_mean
-                 - problem.constants.f_star)
-        return f_gap, np.einsum("nd,nd->n", G, G), np.einsum("nd,nd->n", U, U)
+        f_gap, grad_sq = problem.affine.block_observables(U, problem.constants.f_star)
+        return f_gap, grad_sq, np.einsum("nd,nd->n", U, U)
     f_gap = np.empty(states.shape[0])
     grad_sq = np.empty(states.shape[0])
     dist_sq = np.empty(states.shape[0])
@@ -260,38 +249,35 @@ def _run_one_path(spec: RunSpec, rng: np.random.Generator) -> Trajectory:
 
 
 def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult | None:
-    if not _kernels.supports_kernel(spec.mode, spec.problem, spec.batch):
+    """The kernel's result, or None when no kernel covers the spec."""
+    if not _kernels.supports_kernel(spec.mode, spec.problem, spec.batch,
+                                    spec.volatility_mode):
         return None
-    try:
-        if spec.mode == "sgd":
-            return _kernels.kernel_mb_sgd(spec.problem, spec.adj, spec.batch,
-                                          spec.x0, spec.n_steps, gens, ks,
-                                          weights=spec.weights)
-        if spec.mode == "pgd":
-            return _kernels.kernel_pgd(spec.problem, spec.adj, spec.batch,
-                                       spec.x0, spec.n_steps, gens, ks,
-                                       volatility_mode=spec.volatility_mode,
-                                       weights=spec.weights)
-        if spec.mode == "mb-pgf":
-            return _kernels.kernel_mb_pgf(spec.problem, spec.adj, spec.batch,
-                                          spec.x0, spec.dt, spec.total_steps,
-                                          gens, ks,
-                                          volatility_mode=spec.volatility_mode,
-                                          weights=spec.weights)
-        if spec.mode == "time-changed":
-            return _kernels.kernel_time_changed(spec.problem, spec.adj,
-                                                spec.batch, spec.x0, spec.dt,
-                                                spec.total_steps, gens, ks,
-                                                volatility_mode=spec.volatility_mode)
-        if spec.mode == "svrg":
-            return _kernels.kernel_svrg(spec.problem, spec.h, spec.epoch_steps,
-                                        spec.n_epochs, spec.x0, gens, ks)
-        if spec.mode == "vr-pgf":
-            return _kernels.kernel_vr_pgf(spec.problem, spec.staleness, spec.x0,
-                                          spec.dt, spec.total_steps, gens, ks)
-    except ValueError:
-        return None  # shape not covered (e.g. non-constant volatility) — fall back
-    return None
+    if spec.mode == "sgd":
+        return _kernels.kernel_mb_sgd(spec.problem, spec.adj, spec.batch,
+                                      spec.x0, spec.n_steps, gens, ks,
+                                      weights=spec.weights)
+    if spec.mode == "pgd":
+        return _kernels.kernel_pgd(spec.problem, spec.adj, spec.batch,
+                                   spec.x0, spec.n_steps, gens, ks,
+                                   volatility_mode=spec.volatility_mode,
+                                   weights=spec.weights)
+    if spec.mode == "mb-pgf":
+        return _kernels.kernel_mb_pgf(spec.problem, spec.adj, spec.batch,
+                                      spec.x0, spec.dt, spec.total_steps,
+                                      gens, ks,
+                                      volatility_mode=spec.volatility_mode,
+                                      weights=spec.weights)
+    if spec.mode == "time-changed":
+        return _kernels.kernel_time_changed(spec.problem, spec.adj,
+                                            spec.batch, spec.x0, spec.dt,
+                                            spec.total_steps, gens, ks,
+                                            volatility_mode=spec.volatility_mode)
+    if spec.mode == "svrg":
+        return _kernels.kernel_svrg(spec.problem, spec.h, spec.epoch_steps,
+                                    spec.n_epochs, spec.x0, gens, ks)
+    return _kernels.kernel_vr_pgf(spec.problem, spec.staleness, spec.x0,
+                                  spec.dt, spec.total_steps, gens, ks)
 
 
 def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
@@ -302,7 +288,9 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
     numpy SeedSequence), so results are reproducible and independent of how
     the work is batched.  Paths that diverge are dropped from the statistics
     and counted; more than 50% divergence raises
-    :class:`EnsembleDivergenceError`.
+    :class:`EnsembleDivergenceError`.  With ``use_kernels`` a kernel runs
+    the ensemble exactly when ``_kernels.supports_kernel`` covers the spec;
+    otherwise every path runs through its simulator.
     """
     if n_paths < 2:
         raise ValueError("an ensemble needs n_paths >= 2")

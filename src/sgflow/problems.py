@@ -89,6 +89,13 @@ class _AffineParts:
         object.__setattr__(self, "d_mean", self.D.mean(axis=0))
         object.__setattr__(self, "c_mean", self.C.mean(axis=0))
 
+    def block_observables(self, U: np.ndarray, f_star: float):
+        """(f - f*, |grad f|^2) row-wise for a (n, d) block of offsets U = X - x*."""
+        G = U * self.d_mean + self.c_mean
+        f_gap = (0.5 * np.einsum("nd,nd->n", U, U * self.d_mean)
+                 + U @ self.c_mean - f_star)
+        return f_gap, np.einsum("nd,nd->n", G, G)
+
 
 class FiniteSumProblem:
     """A finite sum f = (1/N) Σ f_i on R^d with exact per-component gradients.

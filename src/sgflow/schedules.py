@@ -46,6 +46,7 @@ __all__ = [
     "discrete_phi",
     "randomized_index",
     "randomized_time",
+    "record_steps",
 ]
 
 # Exact argument types of the scalar path; bool and NumPy integers take the
@@ -193,6 +194,15 @@ class StalenessSchedule:
             raise ValueError("stepsize h must be positive")
         object.__setattr__(self, "epoch_time", self.m * self.h)
 
+    def grid_steps(self, dt: float) -> int:
+        """Grid steps of size dt per epoch; the epoch must span a whole number."""
+        ratio = self.epoch_time / dt
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise ValueError(
+                f"epoch time {self.epoch_time} must be a positive "
+                f"multiple of dt={dt} so delayed states lie on the grid")
+        return int(round(ratio))
+
     def xi(self, t):
         """Staleness xi(t) = t mod (m*h), in [0, m*h)."""
         t = np.asarray(t, dtype=float)
@@ -200,6 +210,28 @@ class StalenessSchedule:
             raise ValueError("staleness is only defined for t >= 0")
         out = np.mod(t, self.epoch_time)
         return out[()] if out.ndim == 0 else out
+
+
+def record_steps(n_steps: int, record_every: int = 1,
+                 record_ks=None) -> np.ndarray:
+    """The step indices a run of n_steps records.
+
+    ``record_ks`` if given (non-empty, strictly increasing, within
+    [0, n_steps]), else every ``record_every``-th step and the last.
+    """
+    if record_ks is not None:
+        ks = np.asarray(record_ks, dtype=int)
+        if ks.ndim != 1 or ks.size == 0 or np.any(np.diff(ks) <= 0):
+            raise ValueError("record_ks must be a non-empty increasing index array")
+        if ks[0] < 0 or ks[-1] > n_steps:
+            raise ValueError(f"record_ks out of range [0, {n_steps}]")
+        return ks
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    ks = np.arange(0, n_steps + 1, record_every)
+    if ks[-1] != n_steps:
+        ks = np.append(ks, n_steps)
+    return ks
 
 
 def phi(schedule: AdjustmentSchedule, t):

@@ -487,6 +487,59 @@ def test_verify_output_name_override(tmp_path):
     assert (out / "pinned_curve.csv").is_file()
 
 
+# -- config-boundary errors (exit code 2, no traceback) ------------------------
+
+
+@pytest.mark.parametrize("stride", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simulate", "bound", "verify"])
+def test_record_every_below_one_exits_2(tmp_path, capsys, command, stride):
+    if command == "bound":
+        text, argv = BOUND_INI, ["bound", "pl_ct"]
+    else:
+        text = VERIFY_PL_INI.replace("n_steps = 400", "n_steps = 20")
+        argv = [command] + (["bound"] if command == "verify" else [])
+    cfg = write(tmp_path, "c.ini", text.replace("record_every = 1",
+                                                f"record_every = {stride}"))
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                        "--paths", "4"]) == 2
+    assert "record_every must be >= 1" in capsys.readouterr().err
+
+
+VR_OFF_GRID_INI = """[problem]
+family = spread
+lambda_mean = 10.0
+spread = 1.0
+
+[schedule]
+h = 0.01
+m = 2
+
+[simulation]
+mode = vr-pgf
+x0 = 1.5
+dt = 0.003
+t = 0.06
+
+[verify]
+experiment = bound
+kind = vr_ct
+"""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--paths", "4"],
+                                  ["simulate", "--paths", "1"],
+                                  ["verify", "bound", "--paths", "4"]],
+                         ids=["ensemble", "single-path", "verify"])
+def test_vr_pgf_epoch_off_the_dt_grid_exits_2(tmp_path, capsys, argv):
+    # the epoch time 0.02 is not a multiple of dt = 0.003
+    cfg = write(tmp_path, "vr.ini", VR_OFF_GRID_INI)
+    assert main(argv + ["--config", str(cfg),
+                        "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "must be a positive multiple of dt=0.003" in err
+
+
 def weak_error_ini(out_dir):
     return f"""\
 [problem]

@@ -1,12 +1,15 @@
-"""Golden fingerprints of the ensemble kernels' sample paths.
+"""Golden fingerprints of the ensemble kernels, simulators and ensembles.
 
-Each case runs a kernel for 2 000 steps under the power schedule a = 0.5 and
-compares the SHA-256 of its recorded states (and of its weighted sums, where
-they are on) with a digest frozen from the reference implementation.  A new
-psi value enters every step, so a coefficient table that moves by one ulp
-anywhere changes the digest: these tests pin the kernels' arithmetic bit for
-bit, where the simulator-parity tests in ``test_kernels.py`` allow the matrix
-paths a tolerance.
+Each kernel case runs a kernel for 2 000 steps under the power schedule
+a = 0.5 and compares the SHA-256 of its recorded states (and of its weighted
+sums, where they are on) with a digest frozen from the reference
+implementation.  A new psi value enters every step, so a coefficient table
+that moves by one ulp anywhere changes the digest: these tests pin the
+kernels' arithmetic bit for bit, where the simulator-parity tests in
+``test_kernels.py`` allow the matrix paths a tolerance.  The same is done for
+one path of each per-path simulator (states and observables) and for the
+means and variances of ``ensemble_run`` in every mode, on the kernel and on
+the per-path engine.
 
 The digests depend on this platform's libm (``pow``, ``sqrt``) and on the
 NumPy build: they were frozen on x86-64 Linux with glibc, an AVX-512 CPU and
@@ -20,15 +23,29 @@ import hashlib
 import numpy as np
 import pytest
 
+import sgflow._kernels as knl
 from sgflow._kernels import (
     _step_tables,
     kernel_mb_pgf,
     kernel_mb_sgd,
     kernel_pgd,
+    kernel_svrg,
     kernel_time_changed,
+    kernel_vr_pgf,
 )
-from sgflow.problems import make_isotropic_quadratic, make_perturbed_quadratic
-from sgflow.schedules import AdjustmentSchedule, BatchSchedule
+from sgflow.continuous import (
+    simulate_mb_pgf,
+    simulate_time_changed,
+    simulate_vr_pgf,
+)
+from sgflow.discrete import run_mb_sgd, run_pgd, run_svrg_option2
+from sgflow.harness import RunSpec, ensemble_run
+from sgflow.problems import (
+    make_isotropic_quadratic,
+    make_perturbed_quadratic,
+    make_spread_quadratic,
+)
+from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
 
 N_STEPS = 2_000
 N_PATHS = 4
@@ -47,13 +64,26 @@ def _isotropic():
     return make_isotropic_quadratic(1.0, 2, sigma_star_sq=0.2)
 
 
+def _spread():
+    # two components of different curvature, d = 1: the delay-kernel family
+    return make_spread_quadratic(3.0, 1.0)
+
+
+def _staleness():
+    return StalenessSchedule(m=4, h=0.01)  # four grid steps of dt = 0.01
+
+
+def _adj():
+    return AdjustmentSchedule(h=0.05, family="power", a=0.5)
+
+
 def _gens():
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(SEED).spawn(N_PATHS)]
 
 
 def _run(case: str):
-    adj = AdjustmentSchedule(h=0.05, family="power", a=0.5)
+    adj = _adj()
     ks = np.arange(N_STEPS + 1)
     if case == "sgd":
         return kernel_mb_sgd(_noisy(), adj, BatchSchedule(b=2), X0, N_STEPS,
@@ -75,6 +105,11 @@ def _run(case: str):
     if case == "time-changed":
         return kernel_time_changed(_isotropic(), adj, BatchSchedule(b=1), X0,
                                    0.01, N_STEPS, _gens(), ks)
+    if case == "svrg":
+        return kernel_svrg(_noisy(), 0.05, 5, N_STEPS // 5, X0, _gens(), ks)
+    if case == "vr-pgf":
+        return kernel_vr_pgf(_spread(), _staleness(), X0[:1], 0.01, N_STEPS,
+                             _gens(), ks)
     raise ValueError(case)
 
 
@@ -114,6 +149,12 @@ GOLDEN = {
     "time-changed": {
         "states": "30a71865342913b3e56f4f13e29bf432f4542c44986f3df6076457f7c119357f",
     },
+    "svrg": {
+        "states": "a3da20857807c0d17400425fb6cc08d4cbcc568ebc0158148a893c10be548ebe",
+    },
+    "vr-pgf": {
+        "states": "85e85ccbad0962a3b81dc2e9279e63f0466b8c633d3477e5b53907faaf17e576",
+    },
 }
 
 
@@ -141,7 +182,182 @@ def test_step_tables_are_the_scalar_schedule_values(adj):
         assert type(psi[k]) is float and psi[k] == adj.psi_k(k)
 
 
+@pytest.mark.parametrize("case", ["sgd", "pgd-matrix", "mb-pgf-matrix",
+                                  "time-changed"])
+def test_chunked_draws_keep_the_fingerprint(case, monkeypatch):
+    # chunks of 7 steps (each draw is 2 wide: d, or the sgd batch size);
+    # 2 000 = 285 * 7 + 5, so the draws also end on a shorter chunk
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * N_PATHS * 2)
+    assert _digests(_run(case)) == GOLDEN[case]
+
+
+# -- per-path simulators -----------------------------------------------------
+
+
+def _simulate(case: str):
+    """One path of a per-path simulator, from the first spawned stream."""
+    adj = _adj()
+    rng = _gens()[0]
+    T = N_STEPS * 0.01
+    growing = BatchSchedule(family="linear-growth", b0=1.0, rate=0.5)
+    if case == "run_mb_sgd":
+        return run_mb_sgd(_noisy(), adj, BatchSchedule(b=2), X0, N_STEPS, rng)
+    if case == "run_pgd":
+        return run_pgd(_noisy(), adj, growing, X0, N_STEPS, rng)
+    if case == "run_svrg_option2":
+        return run_svrg_option2(_noisy(), 0.05, 5, N_STEPS // 5, X0, rng)
+    if case == "simulate_mb_pgf":
+        return simulate_mb_pgf(_noisy(), adj, growing, X0, 0.01, T, rng)
+    if case == "simulate_vr_pgf":
+        return simulate_vr_pgf(_spread(), _staleness(), X0[:1], 0.01, T, rng)
+    if case == "simulate_time_changed":
+        return simulate_time_changed(_isotropic(), adj, BatchSchedule(b=1), X0,
+                                     0.01, T, rng)
+    raise ValueError(case)
+
+
+def _trajectory_digests(tr) -> dict:
+    arrays = {"states": tr.states, "f_gap": tr.f_gap,
+              "grad_norm_sq": tr.grad_norm_sq, "dist_sq": tr.dist_sq}
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()}
+
+
+GOLDEN_SIMULATORS = {
+    "run_mb_sgd": {
+        "states": "3a8d7537a93728411c20063d7324b6662cfb8a8e6dfe334c95c1fb273959b65c",
+        "f_gap": "263cf76cf8a6a6492e8850e2eb83720c4f3eaca4fc18d0c9773b67fc6260d711",
+        "grad_norm_sq": "1636c354594212daeabd07ffc08b0abcc6d77ad2ef3a5ef6ccf08310abf96886",
+        "dist_sq": "e9d41105289a198bf8d02e01c96e1f4a3236cbe6dbdd5c8c0bda5e64c1466e28",
+    },
+    "run_pgd": {
+        "states": "6a9d5c32643678769e8e8e3b3a8e77145b5b0736c1d27746a002b85e9d89c292",
+        "f_gap": "c65f384d40ec06787de503e8356956c9b4c33a68e7ec2273cc45ebd7a28192a3",
+        "grad_norm_sq": "dddd963e209ab1c86109038e1e4a1107d38ba5bc7cd34330f465fb8658b1e77c",
+        "dist_sq": "91bae22b43d5761d70bae8b489c4358dbbfd8fcb983b6c1a21600dd74ced395a",
+    },
+    "run_svrg_option2": {
+        "states": "22746445f90366b371016ba099fc68930366c1a5a2ac23c2a9425c05d95e9c0e",
+        "f_gap": "b129bdbe5f03cf143f49d17694d07e029277c24ce7633ebc754bbf0556a6d976",
+        "grad_norm_sq": "c2b1cdb887fc0035175929a4f8667fcce5ca1c0b03b0dfa3986427bfbba56519",
+        "dist_sq": "a62a3dda1d3799761b96052d88cd12a0ab10c8c187cf9310fafeead7f826f052",
+    },
+    "simulate_mb_pgf": {
+        "states": "17ed992f708f9fb346aeee93d704808fc901c8ba6897212ed2232d3665878636",
+        "f_gap": "e289827170dd8ce589a6cf8f46c44f89eb5cccf331f997ac2cdea9eaeaac9701",
+        "grad_norm_sq": "01f0487d31dbf315ff4f4d2f84f0d68c7cc3b4c73befce6ec5f4654d8eb8e2d3",
+        "dist_sq": "d5db8f285decdedd25b79ee70fa7cfdae5e1b5ebf479581477f65c6a7d7050a1",
+    },
+    "simulate_vr_pgf": {
+        "states": "96998e7e095c1bc29a230d378daccd5ec3859c6df1389aa3ca97c7f98ff43a2d",
+        "f_gap": "50fb45e16270ae3464218885e2bae114c32c26cba808823dc34e1036558347f7",
+        "grad_norm_sq": "91b3042189509c244340e8f9fef3289a351df9159132a03b7ddbffd884929df5",
+        "dist_sq": "0c754fcaa3b80a8492f1210b8bb6dd76d0cb10c1d0edd3e8c34fe51f84c9d2e5",
+    },
+    "simulate_time_changed": {
+        "states": "16949f076f3ec27c4099e5f9f800570fb057c5cff39c0d4f7c61cc7e5600abc1",
+        "f_gap": "6e8677f98a5b11ab226d3f8825edf22ef76f53bf6aa8012215baa415b2be56f9",
+        "grad_norm_sq": "34dae6c2e6c77d2218b37f06f492bf186382ddac5ecf865da567d25c3099e550",
+        "dist_sq": "2f73d33204f381b08cd69b1e6812faa9cd284a37db5181c9f586fefe713de800",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATORS))
+def test_simulator_fingerprint(case):
+    tr = _simulate(case)
+    assert not tr.diverged and len(tr) == N_STEPS + 1
+    assert _trajectory_digests(tr) == GOLDEN_SIMULATORS[case]
+
+
+# -- ensembles ---------------------------------------------------------------
+
+ENSEMBLE_STEPS = 300
+ENSEMBLE_MODES = ("sgd", "pgd", "mb-pgf", "time-changed", "svrg", "vr-pgf")
+
+
+def _ensemble(mode: str, use_kernels: bool):
+    """ensemble_run of one mode, weighted where the mode allows it."""
+    T = ENSEMBLE_STEPS * 0.01
+    common = dict(x0=X0, record_every=7)
+    if mode in ("sgd", "pgd"):
+        spec = RunSpec(mode=mode, problem=_noisy(), adj=_adj(),
+                       batch=BatchSchedule(b=2), n_steps=ENSEMBLE_STEPS,
+                       weights=True, **common)
+    elif mode == "mb-pgf":
+        spec = RunSpec(mode=mode, problem=_noisy(), adj=_adj(),
+                       batch=BatchSchedule(b=2), dt=0.01, T=T, weights=True,
+                       **common)
+    elif mode == "time-changed":
+        spec = RunSpec(mode=mode, problem=_isotropic(), adj=_adj(), dt=0.01,
+                       T=T, **common)
+    elif mode == "svrg":
+        spec = RunSpec(mode=mode, problem=_noisy(), h=0.05, epoch_steps=5,
+                       n_epochs=ENSEMBLE_STEPS // 5, **common)
+    else:
+        spec = RunSpec(mode=mode, problem=_spread(), x0=X0[:1],
+                       staleness=_staleness(), dt=0.01, T=T, record_every=7)
+    return ensemble_run(spec, N_PATHS, SEED, use_kernels=use_kernels)
+
+
+def _stats_digest(stats) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(stats.grid).tobytes())
+    h.update(np.asarray([stats.n_paths, stats.divergence_count]).tobytes())
+    for key in sorted(stats.mean):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(stats.mean[key]).tobytes())
+        h.update(np.ascontiguousarray(stats.variance[key]).tobytes())
+    return h.hexdigest()
+
+
+GOLDEN_ENSEMBLES = {
+    "sgd/kernel":
+        "49b6dfea788e82d2738239dae4cbacd43a202635319cb4c1708206cb1ed4177c",
+    "sgd/paths":
+        "4a23ef32747dd9513ea37f664de1e5cda348a939235c9fa7d4eb02b515986e77",
+    "pgd/kernel":
+        "c019bcff0113e3117938f242e3db42ee03009e2b1712bbf17c089dbc8460aa39",
+    "pgd/paths":
+        "75d1cd6edb420ba2cf795d0ec69257c90958a842a601263aa5a232002e1ceeb6",
+    "mb-pgf/kernel":
+        "8ba529ff92598edb6d3598831557bad0c82e8f8b80f64c26051973054a7db207",
+    "mb-pgf/paths":
+        "926bbfa8ae2db9f01c586664f82fde28ef9c93847c26b228030f455615e7948c",
+    "time-changed/kernel":
+        "b612610f998222f62944a512e153c8701a8d2aff20d1f60eb73ca5abd96e728e",
+    "time-changed/paths":
+        "b612610f998222f62944a512e153c8701a8d2aff20d1f60eb73ca5abd96e728e",
+    "svrg/kernel":
+        "1f986bd571e43ff8d0af8cae3b5676eaa1b59ac15860c0e1d07bf2425960887f",
+    "svrg/paths":
+        "1f986bd571e43ff8d0af8cae3b5676eaa1b59ac15860c0e1d07bf2425960887f",
+    "vr-pgf/kernel":
+        "68b085ed683facb72445c1806634c38ad599e117597b5175a293a268b26cdeba",
+    "vr-pgf/paths":
+        "68b085ed683facb72445c1806634c38ad599e117597b5175a293a268b26cdeba",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
+def test_ensemble_fingerprint(case):
+    mode, engine = case.rsplit("/", 1)
+    stats = _ensemble(mode, use_kernels=engine == "kernel")
+    assert _stats_digest(stats) == GOLDEN_ENSEMBLES[case]
+
+
 if __name__ == "__main__":
+    print("GOLDEN = {")
     for name in ("sgd", "pgd-scalar", "pgd-matrix", "mb-pgf-scalar",
-                 "mb-pgf-matrix", "time-changed"):
+                 "mb-pgf-matrix", "time-changed", "svrg", "vr-pgf"):
         print(f"    {name!r}: {_digests(_run(name))!r},")
+    print("}\nGOLDEN_SIMULATORS = {")
+    for name in ("run_mb_sgd", "run_pgd", "run_svrg_option2",
+                 "simulate_mb_pgf", "simulate_vr_pgf", "simulate_time_changed"):
+        print(f"    {name!r}: {_trajectory_digests(_simulate(name))!r},")
+    print("}\nGOLDEN_ENSEMBLES = {")
+    for mode in ENSEMBLE_MODES:
+        for engine in ("kernel", "paths"):
+            stats = _ensemble(mode, use_kernels=engine == "kernel")
+            print(f"    {mode + '/' + engine!r}: {_stats_digest(stats)!r},")
+    print("}")

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from sgflow import _kernels
 from sgflow.bounds import AdmissibilityError, BoundInputs, RateBound, bound_discrete
 from sgflow.discrete import run_svrg_option2
 from sgflow.harness import (
@@ -26,7 +27,7 @@ from sgflow.harness import (
     verify_bound,
     weak_error_experiment,
 )
-from sgflow.harness import _run_one_path, weight_denominators
+from sgflow.harness import _kernel_dispatch, _run_one_path, weight_denominators
 from sgflow.problems import (
     FiniteSumProblem,
     ProblemConstants,
@@ -254,6 +255,95 @@ def test_run_one_path_dispatch_matches_direct_call():
     ref = run_svrg_option2(p, 0.05, 3, 2, X0, np.random.default_rng(seed))
     assert np.array_equal(tr.states, ref.states)
     assert np.array_equal(tr.jump_flags, ref.jump_flags)
+
+
+# -- engine selection --------------------------------------------------------
+
+
+def test_kernel_errors_are_not_swallowed(monkeypatch):
+    # a kernel that fails must fail the run, not hand it silently to the
+    # per-path simulators
+    def broken(*args, **kwargs):
+        raise ValueError("injected kernel failure")
+
+    monkeypatch.setattr(_kernels, "kernel_mb_sgd", broken)
+    with pytest.raises(ValueError, match="injected kernel failure"):
+        ensemble_run(sgd_spec(), 4, seed)
+
+
+def _callable_problem():
+    # the perturbed quadratic given through callables: no affine parts
+    p = noisy_problem()
+    comps = [(lambda x, i=i: p.component_value(i, x),
+              lambda x, i=i: p.component_grad(i, x))
+             for i in range(p.n_components)]
+    return FiniteSumProblem(d=2, x_star=X_STAR, constants=p.constants,
+                            components=comps)
+
+
+SELECTION_PROBLEMS = {
+    "isotropic": lambda: make_isotropic_quadratic(1.0, 2, sigma_star_sq=0.2),
+    "perturbed": noisy_problem,
+    "spread-d1": lambda: make_spread_quadratic(3.0, 1.0),
+    "spread-d2": lambda: make_spread_quadratic(3.0, 1.0, d=2),
+    "callable": _callable_problem,
+}
+SELECTION_BATCHES = {
+    "constant": BatchSchedule(b=2),
+    "linear-growth": BatchSchedule(family="linear-growth", b0=1.0, rate=2.0),
+}
+
+
+def _selection_spec(mode, problem, batch, volatility):
+    common = dict(mode=mode, problem=problem, x0=np.ones(problem.d),
+                  batch=batch, volatility_mode=volatility)
+    adj = AdjustmentSchedule(h=0.05, family="power", a=0.5)
+    if mode in ("sgd", "pgd"):
+        return RunSpec(adj=adj, n_steps=6, **common)
+    if mode in ("mb-pgf", "time-changed"):
+        return RunSpec(adj=adj, dt=0.05, T=0.3, **common)
+    if mode == "svrg":
+        return RunSpec(h=0.05, epoch_steps=2, n_epochs=3, **common)
+    return RunSpec(staleness=StalenessSchedule(m=2, h=0.05), dt=0.05, T=0.3,
+                   **common)
+
+
+def _value_error(run):
+    try:
+        run()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("volatility", ["exact", "constant"])
+@pytest.mark.parametrize("batch_name", sorted(SELECTION_BATCHES))
+@pytest.mark.parametrize("problem_name", sorted(SELECTION_PROBLEMS))
+@pytest.mark.parametrize("mode", ["sgd", "pgd", "svrg", "mb-pgf", "vr-pgf",
+                                  "time-changed"])
+def test_supports_kernel_is_exact(monkeypatch, mode, problem_name, batch_name,
+                                  volatility):
+    # supports_kernel must hold exactly when the batch size is constant and
+    # the kernel runs without a shape error.  A ValueError the per-path
+    # simulator raises too (a missing sigma_star_sq) is the configuration's
+    # fault, not the kernel's, and reaches the caller from either engine.
+    batch = SELECTION_BATCHES[batch_name]
+    spec = _selection_spec(mode, SELECTION_PROBLEMS[problem_name](), batch,
+                           volatility)
+    supported = _kernels.supports_kernel(mode, spec.problem, spec.batch,
+                                         volatility)
+
+    def gens():
+        return [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(2)]
+
+    monkeypatch.setattr(_kernels, "supports_kernel", lambda *a, **k: True)
+    ks = spec.resolved_record_ks()
+    kernel_error = _value_error(lambda: _kernel_dispatch(spec, gens(), ks))
+    path_error = _value_error(lambda: _run_one_path(spec, gens()[0]))
+    shape_error = kernel_error is not None and kernel_error != path_error
+    assert supported == (batch.family == "constant" and not shape_error)
 
 
 # -- weighted averages -------------------------------------------------------

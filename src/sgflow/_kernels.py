@@ -10,7 +10,11 @@ consumes the stream exactly like k successive ``standard_normal(d)`` calls,
 and sized integer draws behave the same way -- so a kernel fed the same
 per-path generators reproduces the simulator's sample paths (up to
 floating-point association in the matrix products; the test suite pins the
-equivalence and its tolerance).
+equivalence and its tolerance).  The same two facts let every usable core
+fill a chunk: one thread per contiguous range of paths touches only those
+paths' streams, in the same order, and NumPy releases the GIL while it
+fills, so the draws run in parallel and no value depends on how many cores
+there are (:func:`_draw_chunks`).
 
 Kernels cover only the shapes the experiments hit, and
 :func:`supports_kernel` states exactly which: affine-gradient finite sums and
@@ -32,6 +36,8 @@ randomized-output rate guarantees.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,31 +135,81 @@ def _step_tables(adj: AdjustmentSchedule, n_steps: int):
     return eta, psi
 
 
-def _draw_chunks(gens, n_steps: int, width: int, dtype, method: str, *args):
-    """Yield (k0, B) with B[p] the next chunk of ``g.method(*args)`` draws.
+def _fill_workers(n_paths: int) -> int:
+    """Threads that fill one noise chunk: the usable cores, at most n_paths.
 
-    Every chunk is drawn into one reused (n_paths, chunk, width) buffer, so
-    only one chunk is ever alive; the consumer must be done with a chunk
-    before it asks for the next.
+    Read from the machine rather than set: the count decides how long a
+    chunk takes to fill, never what it holds (see :func:`_draw_chunks`).
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_paths))
+
+
+def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
+    """Yield (k0, B) with B[p] the next chunk of draws from path p's generator.
+
+    ``fill_row(g, row)`` fills one path's (chunk, width) row from g.  Every
+    chunk is drawn into one reused (n_paths, chunk, width) buffer, so only
+    one chunk is ever alive; the consumer must be done with a chunk before
+    it asks for the next.
+
+    The paths are split into :func:`_fill_workers` contiguous ranges that
+    fill at the same time: the first by the caller, the others by pool
+    threads.  No value moves.  Each path owns its generator, so a thread
+    touches only its own paths' streams, and each stream is consumed in the
+    same order by the same sized calls whatever the split.  NumPy releases
+    the GIL while it fills an array, so the ranges do draw in parallel.
+    Since no worker count can change a result, the count is read from the
+    machine and is not a setting.  Every range is finished before a chunk
+    is yielded or an error raised, so no thread writes into a buffer the
+    caller holds; the first error in path order reaches the caller.  The
+    threads live for one call (a pool kept across calls would hang in a
+    forked child).
     """
     n_paths = len(gens)
     chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * width)))
     buf = np.empty((n_paths, chunk, width), dtype=dtype)
-    for k0 in range(0, n_steps, chunk):
-        B = buf[:, :min(chunk, n_steps - k0)]
-        for p, g in enumerate(gens):
-            B[p] = getattr(g, method)(*args, size=B.shape[1:])
-        yield k0, B
+    n_workers = _fill_workers(n_paths)
+    cuts = [n_paths * i // n_workers for i in range(n_workers + 1)]
+    ranges = list(zip(cuts[:-1], cuts[1:]))
+
+    def fill(B, lo, hi):
+        for p in range(lo, hi):
+            fill_row(gens[p], B[p])
+
+    pool = (ThreadPoolExecutor(n_workers - 1, thread_name_prefix="sgflow-draw")
+            if n_workers > 1 else None)
+    try:
+        for k0 in range(0, n_steps, chunk):
+            B = buf[:, :min(chunk, n_steps - k0)]
+            futures = [pool.submit(fill, B, lo, hi) for lo, hi in ranges[1:]]
+            try:
+                fill(B, *ranges[0])
+            finally:
+                wait(futures)
+            for f in futures:
+                f.result()
+            yield k0, B
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _normal_chunks(gens, n_steps: int, d: int):
     """Yield (k0, Z) with Z[p] the next chunk of N(0,1) steps for path p."""
-    yield from _draw_chunks(gens, n_steps, d, np.float64, "standard_normal")
+    def fill_row(g, row):
+        g.standard_normal(out=row)  # straight into the C-contiguous row
+    yield from _draw_chunks(gens, n_steps, d, np.float64, fill_row)
 
 
 def _index_chunks(gens, n_steps: int, n_components: int, b: int):
     """Yield (k0, I) with I[p] the next chunk of batch index draws for path p."""
-    yield from _draw_chunks(gens, n_steps, b, np.int64, "integers", 0, n_components)
+    def fill_row(g, row):
+        row[...] = g.integers(0, n_components, size=row.shape)
+    yield from _draw_chunks(gens, n_steps, b, np.int64, fill_row)
 
 
 class _BlockRecorder:

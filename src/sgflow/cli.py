@@ -342,18 +342,23 @@ def cmd_simulate(cfg: dict, overrides: argparse.Namespace) -> int:
         # the single path coincides with path 0 of an ensemble run at this seed
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         tr: Trajectory = _run_one_path(spec, rng)
+        # the path holds every step up to any divergence; write the rows an
+        # ensemble run would record
+        ks = spec.resolved_record_ks()
+        rows = ks[ks < len(tr)]
         stem = name or "trajectory"
-        flags = (tr.jump_flags.astype(int) if tr.jump_flags is not None
-                 else np.zeros(len(tr), dtype=int))
+        flags = (tr.jump_flags[rows].astype(int) if tr.jump_flags is not None
+                 else np.zeros(rows.size, dtype=int))
+        cols = [tr.times[rows], tr.f_gap[rows], tr.grad_norm_sq[rows],
+                tr.dist_sq[rows]]
         if fmt == "csv":
             _write_csv(out / f"{stem}.csv",
                        ["t", "f_gap", "grad_norm_sq", "dist_sq", "flags"],
-                       [tr.times, tr.f_gap, tr.grad_norm_sq, tr.dist_sq,
-                        [str(int(f)) for f in flags]])
+                       cols + [[str(int(f)) for f in flags]])
         else:
             _write_json(out / f"{stem}.json", {
-                "t": tr.times, "f_gap": tr.f_gap,
-                "grad_norm_sq": tr.grad_norm_sq, "dist_sq": tr.dist_sq,
+                "t": cols[0], "f_gap": cols[1],
+                "grad_norm_sq": cols[2], "dist_sq": cols[3],
                 "flags": flags, "diverged": tr.diverged,
                 "divergence_step": tr.divergence_step, "seed": seed,
             })
@@ -482,8 +487,10 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
             raise ConfigError(str(e)) from e
         spec = build_run_spec(cfg, problem, overrides,
                               weights=kind in _WEIGHTED_KINDS)
+        t0 = time.perf_counter()
         stats = ensemble_run(spec, n_paths, seed)
         report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=n_cp)
+        report.runtime_seconds = time.perf_counter() - t0  # the run, not just the check
         stem = name or f"report_bound_{kind}"
         curve_stem = f"{name}_curve" if name else f"curve_{kind}"
         _write_csv(out / f"{curve_stem}.csv",
@@ -596,17 +603,31 @@ def cmd_suite(config_dir, overrides: argparse.Namespace) -> int:
     if not files:
         raise ConfigError(f"no .ini or .json configs in {config_dir}")
     results = []
+    worst = 0
     t0 = time.perf_counter()
     for path in files:
-        cfg = load_config(path)
-        experiment = _get(cfg.get("verify", {}), "experiment", _as_str,
-                          required=True, where="verify")
-        if experiment not in _EXPERIMENTS:
-            raise ConfigError(f"{path}: unknown experiment {experiment!r}; "
-                              f"valid: {list(_EXPERIMENTS)}")
-        code = cmd_verify(cfg, experiment, overrides)
-        results.append({"config": path.name, "experiment": experiment,
-                        "passed": code == 0})
+        # one bad config is recorded with its error and the suite goes on;
+        # the exit code is the worst per-config code, as main() maps them
+        experiment = error = None
+        try:
+            cfg = load_config(path)
+            experiment = _get(cfg.get("verify", {}), "experiment", _as_str,
+                              required=True, where="verify")
+            if experiment not in _EXPERIMENTS:
+                raise ConfigError(f"{path}: unknown experiment {experiment!r}; "
+                                  f"valid: {list(_EXPERIMENTS)}")
+            code = cmd_verify(cfg, experiment, overrides)
+        except (ConfigError, AdmissibilityError) as e:
+            code, error, label = 2, str(e), "config error"
+        except EnsembleDivergenceError as e:
+            code, error, label = 1, str(e), "run failed"
+        worst = max(worst, code)
+        result = {"config": path.name, "experiment": experiment,
+                  "passed": code == 0}
+        if error is not None:
+            print(f"{label} in {path.name}: {error}", file=sys.stderr)
+            result["error"] = error
+        results.append(result)
     out, _, name = _output_params({}, overrides)
     all_passed = all(r["passed"] for r in results)
     _write_json(out / f"{name or 'suite_report'}.json", {
@@ -615,11 +636,11 @@ def cmd_suite(config_dir, overrides: argparse.Namespace) -> int:
         "results": results,
     })
     for r in results:
-        print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['experiment']:<12} "
-              f"{r['config']}")
+        status = "PASS" if r["passed"] else "ERROR" if "error" in r else "FAIL"
+        print(f"{status:<5} {r['experiment'] or '-':<12} {r['config']}")
     print(f"{'all experiments passed' if all_passed else 'FAILURES present'} "
           f"({len(results)} configs, {time.perf_counter() - t0:.1f}s)")
-    return 0 if all_passed else 1
+    return worst
 
 
 # -- entry point --------------------------------------------------------------

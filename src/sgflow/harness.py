@@ -337,12 +337,15 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
         raise EnsembleDivergenceError(
             f"{div_count}/{n_paths} paths diverged; the configuration is "
             "unstable (check the stepsize against the admissibility conditions)")
-    alive = ~diverged
-    n_alive = int(alive.sum())
+    n_alive = n_paths - div_count
     if n_alive < 2:
         raise EnsembleDivergenceError("fewer than two non-divergent paths")
+    if div_count:  # masking copies the whole block; skip it when all are alive
+        alive = ~diverged
+        states = states[alive]
+        if spec.weights:
+            wsum_f, wsum_g = wsum_f[alive], wsum_g[alive]
 
-    states = states[alive]
     flat = states.reshape(-1, d)
     f_gap, grad_sq, dist_sq = _observable_arrays(spec.problem, flat)
     obs = {
@@ -360,7 +363,7 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
     if spec.weights:
         denom = weight_denominators(spec, ks)
         for key, wsum in (("f_gap_wavg", wsum_f), ("grad_norm_sq_wavg", wsum_g)):
-            wavg = wsum[alive] / denom
+            wavg = wsum / denom
             stats.mean[key] = wavg.mean(axis=0)
             stats.variance[key] = wavg.var(axis=0, ddof=1)
     return stats

@@ -7,15 +7,17 @@ are pinned bitwise, not just approximately.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgflow.bounds import BoundInputs, RateBound
+import sgflow.cli as cli
 from sgflow.cli import DEFAULT_SEED, load_config, main
 from sgflow.discrete import run_mb_sgd
-from sgflow.harness import RunSpec, ensemble_run
+from sgflow.harness import EnsembleDivergenceError, RunSpec, ensemble_run
 from sgflow.problems import make_perturbed_quadratic, make_spread_quadratic
 from sgflow.schedules import AdjustmentSchedule, BatchSchedule
 
@@ -217,6 +219,34 @@ def test_simulate_json_output_and_paths_override(tmp_path):
     assert (out / "ensemble.csv").is_file()
 
 
+def test_single_path_writes_the_ensemble_record_grid(tmp_path):
+    cfg = write(tmp_path, "sim.ini", PERTURBED_INI.replace(
+        "n_steps = 20", "n_steps = 20\nrecord_every = 5"))
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--format", fmt]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--paths", "4"]) == 0
+
+    _, single = read_csv(out / "trajectory.csv")
+    _, ensemble = read_csv(out / "ensemble.csv")
+    payload = json.loads((out / "trajectory.json").read_text())
+    assert np.array_equal(single["t"], [0.0, 1.25, 2.5, 3.75, 5.0])
+    assert np.array_equal(single["t"], ensemble["t"])
+    assert payload["t"] == list(single["t"])
+
+    # the rows are the full path's states at steps 0, 5, ..., 20
+    rng = np.random.default_rng(np.random.SeedSequence(4321).spawn(1)[0])
+    tr = run_mb_sgd(perturbed_problem(), AdjustmentSchedule(h=0.25),
+                    BatchSchedule(), [1.25, 0.0], 20, rng)
+    rows = np.arange(0, 21, 5)
+    assert np.array_equal(single["f_gap"], tr.f_gap[rows])
+    assert np.array_equal(single["dist_sq"], tr.dist_sq[rows])
+    assert payload["grad_norm_sq"] == list(tr.grad_norm_sq[rows])
+    assert payload["flags"] == [0] * 5
+
+
 def test_vr_pgf_horizon_from_epochs_and_jump_flags(tmp_path):
     cfg = write(tmp_path, "vr.ini", """\
 [problem]
@@ -389,6 +419,25 @@ def test_verify_bound_pass_artifacts_and_default_seed(tmp_path, capsys):
     header, cols = read_csv(out / "curve_pl_dt.csv")
     assert header == ["t", "empirical_mean", "se", "bound"]
     assert np.all(cols["empirical_mean"] <= cols["bound"] + 3.0 * cols["se"])
+
+
+def test_verify_bound_runtime_covers_the_ensemble(tmp_path, monkeypatch):
+    walls = []
+
+    def timed_ensemble(*args, **kwargs):
+        t0 = time.perf_counter()
+        time.sleep(0.05)  # well above what the bound check alone takes
+        stats = ensemble_run(*args, **kwargs)
+        walls.append(time.perf_counter() - t0)
+        return stats
+
+    monkeypatch.setattr(cli, "ensemble_run", timed_ensemble)
+    cfg = write(tmp_path, "v.ini", VERIFY_PL_INI)
+    out = tmp_path / "out"
+    assert main(["verify", "bound", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report_bound_pl_dt.json").read_text())
+    assert len(walls) == 1
+    assert report["runtime_seconds"] >= walls[0]
 
 
 def test_verify_failure_exits_1(tmp_path, capsys):
@@ -592,3 +641,50 @@ def test_suite_failure_and_guards(tmp_path, capsys):
     assert main(["suite", str(empty), "--out", str(tmp_path / "s")]) == 2
     assert main(["suite", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "s")]) == 2
+
+
+def test_suite_carries_on_past_a_bad_config(tmp_path, capsys):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    write(suite_dir, "01_bad.ini", weak_error_ini(tmp_path / "art").replace(
+        "h_list = 0.1, 0.05\n", ""))
+    write(suite_dir, "02_weak_error.ini", weak_error_ini(tmp_path / "art"))
+    out = tmp_path / "summary"
+    assert main(["suite", str(suite_dir), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert ("config error in 01_bad.ini: missing required key 'h_list'"
+            in captured.err)
+    assert "ERROR weak-error" in captured.out
+
+    assert json.loads((out / "report_weak-error.json").read_text())["passed"]
+    report = json.loads((out / "suite_report.json").read_text())
+    assert report["all_passed"] is False
+    bad, good = report["results"]
+    assert bad["config"] == "01_bad.ini" and bad["passed"] is False
+    assert bad["experiment"] == "weak-error"
+    assert bad["error"] == "missing required key 'h_list' in [verify]"
+    assert good == {"config": "02_weak_error.ini", "experiment": "weak-error",
+                    "passed": True}
+
+
+def test_suite_divergence_is_recorded_and_exits_1(tmp_path, capsys,
+                                                  monkeypatch):
+    real_verify = cli.cmd_verify
+
+    def diverging_first(cfg, experiment, overrides):
+        if cfg["verify"].get("h_list") == "0.1, 0.05, 0.025":
+            raise EnsembleDivergenceError("3/4 paths diverged")
+        return real_verify(cfg, experiment, overrides)
+
+    monkeypatch.setattr(cli, "cmd_verify", diverging_first)
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    write(suite_dir, "01_diverges.ini", weak_error_ini(tmp_path / "art").replace(
+        "h_list = 0.1, 0.05", "h_list = 0.1, 0.05, 0.025"))
+    write(suite_dir, "02_weak_error.ini", weak_error_ini(tmp_path / "art"))
+    out = tmp_path / "summary"
+    assert main(["suite", str(suite_dir), "--out", str(out)]) == 1
+    assert "run failed in 01_diverges.ini: 3/4 paths diverged" in capsys.readouterr().err
+    results = json.loads((out / "suite_report.json").read_text())["results"]
+    assert results[0]["error"] == "3/4 paths diverged"
+    assert [r["passed"] for r in results] == [False, True]

@@ -191,6 +191,21 @@ def test_chunked_draws_keep_the_fingerprint(case, monkeypatch):
     assert _digests(_run(case)) == GOLDEN[case]
 
 
+# the kernels that draw through _kernels._draw_chunks (svrg and vr-pgf draw
+# per epoch)
+CHUNKED_CASES = sorted(set(GOLDEN) - {"svrg", "vr-pgf"})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", CHUNKED_CASES)
+def test_parallel_fill_keeps_the_fingerprint(case, workers, monkeypatch):
+    # any number of fill threads, also more than paths (5 > N_PATHS leaves a
+    # range empty), on 7-step chunks that end on a shorter one
+    monkeypatch.setattr(knl, "_fill_workers", lambda n_paths: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * N_PATHS * 2)
+    assert _digests(_run(case)) == GOLDEN[case]
+
+
 # -- per-path simulators -----------------------------------------------------
 
 
@@ -344,6 +359,15 @@ def test_ensemble_fingerprint(case):
     mode, engine = case.rsplit("/", 1)
     stats = _ensemble(mode, use_kernels=engine == "kernel")
     assert _stats_digest(stats) == GOLDEN_ENSEMBLES[case]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("mode", ("sgd", "pgd", "mb-pgf", "time-changed"))
+def test_ensemble_fingerprint_for_any_fill_worker_count(mode, workers,
+                                                         monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n_paths: workers)
+    stats = _ensemble(mode, use_kernels=True)
+    assert _stats_digest(stats) == GOLDEN_ENSEMBLES[f"{mode}/kernel"]
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ variance-reduced delay kernel recomputes its volatility in closed form and is
 pinned to a tight relative tolerance instead.
 """
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -350,6 +355,78 @@ def test_chunked_draws_reproduce_unchunked(monkeypatch):
 
     assert np.array_equal(whole_sgd.states, tiny_sgd.states)
     assert np.array_equal(whole_pgd.states, tiny_pgd.states)
+
+
+# -- parallel chunk fill -------------------------------------------------------
+
+FILL_STEPS, FILL_WIDTH = 11, 3  # 3-step chunks: 11 steps end on a short one
+
+
+def _drawn(kind, gens):
+    """Every chunk the draw generator yields, joined along the steps."""
+    if kind == "normal":
+        chunks = knl._normal_chunks(gens, FILL_STEPS, FILL_WIDTH)
+    else:
+        chunks = knl._index_chunks(gens, FILL_STEPS, 5, FILL_WIDTH)
+    return np.concatenate([B.copy() for _, B in chunks], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["normal", "index"])
+@pytest.mark.parametrize("n_paths", [1, 4, 7])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_parallel_fill_gives_the_serial_draws(workers, n_paths, kind,
+                                              monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * n_paths * FILL_WIDTH)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL between threads at every chance
+    try:
+        got = _drawn(kind, gen_list(seed, n_paths))
+    finally:
+        sys.setswitchinterval(interval)
+    # one sized call per path: the stream that every split must reproduce
+    ref = np.array([g.standard_normal((FILL_STEPS, FILL_WIDTH)) if kind == "normal"
+                    else g.integers(0, 5, size=(FILL_STEPS, FILL_WIDTH))
+                    for g in gen_list(seed, n_paths)])
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+class _FailingStream:
+    def standard_normal(self, out):
+        raise RuntimeError("stream failed")
+
+
+class _SlowStream:
+    done = False
+
+    def standard_normal(self, out):
+        time.sleep(0.2)
+        out[...] = 0.0
+        self.done = True
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sgflow-draw")]
+
+
+@pytest.mark.parametrize("failing", [0, 3], ids=["caller-range", "pool-range"])
+def test_fill_error_reaches_the_caller_after_every_range(failing, monkeypatch):
+    # two ranges of two paths: the caller fills paths 0-1, a pool thread 2-3
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
+    slow = _SlowStream()
+    gens = gen_list(seed, 4)
+    gens[failing] = _FailingStream()
+    gens[2 if failing == 0 else 1] = slow  # a range that is still drawing
+    with pytest.raises(RuntimeError, match="stream failed"):
+        for _ in knl._normal_chunks(gens, 5, 2):
+            pass
+    assert slow.done
+    assert _draw_threads() == []
+
+
+def test_fill_workers_within_cores_and_paths():
+    assert 1 <= knl._fill_workers(10**6) <= os.cpu_count()
+    assert knl._fill_workers(1) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -14,7 +14,10 @@ equivalence and its tolerance).  The same two facts let every usable core
 fill a chunk: one thread per contiguous range of paths touches only those
 paths' streams, in the same order, and NumPy releases the GIL while it
 fills, so the draws run in parallel and no value depends on how many cores
-there are (:func:`_draw_chunks`).
+there are.  Two chunk buffers take turns, so those threads fill the next
+chunk while the kernel steps through the current one, and the noise scaling
+of the scalar-volatility kernels happens in the fill, value by value as the
+kernel would have done it (:func:`_draw_chunks`, :func:`_normal_chunks`).
 
 Kernels cover only the shapes the experiments hit, and
 :func:`supports_kernel` states exactly which: affine-gradient finite sums and
@@ -63,9 +66,10 @@ __all__ = [
     "supports_kernel",
 ]
 
-# Per-chunk noise budget in float64 values (~80 MB); chunking only affects
-# how many values are drawn per generator call, never the values themselves.
-_CHUNK_DOUBLES = 10_000_000
+# Per-buffer noise budget in float64 values (~40 MB; a draw keeps two
+# buffers, ~80 MB together); chunking only affects how many values are drawn
+# per generator call, never the values themselves.
+_CHUNK_DOUBLES = 5_000_000
 
 
 @dataclass
@@ -151,63 +155,85 @@ def _fill_workers(n_paths: int) -> int:
 def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
     """Yield (k0, B) with B[p] the next chunk of draws from path p's generator.
 
-    ``fill_row(g, row)`` fills one path's (chunk, width) row from g.  Every
-    chunk is drawn into one reused (n_paths, chunk, width) buffer, so only
-    one chunk is ever alive; the consumer must be done with a chunk before
-    it asks for the next.
+    ``fill_row(g, row, k0)`` fills one path's (chunk, width) row, the steps
+    from k0 on, from g.  Two (n_paths, chunk, width) buffers take turns
+    (one when a single chunk covers the run): while the caller steps chunk
+    j in one, pool threads fill chunk j+1 into the other.  A fill only ever
+    touches the buffer the caller is not holding -- chunk j+1's fill is
+    submitted just before chunk j is yielded, into the buffer of chunk j-1,
+    which the caller gave up by asking for chunk j -- so the consumer must
+    be done with a chunk before it asks for the next.
 
-    The paths are split into :func:`_fill_workers` contiguous ranges that
-    fill at the same time: the first by the caller, the others by pool
-    threads.  No value moves.  Each path owns its generator, so a thread
-    touches only its own paths' streams, and each stream is consumed in the
-    same order by the same sized calls whatever the split.  NumPy releases
-    the GIL while it fills an array, so the ranges do draw in parallel.
-    Since no worker count can change a result, the count is read from the
-    machine and is not a setting.  Every range is finished before a chunk
-    is yielded or an error raised, so no thread writes into a buffer the
-    caller holds; the first error in path order reaches the caller.  The
-    threads live for one call (a pool kept across calls would hang in a
-    forked child).
+    The paths are split into :func:`_fill_workers` contiguous ranges, one
+    pool thread each.  No value moves.  Each path owns its generator, so a
+    thread touches only its own paths' streams, and every generator is
+    drawn by one thread at a time, in chunk order, by the same sized calls
+    whatever the split or the overlap.  NumPy releases the GIL while it
+    fills an array, so the ranges draw in parallel with each other and with
+    the caller's steps.  Since no worker count can change a result, the
+    count is read from the machine and is not a setting.  A chunk is
+    yielded, or its first error in path order raised, only after every one
+    of its ranges has finished; on the way out every fill still in flight
+    is waited for, so no thread outlives the call or writes into a buffer
+    the caller holds.  The threads live for one call (a pool kept across
+    calls would hang in a forked child).
     """
     n_paths = len(gens)
     chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * width)))
-    buf = np.empty((n_paths, chunk, width), dtype=dtype)
+    starts = range(0, n_steps, chunk)
+    bufs = [np.empty((n_paths, chunk, width), dtype=dtype)
+            for _ in range(min(2, len(starts)))]
     n_workers = _fill_workers(n_paths)
     cuts = [n_paths * i // n_workers for i in range(n_workers + 1)]
     ranges = list(zip(cuts[:-1], cuts[1:]))
 
-    def fill(B, lo, hi):
+    def fill(B, k0, lo, hi):
         for p in range(lo, hi):
-            fill_row(gens[p], B[p])
+            fill_row(gens[p], B[p], k0)
 
-    pool = (ThreadPoolExecutor(n_workers - 1, thread_name_prefix="sgflow-draw")
-            if n_workers > 1 else None)
+    def chunk_view(j):
+        return bufs[j % 2][:, :min(chunk, n_steps - starts[j])]
+
+    def submit(j):
+        B = chunk_view(j)
+        return [pool.submit(fill, B, starts[j], lo, hi) for lo, hi in ranges]
+
+    pool = ThreadPoolExecutor(n_workers, thread_name_prefix="sgflow-draw")
+    pending = []
     try:
-        for k0 in range(0, n_steps, chunk):
-            B = buf[:, :min(chunk, n_steps - k0)]
-            futures = [pool.submit(fill, B, lo, hi) for lo, hi in ranges[1:]]
-            try:
-                fill(B, *ranges[0])
-            finally:
-                wait(futures)
-            for f in futures:
+        if starts:
+            pending = submit(0)
+        for j, k0 in enumerate(starts):
+            filling, pending = pending, []
+            wait(filling)
+            for f in filling:
                 f.result()
-            yield k0, B
+            if j + 1 < len(starts):
+                pending = submit(j + 1)
+            yield k0, chunk_view(j)
     finally:
-        if pool is not None:
-            pool.shutdown()
+        wait(pending)
+        pool.shutdown()
 
 
-def _normal_chunks(gens, n_steps: int, d: int):
-    """Yield (k0, Z) with Z[p] the next chunk of N(0,1) steps for path p."""
-    def fill_row(g, row):
+def _normal_chunks(gens, n_steps: int, d: int, scales=()):
+    """Yield (k0, Z) with Z[p] the next chunk of N(0,1) steps for path p.
+
+    Each factor of ``scales``, a scalar or a per-step array, multiplies the
+    draws in order, as ``row *= s`` or ``row *= s[k0:k0 + n, None]``, while
+    the row is still in cache.  These are the products a kernel would take
+    on the whole chunk, one value at a time, so they give the same bits.
+    """
+    def fill_row(g, row, k0):
         g.standard_normal(out=row)  # straight into the C-contiguous row
+        for s in scales:
+            row *= s[k0:k0 + row.shape[0], None] if np.ndim(s) else s
     yield from _draw_chunks(gens, n_steps, d, np.float64, fill_row)
 
 
 def _index_chunks(gens, n_steps: int, n_components: int, b: int):
     """Yield (k0, I) with I[p] the next chunk of batch index draws for path p."""
-    def fill_row(g, row):
+    def fill_row(g, row, k0):
         row[...] = g.integers(0, n_components, size=row.shape)
     yield from _draw_chunks(gens, n_steps, b, np.int64, fill_row)
 
@@ -351,15 +377,14 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                          psi if weights else None)
     X = rec.start(x0)
     sig_scalar = _scalar_of(sig)
+    # noise_k = coef_k (s z_k), scaled as it is drawn
+    scales = (sig_scalar, coef) if sig_scalar is not None else ()
     x_star = problem.x_star
     G = np.empty_like(X)
     # X <- (X - eta_k G) - coef_k noise_k, in place with the same operations
     # in the same order as the per-path recursion
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, Z in _normal_chunks(gens, n_steps, problem.d):
-            if sig_scalar is not None:  # noise_k = coef_k (s z_k), per chunk
-                Z *= sig_scalar
-                Z *= coef[k0:k0 + Z.shape[1], None]
+        for k0, Z in _normal_chunks(gens, n_steps, problem.d, scales):
             for i in range(Z.shape[1]):
                 k = k0 + i
                 np.subtract(X, x_star, out=G)
@@ -397,16 +422,15 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
     X = rec.start(x0)
     sqrt_dt = np.sqrt(dt)
     sig_scalar = _scalar_of(sigma_matrix)
+    # noise_k = (v_k s) z_k sqrt(dt), scaled as it is drawn
+    scales = (vol_coef * sig_scalar, sqrt_dt) if sig_scalar is not None else ()
     drift = drift_coef.tolist()
     x_star = problem.x_star
     G = np.empty_like(X)
     # X <- X + (dt (-c_k G) + sqrt(dt) noise_k), in place with the same
     # operations in the same order as the per-path integrator
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, Z in _normal_chunks(gens, n_steps, problem.d):
-            if sig_scalar is not None:  # noise_k = (v_k s) z_k, per chunk
-                Z *= (vol_coef[k0:k0 + Z.shape[1]] * sig_scalar)[:, None]
-                Z *= sqrt_dt
+        for k0, Z in _normal_chunks(gens, n_steps, problem.d, scales):
             for i in range(Z.shape[1]):
                 k = k0 + i
                 np.subtract(X, x_star, out=G)

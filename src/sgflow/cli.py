@@ -234,6 +234,18 @@ def build_schedules(cfg: dict):
     return adj, batch, m
 
 
+# the config keys each mode needs (svrg and vr-pgf check [schedule] m and h
+# when they build their staleness schedule); vr-pgf takes t from n_epochs
+_MODE_KEYS = {
+    "sgd": (("schedule", "h"), ("simulation", "n_steps")),
+    "pgd": (("schedule", "h"), ("simulation", "n_steps")),
+    "mb-pgf": (("schedule", "h"), ("simulation", "dt"), ("simulation", "t")),
+    "time-changed": (("schedule", "h"), ("simulation", "dt"),
+                     ("simulation", "t")),
+    "vr-pgf": (("simulation", "dt"), ("simulation", "t")),
+}
+
+
 def build_run_spec(cfg: dict, problem: FiniteSumProblem,
                    overrides: argparse.Namespace,
                    weights: bool = False) -> RunSpec:
@@ -264,6 +276,11 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
         staleness = StalenessSchedule(m=m, h=h)
         if mode == "vr-pgf" and T is None and n_epochs is not None:
             T = n_epochs * staleness.epoch_time
+    given = {"h": h, "n_steps": n_steps, "dt": dt, "t": T}
+    missing = [f"key {key!r} in [{section}]"
+               for section, key in _MODE_KEYS.get(mode, ()) if given[key] is None]
+    if missing:
+        raise ConfigError(f"mode {mode!r} needs {' and '.join(missing)}")
     try:
         spec = RunSpec(mode=mode, problem=problem, x0=x0, adj=adj, batch=batch,
                        n_steps=n_steps, dt=dt, T=T, h=h, epoch_steps=m,
@@ -341,16 +358,12 @@ def cmd_simulate(cfg: dict, overrides: argparse.Namespace) -> int:
     if n_paths == 1:
         # the single path coincides with path 0 of an ensemble run at this seed
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        tr: Trajectory = _run_one_path(spec, rng)
-        # the path holds every step up to any divergence; write the rows an
-        # ensemble run would record
-        ks = spec.resolved_record_ks()
-        rows = ks[ks < len(tr)]
+        # recorded on the ensemble's grid, up to any divergence
+        tr: Trajectory = _run_one_path(spec, rng, spec.record_every)
         stem = name or "trajectory"
-        flags = (tr.jump_flags[rows].astype(int) if tr.jump_flags is not None
-                 else np.zeros(rows.size, dtype=int))
-        cols = [tr.times[rows], tr.f_gap[rows], tr.grad_norm_sq[rows],
-                tr.dist_sq[rows]]
+        flags = (tr.jump_flags.astype(int) if tr.jump_flags is not None
+                 else np.zeros(len(tr), dtype=int))
+        cols = [tr.times, tr.f_gap, tr.grad_norm_sq, tr.dist_sq]
         if fmt == "csv":
             _write_csv(out / f"{stem}.csv",
                        ["t", "f_gap", "grad_norm_sq", "dist_sq", "flags"],

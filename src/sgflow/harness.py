@@ -226,26 +226,31 @@ def weight_denominators(spec: RunSpec, ks: np.ndarray) -> np.ndarray:
     return np.where(denom > 0, denom, np.nan)
 
 
-def _run_one_path(spec: RunSpec, rng: np.random.Generator) -> Trajectory:
+def _run_one_path(spec: RunSpec, rng: np.random.Generator,
+                  record_every: int = 1) -> Trajectory:
+    """One path of the spec, recorded every ``record_every`` steps and at the end."""
     if spec.mode == "sgd":
         return run_mb_sgd(spec.problem, spec.adj, spec.batch, spec.x0,
-                          spec.n_steps, rng)
+                          spec.n_steps, rng, record_every)
     if spec.mode == "pgd":
         return run_pgd(spec.problem, spec.adj, spec.batch, spec.x0,
-                       spec.n_steps, rng, volatility_mode=spec.volatility_mode)
+                       spec.n_steps, rng, record_every,
+                       volatility_mode=spec.volatility_mode)
     if spec.mode == "svrg":
         return run_svrg_option2(spec.problem, spec.h, spec.epoch_steps,
-                                spec.n_epochs, spec.x0, rng)
+                                spec.n_epochs, spec.x0, rng, record_every)
     if spec.mode == "mb-pgf":
         return simulate_mb_pgf(spec.problem, spec.adj, spec.batch, spec.x0,
                                spec.dt, spec.T, rng,
-                               volatility_mode=spec.volatility_mode)
+                               volatility_mode=spec.volatility_mode,
+                               record_every=record_every)
     if spec.mode == "vr-pgf":
         return simulate_vr_pgf(spec.problem, spec.staleness, spec.x0,
-                               spec.dt, spec.T, rng)
+                               spec.dt, spec.T, rng, record_every=record_every)
     return simulate_time_changed(spec.problem, spec.adj, spec.batch, spec.x0,
                                  spec.dt, spec.T, rng,
-                                 volatility_mode=spec.volatility_mode)
+                                 volatility_mode=spec.volatility_mode,
+                                 record_every=record_every)
 
 
 def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult | None:

@@ -6,6 +6,7 @@ the CLI documents (master seed -> spawned per-path generators), so the files
 are pinned bitwise, not just approximately.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -118,6 +119,23 @@ def test_invalid_json_config(tmp_path, capsys):
     cfg = write(tmp_path, "bad.json", "{not json")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,message", [
+    (CONFIGS_DIR / "10_landscape.ini", "mode 'mb-pgf' needs key 'h' in [schedule]"),
+    (PERTURBED_INI.replace("n_steps = 20\n", ""),
+     "mode 'sgd' needs key 'n_steps' in [simulation]"),
+    (PERTURBED_INI.replace("mode = sgd", "mode = time-changed")
+     .replace("n_steps = 20", "dt = 0.1"),
+     "mode 'time-changed' needs key 't' in [simulation]"),
+    (PERTURBED_INI.replace("h = 0.25", "").replace("n_steps = 20", ""),
+     "mode 'sgd' needs key 'h' in [schedule] and key 'n_steps' in [simulation]"),
+], ids=["landscape-config", "sgd-n_steps", "time-changed-t", "sgd-two-keys"])
+def test_missing_mode_key_names_the_config_key(tmp_path, capsys, config, message):
+    path = config if isinstance(config, Path) else write(tmp_path, "c.ini", config)
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_shipped_configs_parse():
@@ -245,6 +263,78 @@ def test_single_path_writes_the_ensemble_record_grid(tmp_path):
     assert np.array_equal(single["dist_sq"], tr.dist_sq[rows])
     assert payload["grad_norm_sq"] == list(tr.grad_norm_sq[rows])
     assert payload["flags"] == [0] * 5
+
+
+STRIDE_INI = PERTURBED_INI.replace("h = 0.25", "h = {h}").replace(
+    "mode = sgd\nx0 = 1.25, 0.0\nn_steps = 20", "{sim}")
+
+# single-path output of configs that record on a stride, frozen from the
+# stride-1 path thinned to the record grid: recording on the stride itself
+# must give the same bytes
+STRIDE_CASES = {
+    "plain": STRIDE_INI.format(
+        h=0.25, sim="mode = sgd\nx0 = 1.25, 0.0\nn_steps = 20\nrecord_every = 5"),
+    # h = 3 > 2/L: the path overflows at step 441, between grid rows
+    "diverging": STRIDE_INI.format(
+        h=3.0, sim="mode = pgd\nx0 = 1.25, 0.0\nn_steps = 600\nrecord_every = 7"),
+    "vr-pgf-jumps": """\
+[problem]
+family = spread
+lambda_mean = 3.0
+spread = 1.0
+
+[schedule]
+h = 0.01
+m = 2
+
+[simulation]
+mode = vr-pgf
+x0 = 1.5
+dt = 0.01
+n_epochs = 10
+record_every = 3
+""",
+    # 3000 steps and no record_every key: the default stride is 3
+    "no-record-every": STRIDE_INI.format(
+        h=0.25, sim="mode = mb-pgf\nx0 = 1.25, 0.0\ndt = 0.001\nt = 3.0"),
+}
+STRIDE_DIGESTS = {
+    ("plain", "csv"): "ccc7123206a6e6a4755476303c4229fe9c5719c096093fff83f46d83c01fb135",
+    ("plain", "json"): "0c86ca3c058bf871e1a44684ac0792e95d30bebb3bbcdaeb78efeec9d60bffb3",
+    ("diverging", "csv"): "09989f53dfdb659c8bc5ecf76f5072c99ce26c722930ff48a216f50a28d18283",
+    ("diverging", "json"): "eb0484710e8fc7d76a3ff9698ab6ab65ad1659839d3ac834fe89de118f9d0b79",
+    ("vr-pgf-jumps", "csv"): "7c9756b5254c862175303f7d7e4e1b191469961a37e94076bcca24cb539a4199",
+    ("vr-pgf-jumps", "json"): "ac73db78db0625f399a659bf8e60f4afaa88fa5aae11ba65d862e8a0fe27e230",
+    ("no-record-every", "csv"): "c48aaef5e77ee49c2b234e8063acdea29ae9e38d9f91884e3a2c48b2e4dd3d8e",
+    ("no-record-every", "json"): "66916eab76eba91347c8b2fd43d95da6b2f7a61aa181f89783ed9b52ebcb36d9",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging path
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(STRIDE_CASES))
+def test_single_path_on_a_stride_keeps_its_bytes(tmp_path, case, fmt):
+    cfg = write(tmp_path, "c.ini", STRIDE_CASES[case])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--format", fmt]) == 0
+    data = (out / f"trajectory.{fmt}").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == STRIDE_DIGESTS[case, fmt]
+
+
+def test_single_path_runs_on_the_record_stride(tmp_path, monkeypatch):
+    strides = []
+    real = cli._run_one_path
+
+    def spy(spec, rng, record_every=1):
+        strides.append(record_every)
+        return real(spec, rng, record_every)
+
+    monkeypatch.setattr(cli, "_run_one_path", spy)
+    cfg = write(tmp_path, "c.ini", STRIDE_CASES["plain"])
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert strides == [5]
 
 
 def test_vr_pgf_horizon_from_epochs_and_jump_flags(tmp_path):

@@ -8,6 +8,7 @@ variance-reduced delay kernel recomputes its volatility in closed form and is
 pinned to a tight relative tolerance instead.
 """
 
+import math
 import os
 import sys
 import threading
@@ -427,6 +428,140 @@ def test_fill_error_reaches_the_caller_after_every_range(failing, monkeypatch):
 def test_fill_workers_within_cores_and_paths():
     assert 1 <= knl._fill_workers(10**6) <= os.cpu_count()
     assert knl._fill_workers(1) == 1
+
+
+# -- pipelined chunk fill --------------------------------------------------------
+
+
+class _CountingStream:
+    """A real stream that sleeps before each draw and counts finished draws."""
+
+    def __init__(self, gen, delay=0.0, fail_on=None):
+        self.gen, self.delay, self.fail_on = gen, delay, fail_on
+        self.calls = 0
+
+    def standard_normal(self, out):
+        time.sleep(self.delay)
+        if self.calls == self.fail_on:
+            self.calls += 1
+            raise RuntimeError("stream failed")
+        self.gen.standard_normal(out=out)
+        self.calls += 1
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_consecutive_chunks_never_share_memory(workers, monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * 4 * FILL_WIDTH)
+    chunks = [B for _, B in knl._normal_chunks(gen_list(seed, 4), FILL_STEPS,
+                                                FILL_WIDTH)]
+    assert len(chunks) == 4
+    for held, nxt in zip(chunks, chunks[1:]):
+        assert not np.shares_memory(held, nxt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_held_chunk_is_untouched_while_the_next_fills(workers, monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * 4 * FILL_WIDTH)
+    streams = [_CountingStream(g, delay=0.02) for g in gen_list(seed, 4)]
+    ref = np.array([g.standard_normal((FILL_STEPS, FILL_WIDTH))
+                    for g in gen_list(seed, 4)])
+    chunks = knl._normal_chunks(streams, FILL_STEPS, FILL_WIDTH)
+    for j in range(4):
+        k0, Z = next(chunks)
+        held = Z.copy()
+        # the next chunk's fill runs while this one is held, and ends
+        assert _wait_until(lambda: all(s.calls == min(j + 2, 4)
+                                       for s in streams))
+        assert Z.tobytes() == held.tobytes()
+        assert held.tobytes() == ref[:, k0:k0 + Z.shape[1]].tobytes()
+    with pytest.raises(StopIteration):
+        next(chunks)
+    assert _draw_threads() == []
+
+
+def test_next_chunk_error_reaches_the_caller_at_next(monkeypatch):
+    # two ranges of two paths; path 3 fails drawing chunk 1 while path 0
+    # is still slowly drawing it
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * 4 * 2)
+    streams = [_CountingStream(g) for g in gen_list(seed, 4)]
+    streams[0].delay = 0.1
+    streams[3].fail_on = 1
+    chunks = knl._normal_chunks(streams, 6, 2)
+    next(chunks)  # chunk 0 arrives whole; chunk 1 is filling
+    with pytest.raises(RuntimeError, match="stream failed"):
+        next(chunks)
+    assert [s.calls for s in streams] == [2, 2, 2, 2]
+    assert _draw_threads() == []
+
+
+def test_closing_early_leaves_no_draw_thread(monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 4 * 2)
+    streams = [_CountingStream(g, delay=0.05) for g in gen_list(seed, 4)]
+    chunks = knl._normal_chunks(streams, 10, 2)
+    next(chunks)
+    chunks.close()  # chunk 1 is still filling
+    assert _draw_threads() == []
+    assert [s.calls for s in streams] == [2, 2, 2, 2]
+
+
+def test_kernel_raising_mid_chunk_leaves_no_draw_thread(monkeypatch):
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 4 * 4 * 2)
+    streams = [_CountingStream(g, delay=0.05) for g in gen_list(seed, 4)]
+    real_record = knl._BlockRecorder.record
+
+    def record(self, k, X):
+        if k == 6:  # the middle of chunk 1 (steps 4-7)
+            raise RuntimeError("step failed")
+        real_record(self, k, X)
+
+    monkeypatch.setattr(knl._BlockRecorder, "record", record)
+    with pytest.raises(RuntimeError, match="step failed"):
+        kernel_pgd(isotropic_problem(), AdjustmentSchedule(h=0.2),
+                   BatchSchedule(), X0, 20, streams, [0, 20])
+    assert _draw_threads() == []
+    calls = [s.calls for s in streams]
+    time.sleep(0.2)  # no fill goes on after the kernel has returned
+    assert [s.calls for s in streams] == calls == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("scales", ["scalar-array", "array-scalar", "array-array"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_scaled_fill_equals_draw_then_scale(workers, scales, monkeypatch):
+    n_paths = 6
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * n_paths * FILL_WIDTH)
+    rng = np.random.default_rng(seed)
+
+    def factor(kind):
+        return (0.7 * math.pi if kind == "scalar"
+                else rng.uniform(0.1, 3.0, FILL_STEPS))
+
+    chosen = tuple(factor(kind) for kind in scales.split("-"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = np.concatenate(
+            [Z.copy() for _, Z in knl._normal_chunks(gen_list(seed, n_paths),
+                                                     FILL_STEPS, FILL_WIDTH,
+                                                     chosen)], axis=1)
+    finally:
+        sys.setswitchinterval(interval)
+    ref = np.array([g.standard_normal((FILL_STEPS, FILL_WIDTH))
+                    for g in gen_list(seed, n_paths)])
+    for s in chosen:
+        ref *= s[:, None] if np.ndim(s) else s
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,0 +1,154 @@
+"""Negative controls: known defects injected into the code must fail the gate.
+
+Each mutant monkeypatches one defect into sgflow; each check is one of the
+experiments the gate runs, at a small fixed size and seed.  Every check must
+pass on the real code (the positive control), and every (mutant, check) pair
+listed in ``KILLS`` must fail.  The pairs not listed survive: the check cannot
+see that defect at this size, and no test asserts either outcome for them.
+Run this file as a script to print the whole kill matrix:
+
+    PYTHONPATH=src python tests/test_negative_controls.py
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import sgflow._kernels as knl
+import sgflow.continuous as continuous
+import sgflow.discrete as discrete
+import sgflow.harness as harness
+from sgflow.bounds import BoundInputs, RateBound
+from sgflow.harness import (RunSpec, ball_experiment, ensemble_run,
+                            time_change_experiment, verify_bound)
+from sgflow.problems import make_isotropic_quadratic, make_perturbed_quadratic
+from sgflow.schedules import AdjustmentSchedule
+
+SEED = 271828
+
+# -- checks: small fixed-size runs of the gate's experiments -------------------
+
+
+def _ball(mode):
+    problem = make_isotropic_quadratic(2.0, 2, sigma_star_sq=0.1)
+    return ball_experiment(problem, h=0.01, b=1, dt=0.01, T_long=3.0,
+                           n_paths=2000, seed=SEED + 1, mode=mode)
+
+
+def check_ball_ct():
+    return _ball("continuous")
+
+
+def check_ball_dt():
+    return _ball("discrete")
+
+
+def check_time_change():
+    problem = make_isotropic_quadratic(1.0, 1, sigma_star_sq=25.0)
+    return time_change_experiment(problem, [2.0], h=1e-2, T_w=math.log(51),
+                                  n_paths=200, seed=SEED + 2)
+
+
+def check_pl_ct():
+    problem = make_perturbed_quadratic([1.0, 2.0], [0.0, 0.0],
+                                       [[0.5, 0.3], [-0.5, -0.3]])
+    x0, adj = [1.0, 1.0], AdjustmentSchedule(h=0.25)
+    spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, dt=0.05,
+                   T=50.0, record_every=10)
+    stats = ensemble_run(spec, 400, SEED + 3)
+    return verify_bound(stats, RateBound("pl_ct",
+                                         BoundInputs.from_problem(problem, x0, adj)))
+
+
+CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
+          "time-change": check_time_change, "pl-ct": check_pl_ct}
+
+
+# -- mutants: one defect each, patched in with monkeypatch ---------------------
+
+
+def volatility_x1_5(monkeypatch):
+    """Every constant volatility matrix 1.5 times too large."""
+    real = discrete._pgd_constant_sigma
+
+    def scaled(problem, volatility_mode):
+        sig = real(problem, volatility_mode)
+        return None if sig is None else 1.5 * sig
+
+    for module in (knl, discrete, continuous):
+        monkeypatch.setattr(module, "_pgd_constant_sigma", scaled)
+
+
+def no_sqrt_h(monkeypatch):
+    """The diffusion kernels' volatility without its sqrt(h) factor."""
+    real_em = knl._kernel_em_constant
+
+    def dropping(kernel):
+        def mutant(problem, adj, *args, **kwargs):
+            def em(*em_args, **em_kwargs):
+                em_args = list(em_args)
+                em_args[7] = em_args[7] / math.sqrt(adj.h)  # vol_coef
+                return real_em(*em_args, **em_kwargs)
+            knl._kernel_em_constant = em  # for this kernel call only
+            try:
+                return kernel(problem, adj, *args, **kwargs)
+            finally:
+                knl._kernel_em_constant = real_em
+        return mutant
+
+    for name in ("kernel_mb_pgf", "kernel_time_changed"):
+        monkeypatch.setattr(knl, name, dropping(getattr(knl, name)))
+
+
+def ball_bound_halved(monkeypatch):
+    """The convergence-ball level the ball experiment checks against, halved."""
+    real = harness.ball_bound
+    monkeypatch.setattr(harness, "ball_bound",
+                        lambda inputs, mode: 0.5 * real(inputs, mode))
+
+
+def identity_warp(monkeypatch):
+    """The time-change experiment's clock inverse replaced by the identity."""
+    monkeypatch.setattr(harness, "phi_inverse", lambda adj, s: s)
+
+
+MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
+           "ball-bound-halved": ball_bound_halved,
+           "identity-warp": identity_warp}
+
+# the (mutant, check) pairs whose check fails; every other pair survives
+KILLS = [
+    ("volatility-x1.5", "ball-ct"),
+    ("volatility-x1.5", "ball-dt"),
+    ("no-sqrt-h", "ball-ct"),
+    ("ball-bound-halved", "ball-ct"),
+    ("identity-warp", "time-change"),
+]
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_check_passes_without_a_defect(check):
+    assert CHECKS[check]().passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mutant,check", KILLS,
+                         ids=[f"{m}-{c}" for m, c in KILLS])
+def test_defect_fails_the_check(mutant, check, monkeypatch):
+    MUTANTS[mutant](monkeypatch)
+    assert not CHECKS[check]().passed
+
+
+if __name__ == "__main__":
+    # each cell: the verdict and the check's worst violation in SE
+    print(f"{'mutant':20s}" + "".join(f"{c:>18s}" for c in CHECKS))
+    for name in [None] + list(MUTANTS):
+        with pytest.MonkeyPatch.context() as mp:
+            if name is not None:
+                MUTANTS[name](mp)
+            with np.errstate(all="ignore"):
+                reports = [CHECKS[c]() for c in CHECKS]
+        row = [f"{'pass' if r.passed else 'FAIL'} {r.max_violation_se:+.3g}"
+               for r in reports]
+        print(f"{name or '(none)':20s}" + "".join(f"{c:>18s}" for c in row))

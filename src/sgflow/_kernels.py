@@ -30,10 +30,12 @@ the caller.
 
 Each kernel keeps only its recursion loop.  :class:`_BlockRecorder` does the
 bookkeeping they share: the record grid, the divergence flags, the snapshots
-and the running ``psi``-weighted sums of the observables (prefix sums over
-iterates for the discrete recursions, trapezoidal quadrature over the grid
-for the diffusions), which are the empirical counterparts of the
-randomized-output rate guarantees.
+and the running ``psi``-weighted sums of the observables and of ``psi``
+itself (prefix sums over iterates for the discrete recursions, trapezoidal
+quadrature over the grid for the diffusions), whose ratios are the empirical
+counterparts of the randomized-output rate guarantees.  The harness books
+its per-path simulator runs through the same recorder, so both engines
+share one weighting rule and one scalar ``psi`` table (:func:`_psi_table`).
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ class KernelResult:
     be masked via ``diverged`` by the consumer.  ``wsum_f_gap`` and
     ``wsum_grad_sq`` are (n_paths, n_records) running weighted sums of
     f(x)-f* and |grad f(x)|^2 (prefix sums for discrete kernels, trapezoid
-    integrals for continuous ones); None when not requested.
+    integrals for continuous ones), and ``denominators`` (n_records,) the
+    same sums of psi alone, NaN where the integral is empty (t = 0), so
+    their ratios are the weighted averages; all three None when not
+    requested.
     """
 
     record_ks: np.ndarray
@@ -90,6 +95,7 @@ class KernelResult:
     divergence_step: np.ndarray
     wsum_f_gap: np.ndarray | None = None
     wsum_grad_sq: np.ndarray | None = None
+    denominators: np.ndarray | None = None
 
 
 def supports_kernel(mode: str, problem: FiniteSumProblem,
@@ -127,16 +133,32 @@ def _affine_parts(problem: FiniteSumProblem):
     return affine.D, affine.C, affine.d_mean, affine.c_mean
 
 
-def _step_tables(adj: AdjustmentSchedule, n_steps: int):
-    """Stepsizes eta_k (k < n_steps) and weights psi_k (k <= n_steps).
+def _psi_table(adj: AdjustmentSchedule, n_steps: int,
+               dt: float | None = None) -> list:
+    """psi_k at every step index k <= n_steps, or psi(k dt) at every grid node.
 
-    Python-float lists built from one scalar schedule call per entry, the
-    calls the per-path simulators make: evaluating the schedule on an index
-    array may round psi differently by an ulp (see :mod:`sgflow.schedules`).
+    Python floats from one scalar schedule call per entry, the calls the
+    per-path simulators make: evaluating the schedule on an index array may
+    round psi differently by an ulp, depending on the host's SIMD level.
     """
-    eta = [float(adj.eta_k(k)) for k in range(n_steps)]
-    psi = [float(adj.psi_k(k)) for k in range(n_steps + 1)]
-    return eta, psi
+    if dt is None:
+        return [float(adj.psi_k(k)) for k in range(n_steps + 1)]
+    return [float(adj.psi(k * dt)) for k in range(n_steps + 1)]
+
+
+def _step_tables(adj: AdjustmentSchedule, n_steps: int):
+    """Stepsizes eta_k (k < n_steps) and weights psi_k (k <= n_steps)."""
+    return [float(adj.eta_k(k)) for k in range(n_steps)], _psi_table(adj, n_steps)
+
+
+def _gap_and_grad_sq(problem: FiniteSumProblem, X: np.ndarray):
+    """(f - f*, |grad f|^2) for each row of a (n, d) block of states."""
+    if problem.affine is not None:
+        return problem.affine.block_observables(X - problem.x_star,
+                                                problem.constants.f_star)
+    grads = [problem.grad(x) for x in X]
+    return (np.array([problem.gap(x) for x in X], dtype=float),
+            np.array([float(g @ g) for g in grads], dtype=float))
 
 
 def _fill_workers(n_paths: int) -> int:
@@ -239,15 +261,18 @@ def _index_chunks(gens, n_steps: int, n_components: int, b: int):
 
 
 class _BlockRecorder:
-    """The bookkeeping every kernel shares for its (n_paths, d) state block.
+    """The bookkeeping every ensemble shares for its (n_paths, d) state block.
 
     It resolves the record grid, flags the paths whose state turns
     non-finite, snapshots the block at the recorded steps and, given the
-    weights ``psi`` (per step index, or per grid node with ``dt``),
-    accumulates every alive path's psi-weighted sums of f - f* and
-    |grad f|^2: prefix sums over the iterates without ``dt``, trapezoid
-    integrals over the grid with it.  A kernel starts its block with
-    :meth:`start` and calls :meth:`record` once after every step.
+    weights ``psi`` (per step index, or per grid node with ``dt``; see
+    :func:`_psi_table`), accumulates every alive path's psi-weighted sums
+    of f - f* and |grad f|^2 and the matching sums of psi alone: prefix
+    sums over the iterates without ``dt``, trapezoid integrals over the
+    grid with it.  A kernel starts its block with :meth:`start` and calls
+    :meth:`record` once after every step; the harness feeds it its per-path
+    runs the same way.  The snapshots' observables are left to the consumer,
+    which reduces them once after the run, not once per step.
     """
 
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
@@ -262,8 +287,10 @@ class _BlockRecorder:
         self.psi, self.dt = psi, dt
         self.acc_f = np.zeros(n_paths)
         self.acc_g = np.zeros(n_paths)
+        self.acc_w = 0.0
         self.wsum_f = np.zeros((n_paths, n_rec)) if psi is not None else None
         self.wsum_g = np.zeros((n_paths, n_rec)) if psi is not None else None
+        self.wsum_w = np.zeros(n_rec) if psi is not None else None
         self._steps = self.record_ks.tolist() + [-1]  # -1: past the grid
         self._cursor = 0
 
@@ -289,6 +316,7 @@ class _BlockRecorder:
         if self.wsum_f is not None:
             self.wsum_f[:, i] = self.acc_f
             self.wsum_g[:, i] = self.acc_g
+            self.wsum_w[i] = self.acc_w
         self._cursor = i + 1
 
     def check(self, k: int, X: np.ndarray) -> None:
@@ -304,25 +332,28 @@ class _BlockRecorder:
             self.alive &= ~bad
 
     def _accumulate(self, k: int, X: np.ndarray) -> None:
-        p = self.problem
-        f_gap, grad_sq = p.affine.block_observables(X - p.x_star,
-                                                    p.constants.f_star)
         alive, w = self.alive, self.psi[k]
+        f_gap, grad_sq = _gap_and_grad_sq(self.problem, X)
         if self.dt is None:
             self.acc_f[alive] += w * f_gap[alive]
             self.acc_g[alive] += w * grad_sq[alive]
+            self.acc_w += w
             return
         wf, wg = w * f_gap, w * grad_sq
         if k > 0:
             self.acc_f[alive] += (0.5 * self.dt) * (self._prev_f + wf)[alive]
             self.acc_g[alive] += (0.5 * self.dt) * (self._prev_g + wg)[alive]
-        self._prev_f, self._prev_g = wf, wg
+            self.acc_w += (0.5 * self.dt) * (self._prev_w + w)
+        self._prev_f, self._prev_g, self._prev_w = wf, wg, w
 
     def finish(self) -> KernelResult:
         assert self._cursor == self.record_ks.size, "missed a recording step"
+        w = self.wsum_w
         return KernelResult(record_ks=self.record_ks, states=self.states,
                             diverged=self.diverged, divergence_step=self.div_step,
-                            wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g)
+                            wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g,
+                            denominators=None if w is None
+                            else np.where(w > 0, w, np.nan))
 
 
 def _scalar_of(matrix: np.ndarray) -> float | None:
@@ -406,7 +437,7 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
                         n_steps: int, gens, record_ks,
                         drift_coef: np.ndarray, vol_coef: np.ndarray,
                         volatility_mode: str,
-                        node_psi: np.ndarray | None) -> KernelResult:
+                        node_psi: list | None) -> KernelResult:
     """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma dB.
 
     ``drift_coef``/``vol_coef`` are the per-step scalars c(t_k), v(t_k);
@@ -459,8 +490,7 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     drift_coef = np.array([adj.psi(t) for t in times])
     vol_coef = np.array([adj.psi(t) * np.sqrt(h / batch.value(t))
                          for t in times])
-    node_psi = (np.array([adj.psi(k * dt) for k in range(n_steps + 1)])
-                if weights else None)
+    node_psi = _psi_table(adj, n_steps, dt) if weights else None
     return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
                                drift_coef, vol_coef, volatility_mode, node_psi)
 

@@ -7,8 +7,10 @@ into means, variances and standard errors on a shared record grid.  A
 vectorised kernel (:mod:`sgflow._kernels`) runs the ensemble exactly when
 ``_kernels.supports_kernel`` covers the configuration, else every path runs
 through the plain simulator; a kernel's errors are raised, not turned into a
-fallback.  Either way the sample paths — and hence the statistics — are the
-same, and results are deterministic functions of (config, seed).
+fallback.  Both engines book their paths with the kernels' recorder, so they
+share one weighting rule and one reduction.  Either way the sample paths —
+and hence the statistics — are the same, and results are deterministic
+functions of (config, seed).
 
 On top of the runner sit the named experiments: rate-bound verification
 (``verify_bound``), the time-change distribution match, landscape
@@ -191,39 +193,9 @@ def _observable_arrays(problem: FiniteSumProblem, states: np.ndarray):
         U = states - problem.x_star
         f_gap, grad_sq = problem.affine.block_observables(U, problem.constants.f_star)
         return f_gap, grad_sq, np.einsum("nd,nd->n", U, U)
-    f_gap = np.empty(states.shape[0])
-    grad_sq = np.empty(states.shape[0])
-    dist_sq = np.empty(states.shape[0])
-    for i, row in enumerate(states):
-        g = problem.grad(row)
-        f_gap[i] = problem.gap(row)
-        grad_sq[i] = float(g @ g)
-        dist_sq[i] = float(np.sum((row - problem.x_star) ** 2))
-    return f_gap, grad_sq, dist_sq
-
-
-def _node_weights(spec: RunSpec) -> np.ndarray:
-    """psi at every step index (discrete) or grid node (continuous)."""
-    n = spec.total_steps
-    if spec.mode in ("sgd", "pgd"):
-        return np.asarray(spec.adj.psi_k(np.arange(n + 1)), dtype=float)
-    return np.array([spec.adj.psi(k * spec.dt) for k in range(n + 1)])
-
-
-def weight_denominators(spec: RunSpec, ks: np.ndarray) -> np.ndarray:
-    """Denominators of the weighted averages at the recorded steps.
-
-    Discrete modes use the exact prefix sums Phi_{k+1}; mb-pgf uses the same
-    trapezoidal quadrature of psi that the numerators accumulate, so the
-    weighted average is exact for constant integrands.  The t=0 entry of a
-    continuous run has an empty integral and yields NaN.
-    """
-    w = _node_weights(spec)
-    if spec.mode in ("sgd", "pgd"):
-        return np.cumsum(w)[ks]
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * spec.dt * (w[:-1] + w[1:]))))
-    denom = cum[ks]
-    return np.where(denom > 0, denom, np.nan)
+    f_gap, grad_sq = _kernels._gap_and_grad_sq(problem, states)
+    return f_gap, grad_sq, np.array([float(np.sum((row - problem.x_star) ** 2))
+                                     for row in states])
 
 
 def _run_one_path(spec: RunSpec, rng: np.random.Generator,
@@ -285,17 +257,47 @@ def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResu
                                   spec.dt, spec.total_steps, gens, ks)
 
 
-def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
-                 use_kernels: bool = True) -> EnsembleStats:
+def _run_paths(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
+    """Every path through its simulator, booked by the kernels' recorder.
+
+    Paths run in groups whose stride-1 trajectories fit the kernels' noise
+    budget, and each group's steps are fed to one recorder in lockstep.  A
+    diverged path is NaN from its divergence step on, so the recorder flags
+    it at the simulator's step.
+    """
+    n, d = spec.total_steps, spec.problem.d
+    dt = spec.dt if spec.mode == "mb-pgf" else None  # the trapezoid rule
+    psi = _kernels._psi_table(spec.adj, n, dt) if spec.weights else None
+    group = max(1, _kernels._CHUNK_DOUBLES // ((n + 1) * d))
+    parts = []
+    for p0 in range(0, len(gens), group):
+        members = gens[p0:p0 + group]
+        block = np.full((n + 1, len(members), d), np.nan)
+        for j, rng in enumerate(members):
+            states = _run_one_path(spec, rng).states
+            block[:len(states), j] = states
+        rec = _kernels._BlockRecorder(spec.problem, n, len(members), ks, psi, dt)
+        for k in range(n + 1):
+            rec.record(k, block[k])
+        parts.append(rec.finish())
+    return _kernels.KernelResult(ks, *(
+        None if getattr(parts[0], name) is None
+        else np.concatenate([getattr(part, name) for part in parts])
+        for name in ("states", "diverged", "divergence_step", "wsum_f_gap",
+                     "wsum_grad_sq")), denominators=parts[0].denominators)
+
+
+def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
     """Simulate n_paths independent paths and aggregate their observables.
 
     Per-path generators are spawned from ``master_seed`` (an int or a
     numpy SeedSequence), so results are reproducible and independent of how
-    the work is batched.  Paths that diverge are dropped from the statistics
-    and counted; more than 50% divergence raises
-    :class:`EnsembleDivergenceError`.  With ``use_kernels`` a kernel runs
-    the ensemble exactly when ``_kernels.supports_kernel`` covers the spec;
-    otherwise every path runs through its simulator.
+    the work is batched.  A kernel runs the ensemble exactly when
+    ``_kernels.supports_kernel`` covers the spec, else every path runs
+    through its simulator (:func:`_run_paths`); both book the run with the
+    same recorder.  Paths that diverge are masked out of the statistics and
+    counted; more than 50% divergence raises :class:`EnsembleDivergenceError`.
+    The observables are computed once, in chunks of whole paths.
     """
     if n_paths < 2:
         raise ValueError("an ensemble needs n_paths >= 2")
@@ -303,41 +305,11 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
     seq = (master_seed if isinstance(master_seed, np.random.SeedSequence)
            else np.random.SeedSequence(master_seed))
     gens = [np.random.default_rng(child) for child in seq.spawn(n_paths)]
-    n_rec = ks.size
-    d = spec.problem.d
+    result = _kernel_dispatch(spec, gens, ks)
+    if result is None:
+        result = _run_paths(spec, gens, ks)
 
-    result = _kernel_dispatch(spec, gens, ks) if use_kernels else None
-    if result is not None:
-        states = result.states
-        diverged = result.diverged
-        wsum_f, wsum_g = result.wsum_f_gap, result.wsum_grad_sq
-    else:
-        states = np.empty((n_paths, n_rec, d))
-        diverged = np.zeros(n_paths, dtype=bool)
-        wsum_f = np.zeros((n_paths, n_rec)) if spec.weights else None
-        wsum_g = np.zeros((n_paths, n_rec)) if spec.weights else None
-        node_w = _node_weights(spec) if spec.weights else None
-        for p, rng in enumerate(gens):
-            tr = _run_one_path(spec, rng)
-            if tr.diverged:
-                diverged[p] = True
-                continue
-            states[p] = tr.states[ks]
-            if spec.weights:
-                f_all, g_all, _ = _observable_arrays(spec.problem, tr.states)
-                if spec.mode in ("sgd", "pgd"):
-                    wsum_f[p] = np.cumsum(node_w * f_all)[ks]
-                    wsum_g[p] = np.cumsum(node_w * g_all)[ks]
-                else:
-                    wf, wg = node_w * f_all, node_w * g_all
-                    cf = np.concatenate(([0.0], np.cumsum(
-                        0.5 * spec.dt * (wf[:-1] + wf[1:]))))
-                    cg = np.concatenate(([0.0], np.cumsum(
-                        0.5 * spec.dt * (wg[:-1] + wg[1:]))))
-                    wsum_f[p] = cf[ks]
-                    wsum_g[p] = cg[ks]
-
-    div_count = int(diverged.sum())
+    div_count = int(result.diverged.sum())
     if div_count * 2 > n_paths:
         raise EnsembleDivergenceError(
             f"{div_count}/{n_paths} paths diverged; the configuration is "
@@ -345,30 +317,29 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed,
     n_alive = n_paths - div_count
     if n_alive < 2:
         raise EnsembleDivergenceError("fewer than two non-divergent paths")
+    states, wsum_f, wsum_g = result.states, result.wsum_f_gap, result.wsum_grad_sq
     if div_count:  # masking copies the whole block; skip it when all are alive
-        alive = ~diverged
+        alive = ~result.diverged
         states = states[alive]
         if spec.weights:
             wsum_f, wsum_g = wsum_f[alive], wsum_g[alive]
 
-    flat = states.reshape(-1, d)
-    f_gap, grad_sq, dist_sq = _observable_arrays(spec.problem, flat)
-    obs = {
-        "f_gap": f_gap.reshape(n_alive, n_rec),
-        "grad_norm_sq": grad_sq.reshape(n_alive, n_rec),
-        "dist_sq": dist_sq.reshape(n_alive, n_rec),
-    }
+    n_rec, d = ks.size, spec.problem.d
+    obs = np.empty((3, n_alive, n_rec))
+    rows = max(1, _kernels._CHUNK_DOUBLES // 8 // (n_rec * d))
+    for p0 in range(0, n_alive, rows):  # whole paths: each chunk is a view
+        obs[:, p0:p0 + rows] = np.reshape(_observable_arrays(
+            spec.problem, states[p0:p0 + rows].reshape(-1, d)), (3, -1, n_rec))
     stats = EnsembleStats(grid=ks * spec.grid_spacing, record_ks=ks,
                           n_paths=n_alive, divergence_count=div_count)
-    for key, block in obs.items():
+    for key, block in zip(("f_gap", "grad_norm_sq", "dist_sq"), obs):
         stats.mean[key] = block.mean(axis=0)
         stats.variance[key] = block.var(axis=0, ddof=1)
     stats.mean["state"] = states.mean(axis=0)
     stats.variance["state"] = states.var(axis=0, ddof=1)
     if spec.weights:
-        denom = weight_denominators(spec, ks)
         for key, wsum in (("f_gap_wavg", wsum_f), ("grad_norm_sq_wavg", wsum_g)):
-            wavg = wsum / denom
+            wavg = wsum / result.denominators
             stats.mean[key] = wavg.mean(axis=0)
             stats.variance[key] = wavg.var(axis=0, ddof=1)
     return stats
@@ -575,8 +546,7 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
 def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
                            n_paths: int, seed, dt: float | None = None,
                            n_checkpoints: int = 30, slack_se: float = 3.0,
-                           min_pass_fraction: float = 0.95,
-                           use_kernels: bool = True) -> VerificationReport:
+                           min_pass_fraction: float = 0.95) -> VerificationReport:
     """Distribution match between the annealed flow and its unwarped twin.
 
     Simulates X under the 1/(1+t)-annealed flow on [0, tau(T_w)] and Y under
@@ -612,8 +582,8 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
     spec_y = RunSpec(mode="time-changed", problem=problem, x0=x0, adj=adj,
                      dt=dt, T=n_y * dt, record_ks=y_ks,
                      volatility_mode="constant")
-    stats_x = ensemble_run(spec_x, n_paths, seed_x, use_kernels)
-    stats_y = ensemble_run(spec_y, n_paths, seed_y, use_kernels)
+    stats_x = ensemble_run(spec_x, n_paths, seed_x)
+    stats_y = ensemble_run(spec_y, n_paths, seed_y)
 
     lookup = {k: i for i, k in enumerate(x_ks)}
     sel = np.array([lookup[k] for k in x_pos])
@@ -692,16 +662,17 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
     adj = AdjustmentSchedule(h=1.0, family="power", a=1.0)
     n_steps = int(round(T / dt))
 
-    if sigma == 0.0:
-        tr = simulate_mb_pgf(problem, adj, BatchSchedule(), x0, dt, n_steps * dt,
-                             np.random.default_rng(0), volatility_mode="constant")
-        mean_states = tr.states
+    spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, dt=dt,
+                   T=n_steps * dt, volatility_mode="constant")
+    if sigma == 0.0:  # one deterministic path
+        ks = spec.resolved_record_ks()
+        mean_states = _kernels.kernel_mb_pgf(
+            problem, adj, spec.batch, x0, dt, n_steps, [np.random.default_rng(0)],
+            ks, volatility_mode="constant").states[0]
         se_states = np.zeros_like(mean_states)
-        times = tr.times
+        times = ks * dt
         n_used = 1
     else:
-        spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, dt=dt,
-                       T=n_steps * dt, volatility_mode="constant")
         stats = ensemble_run(spec, n_paths, seed)
         mean_states = stats.mean["state"]
         se_states = np.sqrt(stats.variance["state"] / stats.n_paths)
@@ -840,7 +811,6 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
                     T_long: float, n_paths: int, seed, mode: str,
                     tail_fraction: float = 0.5, slack_se: float = 3.0,
                     isotropic_rel_tol: float = 0.10,
-                    use_kernels: bool = True,
                     x0=None) -> VerificationReport:
     """Stationary noise-floor check against the convergence-ball level.
 
@@ -878,7 +848,7 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
     stride = max(1, n_steps // 512)
     spec.record_every = stride
     spec.record_ks = None
-    stats = ensemble_run(spec, n_paths, seed, use_kernels)
+    stats = ensemble_run(spec, n_paths, seed)
 
     tail_mask = stats.grid >= (1.0 - tail_fraction) * n_steps * spacing
     if tail_mask.sum() < 2:
@@ -922,8 +892,7 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
 def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                              batch: BatchSchedule, x0, dt: float, T: float,
                              n_paths: int, seed, slack_se: float = 3.0,
-                             n_checkpoints: int = 12,
-                             use_kernels: bool = True) -> VerificationReport:
+                             n_checkpoints: int = 12) -> VerificationReport:
     """Increment check of the gradient-domination energy e^{2 mu phi(t)} (f - f*).
 
     Along the annealed flow the mean energy may only grow by the injected
@@ -944,7 +913,7 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     cp = np.concatenate(([0], cp))
     spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, batch=batch,
                    dt=dt, T=n_steps * dt, record_ks=cp)
-    stats = ensemble_run(spec, n_paths, seed, use_kernels)
+    stats = ensemble_run(spec, n_paths, seed)
     times = stats.grid
     factor = np.exp(2.0 * mu * np.asarray(phi(adj, times), dtype=float))
     energy = factor * stats.mean["f_gap"]

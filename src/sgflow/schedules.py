@@ -13,11 +13,9 @@ rounding.  On an array argument NumPy evaluates ``power`` with its vector
 loop, which on SIMD hosts (AVX-512) can differ by one ulp from the scalar
 ``pow`` applied to a Python or ``np.float64`` argument.  The per-path
 simulators take their schedule values one scalar at a time, so the ensemble
-kernels build their coefficient tables from the same scalar calls, one per
-step, and stay bitwise equal to them.  ``harness._node_weights`` still
-evaluates the discrete psi_k on an index array; its weights may sit an ulp
-away from the scalar ones, and are left so because changing them would
-change the weighted averages' output bytes.
+kernels build their coefficient and weight tables from the same scalar
+calls, one per step, and stay bitwise equal to them whatever the host's SIMD
+level.
 
 A scalar argument (``int``, ``float`` or ``np.float64``) skips the array
 conversion, but gets the same ``np.float64`` arithmetic, result type and

@@ -12,13 +12,20 @@ means and variances of ``ensemble_run`` in every mode, on the kernel and on
 the per-path engine.
 
 The digests depend on this platform's libm (``pow``, ``sqrt``) and on the
-NumPy build: they were frozen on x86-64 Linux with glibc, an AVX-512 CPU and
-NumPy 2.4.6.  On another platform they may legitimately differ; print the
-local digests with ``PYTHONPATH=src python tests/test_fingerprints.py`` and
-compare them with a run of the reference implementation there.
+NumPy build: they were frozen on x86-64 Linux with glibc and NumPy 2.4.6.
+Every schedule value behind them comes from a scalar call, so they do not
+depend on the SIMD level NumPy dispatches to; the last test reruns them with
+AVX-512 and with AVX2 masked.  On another platform they may legitimately
+differ; print the local digests with
+``PYTHONPATH=src python tests/test_fingerprints.py`` and compare them with a
+run of the reference implementation there.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,8 +298,12 @@ ENSEMBLE_STEPS = 300
 ENSEMBLE_MODES = ("sgd", "pgd", "mb-pgf", "time-changed", "svrg", "vr-pgf")
 
 
-def _ensemble(mode: str, use_kernels: bool):
-    """ensemble_run of one mode, weighted where the mode allows it."""
+def _ensemble(mode: str, engine: str = "kernel"):
+    """ensemble_run of one mode, weighted where the mode allows it.
+
+    ``engine="paths"`` runs it on the per-path simulators, by telling the
+    harness that no kernel covers the spec.
+    """
     T = ENSEMBLE_STEPS * 0.01
     common = dict(x0=X0, record_every=7)
     if mode in ("sgd", "pgd"):
@@ -312,7 +323,10 @@ def _ensemble(mode: str, use_kernels: bool):
     else:
         spec = RunSpec(mode=mode, problem=_spread(), x0=X0[:1],
                        staleness=_staleness(), dt=0.01, T=T, record_every=7)
-    return ensemble_run(spec, N_PATHS, SEED, use_kernels=use_kernels)
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "paths":
+            mp.setattr(knl, "supports_kernel", lambda *a, **k: False)
+        return ensemble_run(spec, N_PATHS, SEED)
 
 
 def _stats_digest(stats) -> str:
@@ -330,11 +344,11 @@ GOLDEN_ENSEMBLES = {
     "sgd/kernel":
         "49b6dfea788e82d2738239dae4cbacd43a202635319cb4c1708206cb1ed4177c",
     "sgd/paths":
-        "4a23ef32747dd9513ea37f664de1e5cda348a939235c9fa7d4eb02b515986e77",
+        "49b6dfea788e82d2738239dae4cbacd43a202635319cb4c1708206cb1ed4177c",
     "pgd/kernel":
         "c019bcff0113e3117938f242e3db42ee03009e2b1712bbf17c089dbc8460aa39",
     "pgd/paths":
-        "75d1cd6edb420ba2cf795d0ec69257c90958a842a601263aa5a232002e1ceeb6",
+        "d395f36f3d87121aae6a43786f47d6166fe394b19f57b68c573ea45385d10f76",
     "mb-pgf/kernel":
         "8ba529ff92598edb6d3598831557bad0c82e8f8b80f64c26051973054a7db207",
     "mb-pgf/paths":
@@ -357,7 +371,7 @@ GOLDEN_ENSEMBLES = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
 def test_ensemble_fingerprint(case):
     mode, engine = case.rsplit("/", 1)
-    stats = _ensemble(mode, use_kernels=engine == "kernel")
+    stats = _ensemble(mode, engine)
     assert _stats_digest(stats) == GOLDEN_ENSEMBLES[case]
 
 
@@ -366,8 +380,56 @@ def test_ensemble_fingerprint(case):
 def test_ensemble_fingerprint_for_any_fill_worker_count(mode, workers,
                                                          monkeypatch):
     monkeypatch.setattr(knl, "_fill_workers", lambda n_paths: workers)
-    stats = _ensemble(mode, use_kernels=True)
+    stats = _ensemble(mode)
     assert _stats_digest(stats) == GOLDEN_ENSEMBLES[f"{mode}/kernel"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
+def test_small_chunks_keep_the_ensemble_digests(case, monkeypatch):
+    # a budget of 2 112 doubles splits the 4 per-path trajectories of 301
+    # steps x 2 into groups of 3 and 1, the (4, 44, 2) state block into
+    # observable chunks of 3 paths and 1, and the kernels' draws into
+    # 264-step chunks ending on a 36-step one
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 2_112)
+    mode, engine = case.rsplit("/", 1)
+    assert _stats_digest(_ensemble(mode, engine)) == GOLDEN_ENSEMBLES[case]
+
+
+# NumPy's runtime dispatch switched down to what an x86-64 host without
+# AVX-512, and then without AVX2 as well, would run; set in the child's
+# environment only
+SIMD_LEVELS = {
+    "native": None,
+    "no-avx512": "AVX512_SPR AVX512_ICL X86_V4",
+    "no-avx2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+
+def test_digests_do_not_depend_on_simd_level():
+    # every kernel and ensemble digest above must hold whatever SIMD level
+    # NumPy dispatches to: the schedule values behind them come from scalar
+    # calls, never from NumPy's vector power
+    root = Path(__file__).resolve().parents[1]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           str(Path(__file__).resolve()),
+           "-k", "ensemble_fingerprint or kernel_fingerprint"]
+    children = {}
+    for level, masked in SIMD_LEVELS.items():
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if masked:
+            env["NPY_DISABLE_CPU_FEATURES"] = masked
+        children[level] = subprocess.Popen(
+            cmd, cwd=root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True)
+    # the kernel and ensemble digests, and 4 worker counts x 4 modes
+    n_cases = len(GOLDEN) + len(GOLDEN_ENSEMBLES) + 4 * 4
+    for level, child in children.items():
+        out, _ = child.communicate(timeout=600)
+        assert child.returncode == 0, (level, out[-3000:])
+        assert f"{n_cases} passed" in out, (level, out[-3000:])
 
 
 if __name__ == "__main__":
@@ -382,6 +444,6 @@ if __name__ == "__main__":
     print("}\nGOLDEN_ENSEMBLES = {")
     for mode in ENSEMBLE_MODES:
         for engine in ("kernel", "paths"):
-            stats = _ensemble(mode, use_kernels=engine == "kernel")
+            stats = _ensemble(mode, engine)
             print(f"    {mode + '/' + engine!r}: {_stats_digest(stats)!r},")
     print("}")

@@ -27,7 +27,7 @@ from sgflow.harness import (
     verify_bound,
     weak_error_experiment,
 )
-from sgflow.harness import _kernel_dispatch, _run_one_path, weight_denominators
+from sgflow.harness import _kernel_dispatch, _run_one_path
 from sgflow.problems import (
     FiniteSumProblem,
     ProblemConstants,
@@ -38,6 +38,11 @@ from sgflow.problems import (
 from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
 
 seed = 271828
+
+
+def per_path_engine(monkeypatch):
+    """Make ensemble_run take the per-path simulators: no kernel covers a spec."""
+    monkeypatch.setattr(_kernels, "supports_kernel", lambda *a, **k: False)
 H_DIAG = np.array([1.0, 2.0])
 NOISE = np.array([[0.5, 0.3], [-0.5, -0.3]])
 X_STAR = np.array([0.25, -1.0])
@@ -181,9 +186,10 @@ def parity_specs():
 
 @pytest.mark.parametrize("name, spec, exact_bits",
                          [pytest.param(*row, id=row[0]) for row in parity_specs()])
-def test_kernel_and_fallback_agree(name, spec, exact_bits):
-    fast = ensemble_run(spec, 8, seed, use_kernels=True)
-    slow = ensemble_run(spec, 8, seed, use_kernels=False)
+def test_kernel_and_fallback_agree(name, spec, exact_bits, monkeypatch):
+    fast = ensemble_run(spec, 8, seed)
+    per_path_engine(monkeypatch)
+    slow = ensemble_run(spec, 8, seed)
     assert np.array_equal(fast.grid, slow.grid)
     assert set(fast.mean) == set(slow.mean)
     for key in fast.mean:
@@ -220,12 +226,14 @@ def stiff_problem():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("use_kernels", [True, False])
-def test_diverged_paths_are_excluded(use_kernels):
+@pytest.mark.parametrize("kernel", [True, False])
+def test_diverged_paths_are_excluded(kernel, monkeypatch):
+    if not kernel:
+        per_path_engine(monkeypatch)
     spec = RunSpec(mode="sgd", problem=stiff_problem(), x0=[10.0],
                    adj=AdjustmentSchedule(h=1.0), n_steps=2)
     n = 300
-    stats = ensemble_run(spec, n, seed, use_kernels=use_kernels)
+    stats = ensemble_run(spec, n, seed)
     # divergence happens exactly when the first two draws both hit the stiff
     # component: probability 1/4
     assert 0 < stats.divergence_count < n // 2
@@ -236,15 +244,17 @@ def test_diverged_paths_are_excluded(use_kernels):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("use_kernels", [True, False])
-def test_majority_divergence_raises(use_kernels):
+@pytest.mark.parametrize("kernel", [True, False])
+def test_majority_divergence_raises(kernel, monkeypatch):
+    if not kernel:
+        per_path_engine(monkeypatch)
     hopeless = FiniteSumProblem.from_affine(
         np.array([[1e200]]), np.zeros((1, 1)), np.zeros(1),
         ProblemConstants(L=1e200))
     spec = RunSpec(mode="sgd", problem=hopeless, x0=[10.0],
                    adj=AdjustmentSchedule(h=1.0), n_steps=3)
     with pytest.raises(EnsembleDivergenceError):
-        ensemble_run(spec, 4, seed, use_kernels=use_kernels)
+        ensemble_run(spec, 4, seed)
 
 
 def test_run_one_path_dispatch_matches_direct_call():
@@ -349,11 +359,18 @@ def test_supports_kernel_is_exact(monkeypatch, mode, problem_name, batch_name,
 # -- weighted averages -------------------------------------------------------
 
 
+def _denominators(spec):
+    """The weighted averages' denominators of the run's recorder."""
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(2)]
+    return _kernel_dispatch(spec, gens, spec.resolved_record_ks()).denominators
+
+
 def test_weight_denominators_discrete_prefix_sums():
     adj = AdjustmentSchedule(h=0.25, family="power", a=1.0)
-    spec = sgd_spec(adj=adj, n_steps=8)
+    spec = sgd_spec(adj=adj, n_steps=8, weights=True, record_ks=[0, 2, 8])
     ks = np.array([0, 2, 8])
-    denom = weight_denominators(spec, ks)
+    denom = _denominators(spec)
     prefix = np.cumsum([adj.psi_k(k) for k in range(9)])
     assert denom == pytest.approx(prefix[ks], rel=1e-15)
 
@@ -361,8 +378,9 @@ def test_weight_denominators_discrete_prefix_sums():
 def test_weight_denominators_continuous_trapezoid():
     iso = make_isotropic_quadratic(1.0, 1, sigma_star_sq=0.25)
     adj = AdjustmentSchedule(h=0.1, family="power", a=1.0)
-    spec = RunSpec(mode="mb-pgf", problem=iso, x0=[1.0], adj=adj, dt=0.5, T=2.0)
-    denom = weight_denominators(spec, np.array([0, 1, 4]))
+    spec = RunSpec(mode="mb-pgf", problem=iso, x0=[1.0], adj=adj, dt=0.5, T=2.0,
+                   weights=True, record_ks=[0, 1, 4])
+    denom = _denominators(spec)
     assert np.isnan(denom[0])  # empty integral at t = 0
     w = [adj.psi(k * 0.5) for k in range(5)]
     trap1 = 0.25 * (w[0] + w[1])
@@ -378,11 +396,47 @@ def test_weighted_average_of_constant_is_exact():
     spec = sgd_spec(n_steps=4, weights=True,
                     adj=AdjustmentSchedule(h=0.25, family="power", a=1.0))
     stats = ensemble_run(spec, 6, seed)
-    denom = weight_denominators(spec, stats.record_ks)
+    denom = _denominators(spec)
     # the weighted average at k = 0 is exactly the starting f-gap
     f0 = noisy_problem().gap(X0)
     assert stats.mean["f_gap_wavg"][0] == pytest.approx(f0, rel=1e-12)
     assert np.all(denom[1:] > denom[:-1])
+
+
+@pytest.mark.parametrize("mode", ["sgd", "pgd"])
+def test_weighted_per_path_run_on_a_callable_problem(mode):
+    # no kernel takes a callable family: the per-path engine runs it, and its
+    # weighted averages are the psi-weighted prefix sums of each path's own
+    # f-gap and squared gradient norm, divided by the prefix sums of psi
+    adj = AdjustmentSchedule(h=0.25, family="power", a=0.5)
+    spec = RunSpec(mode=mode, problem=_callable_problem(), x0=X0, adj=adj,
+                   n_steps=12, record_every=5, weights=True)
+    stats = ensemble_run(spec, 3, seed)
+    ks = stats.record_ks
+    assert ks.tolist() == [0, 5, 10, 12]
+    p = _callable_problem()
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(3)]
+    f_avg, g_avg = [], []
+    for rng in gens:
+        states = _run_one_path(spec, rng).states
+        acc_w = acc_f = acc_g = 0.0
+        row_f, row_g = [], []
+        for k, x in enumerate(states):
+            w = adj.psi_k(k)
+            g = p.grad(x)
+            acc_w += w
+            acc_f += w * p.gap(x)
+            acc_g += w * float(g @ g)
+            if k in ks:
+                row_f.append(acc_f / acc_w)
+                row_g.append(acc_g / acc_w)
+        f_avg.append(row_f)
+        g_avg.append(row_g)
+    assert stats.mean["f_gap_wavg"] == pytest.approx(np.mean(f_avg, axis=0),
+                                                     rel=1e-13)
+    assert stats.mean["grad_norm_sq_wavg"] == pytest.approx(
+        np.mean(g_avg, axis=0), rel=1e-13)
 
 
 # -- bound verification ------------------------------------------------------

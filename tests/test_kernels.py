@@ -290,6 +290,30 @@ def test_kernel_mb_pgf_weighted_trapezoid():
         assert res.wsum_f_gap[path, 0] == 0.0
 
 
+@pytest.mark.parametrize("dt", [None, 0.05], ids=["prefix", "trapezoid"])
+def test_recorder_weighted_average_of_a_constant_is_that_constant(dt):
+    # numerators and denominators take psi from one table, so a block frozen
+    # at f - f* = 0.5 (|grad f|^2 = 1) averages to exactly those values at
+    # every record; halving is exact, so the sums of 0.5 psi are half the
+    # sums of psi bit for bit
+    p = make_isotropic_quadratic(1.0, 1)
+    adj = AdjustmentSchedule(h=0.1, family="power", a=0.5)
+    n_steps = 500
+    psi = knl._psi_table(adj, n_steps, dt)
+    rec = knl._BlockRecorder(p, n_steps, 3, np.arange(0, n_steps + 1, 7),
+                             psi, dt)
+    X = rec.start([1.0])
+    for k in range(1, n_steps + 1):
+        rec.record(k, X)
+    res = rec.finish()
+    f_avg = res.wsum_f_gap / res.denominators
+    g_avg = res.wsum_grad_sq / res.denominators
+    first = 0 if dt is None else 1  # t = 0 has an empty integral: NaN
+    assert np.all(f_avg[:, first:] == 0.5)
+    assert np.all(g_avg[:, first:] == 1.0)
+    assert np.isnan(res.denominators[:first]).all()
+
+
 def test_kernel_time_changed_matches_simulator_bitwise():
     p = isotropic_problem()
     adj = AdjustmentSchedule(h=0.2, family="power", a=1.0)

@@ -61,8 +61,21 @@ def check_pl_ct():
                                          BoundInputs.from_problem(problem, x0, adj)))
 
 
+def check_pl_dt():
+    # criterion 4's shape (mini-batch SGD, h = 0.5/L, psi = (1+t)^(-1/2)) at
+    # a tenth of its steps
+    problem = make_perturbed_quadratic([1.0, 2.0], [0.0, 0.0],
+                                       [[0.5, 0.3], [-0.5, -0.3]])
+    x0, adj = [1.0, 1.0], AdjustmentSchedule(h=0.25, family="power", a=0.5)
+    spec = RunSpec(mode="sgd", problem=problem, x0=x0, adj=adj, n_steps=200)
+    stats = ensemble_run(spec, 400, SEED + 4)
+    return verify_bound(stats, RateBound("pl_dt",
+                                         BoundInputs.from_problem(problem, x0, adj)))
+
+
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
-          "time-change": check_time_change, "pl-ct": check_pl_ct}
+          "time-change": check_time_change, "pl-ct": check_pl_ct,
+          "pl-dt": check_pl_dt}
 
 
 # -- mutants: one defect each, patched in with monkeypatch ---------------------
@@ -113,9 +126,22 @@ def identity_warp(monkeypatch):
     monkeypatch.setattr(harness, "phi_inverse", lambda adj, s: s)
 
 
+def bound_one_step_ahead(monkeypatch):
+    """Discrete last-iterate bounds for x_k evaluated at k, not k - 1."""
+    real = RateBound.evaluate
+
+    def shifted(self, arg):
+        if self.kind in ("wqc_last_dt", "pl_dt"):
+            arg = arg + 1
+        return real(self, arg)
+
+    monkeypatch.setattr(RateBound, "evaluate", shifted)
+
+
 MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "ball-bound-halved": ball_bound_halved,
-           "identity-warp": identity_warp}
+           "identity-warp": identity_warp,
+           "bound-at-k": bound_one_step_ahead}
 
 # the (mutant, check) pairs whose check fails; every other pair survives
 KILLS = [

@@ -28,14 +28,27 @@ The harness makes that decision before any path runs and sends every other
 configuration to the plain per-path simulators; a kernel's own errors reach
 the caller.
 
-Each kernel keeps only its recursion loop.  :class:`_BlockRecorder` does the
-bookkeeping they share: the record grid, the divergence flags, the snapshots
-and the running ``psi``-weighted sums of the observables and of ``psi``
-itself (prefix sums over iterates for the discrete recursions, trapezoidal
-quadrature over the grid for the diffusions), whose ratios are the empirical
-counterparts of the randomized-output rate guarantees.  The harness books
-its per-path simulator runs through the same recorder, so both engines
-share one weighting rule and one scalar ``psi`` table (:func:`_psi_table`).
+Each kernel keeps only its recursion, one step loop over a range of steps.
+:class:`_BlockRecorder` does the bookkeeping they share: the record grid,
+the divergence flags, the snapshots and the running ``psi``-weighted sums of
+the observables and of ``psi`` itself (prefix sums over iterates for the
+discrete recursions, trapezoidal quadrature over the grid for the
+diffusions), whose ratios are the empirical counterparts of the
+randomized-output rate guarantees.  The harness books its per-path simulator
+runs through the same recorder, so both engines share one weighting rule and
+one scalar ``psi`` table (:func:`_psi_table`); each kernel takes all of its
+stepsizes and coefficients from one such table.
+
+The recorder also drives the affine kernels' step loops
+(:meth:`_BlockRecorder.drive`): they run in segments from one recorded step
+to the next, with one divergence test per segment instead of one per step,
+and a segment in which a path turns non-finite is replayed step by step, so
+the divergence flags and steps stay those of a per-step test.  Their drift
+(:func:`_grad_ops`) leaves out the operations that are exact identities for
+the problem at hand.  Every state is then the value the full operation
+sequence gives, with one exception: adding +0.0 turns -0.0 into +0.0, so
+where that addition is skipped the sign of an exact zero may differ from
+the old operation sequence (and equal values still compare equal).
 """
 
 from __future__ import annotations
@@ -147,8 +160,37 @@ def _psi_table(adj: AdjustmentSchedule, n_steps: int,
 
 
 def _step_tables(adj: AdjustmentSchedule, n_steps: int):
-    """Stepsizes eta_k (k < n_steps) and weights psi_k (k <= n_steps)."""
-    return [float(adj.eta_k(k)) for k in range(n_steps)], _psi_table(adj, n_steps)
+    """Stepsizes eta_k (k < n_steps) and weights psi_k (k <= n_steps).
+
+    Both from one psi table: eta_k is defined as h * psi_k, the product
+    :meth:`AdjustmentSchedule.eta_k` takes, so the values are its own.
+    """
+    psi = _psi_table(adj, n_steps)
+    return [adj.h * p for p in psi[:n_steps]], psi
+
+
+def _grad_ops(problem: FiniteSumProblem) -> tuple:
+    """grad f = (X - x*) d_mean + c_mean row-wise, as (ufunc, operand) pairs.
+
+    Applied in order, the first reading the state block and writing the
+    output, the rest in place on it.  Operations that are exact identities
+    are left out: ``- x*`` when x* is all zero, ``* d_mean`` when it is all
+    one, ``+ c_mean`` when it is all zero; a uniform d_mean multiplies as a
+    scalar, which gives the same products.  No value changes but the sign of
+    an exact zero, where a skipped operation would have added +0.0 to -0.0
+    (``+ c_mean``, or ``- x*`` with a -0.0 in x*).  An empty tuple means
+    grad f(X) = X.
+    """
+    _, _, d_mean, c_mean = _affine_parts(problem)
+    ops = []
+    if problem.x_star.any():
+        ops.append((np.subtract, problem.x_star))
+    if np.any(d_mean != 1.0):
+        uniform = np.all(d_mean == d_mean[0])
+        ops.append((np.multiply, float(d_mean[0]) if uniform else d_mean))
+    if c_mean.any():
+        ops.append((np.add, c_mean))
+    return tuple(ops)
 
 
 def _gap_and_grad_sq(problem: FiniteSumProblem, X: np.ndarray):
@@ -269,10 +311,24 @@ class _BlockRecorder:
     :func:`_psi_table`), accumulates every alive path's psi-weighted sums
     of f - f* and |grad f|^2 and the matching sums of psi alone: prefix
     sums over the iterates without ``dt``, trapezoid integrals over the
-    grid with it.  A kernel starts its block with :meth:`start` and calls
-    :meth:`record` once after every step; the harness feeds it its per-path
-    runs the same way.  The snapshots' observables are left to the consumer,
-    which reduces them once after the run, not once per step.
+    grid with it.  A kernel starts its block with :meth:`start` and either
+    calls :meth:`record` once after every step, or hands its step loop to
+    :meth:`drive`, which calls :meth:`record` at the recorded steps; the
+    harness feeds it its per-path runs step by step.  The snapshots'
+    observables are left to the consumer, which reduces them once after the
+    run, not once per step.
+
+    :meth:`drive` tests for divergence once per segment, not once per step.
+    That is exact only where non-finite values are absorbing: once an entry
+    of a row is inf or NaN, every later step leaves it non-finite.  It holds
+    for the affine recursions of :func:`kernel_mb_sgd`, :func:`kernel_pgd`
+    and the diffusions: a step updates each entry by adding, subtracting and
+    multiplying finite operands and terms computed from that entry alone
+    (the noise never reads the state), and inf or NaN stays non-finite
+    through all three.  It fails for :func:`kernel_svrg` and
+    :func:`kernel_vr_pgf`, whose epoch-end jumps can copy a finite window
+    state over a non-finite one, so those two keep their per-step
+    :meth:`record` calls.
     """
 
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
@@ -291,7 +347,7 @@ class _BlockRecorder:
         self.wsum_f = np.zeros((n_paths, n_rec)) if psi is not None else None
         self.wsum_g = np.zeros((n_paths, n_rec)) if psi is not None else None
         self.wsum_w = np.zeros(n_rec) if psi is not None else None
-        self._steps = self.record_ks.tolist() + [-1]  # -1: past the grid
+        self._steps = self.record_ks.tolist() + [n_steps + 1]  # past the grid
         self._cursor = 0
 
     def start(self, x0) -> np.ndarray:
@@ -324,8 +380,57 @@ class _BlockRecorder:
         if not math.isfinite(X.sum()):
             self._flag(k, X)
 
+    def drive(self, X: np.ndarray, chunks, advance) -> None:
+        """Step the block X through every chunk of draws, booking the run.
+
+        ``chunks`` yields (k0, B) like :func:`_normal_chunks`, and
+        ``advance(B, k0, i0, i1)`` applies steps k0 + i0 to k0 + i1 - 1 to X
+        in place, with the draws B[:, i0:i1].  Each chunk is stepped in
+        segments that end at the next recorded step or at the chunk's end;
+        with psi-weights every segment is one step, since the weighted sums
+        take every step.  After a segment of several steps one sum tests the
+        block; if a path still alive has turned non-finite, the block saved
+        at the segment's start is restored and the segment replayed one step
+        at a time, each step tested, so every flag is set at its step.  The
+        replay repeats the same operations on the same values, and non-finite
+        entries are absorbing in the recursions driven here (see the class
+        docstring), so a segment with no new non-finite row at its end had
+        none at any of its steps.
+        """
+        weighted = self.psi is not None
+        saved = np.empty_like(X)
+        try:
+            for k0, B in chunks:
+                n, i0 = B.shape[1], 0
+                while i0 < n:
+                    due = self._steps[self._cursor]
+                    i1 = i0 + 1 if weighted else min(n, due - k0)
+                    if i1 - i0 > 1:
+                        np.copyto(saved, X)
+                        advance(B, k0, i0, i1)
+                        if (not math.isfinite(X.sum())
+                                and np.any(self._newly_non_finite(X))):
+                            np.copyto(X, saved)
+                            for i in range(i0, i1):
+                                advance(B, k0, i, i + 1)
+                                self.check(k0 + i + 1, X)
+                    else:
+                        advance(B, k0, i0, i1)
+                    k = k0 + i1
+                    if weighted or k == due:
+                        self.record(k, X)
+                    else:
+                        self.check(k, X)
+                    i0 = i1
+        finally:
+            chunks.close()  # its fills end here, also when a step raised
+
+    def _newly_non_finite(self, X: np.ndarray) -> np.ndarray:
+        """The paths still alive whose state has a non-finite entry."""
+        return self.alive & ~np.isfinite(X).all(axis=1)
+
     def _flag(self, k: int, X: np.ndarray) -> None:
-        bad = self.alive & ~np.isfinite(X).all(axis=1)
+        bad = self._newly_non_finite(X)
         if np.any(bad):
             self.diverged[bad] = True
             self.div_step[bad] = k
@@ -373,23 +478,29 @@ def _scalar_of(matrix: np.ndarray) -> float | None:
 def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, n_steps: int, gens,
                   record_ks, weights: bool = False) -> KernelResult:
-    """Vectorised mini-batch SGD (constant batch size, affine gradients)."""
+    """Vectorised mini-batch SGD (constant batch size, affine gradients).
+
+    Driven in segments by :meth:`_BlockRecorder.drive`.
+    """
     D, C, _, _ = _affine_parts(problem)
     b = batch.size_at_step(0, adj.h)
     eta, psi = _step_tables(adj, n_steps)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
                          psi if weights else None)
     X = rec.start(x0)
+    x_star = problem.x_star
+
+    def advance(I, k0, i0, i1):
+        for i in range(i0, i1):
+            idx = I[:, i, :]
+            U = X - x_star
+            G = (D[idx] * U[:, None, :] + C[idx]).mean(axis=1)
+            G *= eta[k0 + i]
+            np.subtract(X, G, out=X)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, I in _index_chunks(gens, n_steps, problem.n_components, b):
-            for i in range(I.shape[1]):
-                k = k0 + i
-                idx = I[:, i, :]
-                U = X - problem.x_star
-                G = (D[idx] * U[:, None, :] + C[idx]).mean(axis=1)
-                G *= eta[k]
-                X -= G
-                rec.record(k + 1, X)
+        rec.drive(X, _index_chunks(gens, n_steps, problem.n_components, b),
+                  advance)
     return rec.finish()
 
 
@@ -397,8 +508,12 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int, gens, record_ks,
                volatility_mode: str = "exact",
                weights: bool = False) -> KernelResult:
-    """Vectorised Gaussian surrogate (constant batch size and volatility matrix)."""
-    _, _, d_mean, c_mean = _affine_parts(problem)
+    """Vectorised Gaussian surrogate (constant batch size and volatility matrix).
+
+    X <- (X - eta_k grad f(X)) - coef_k sigma z_k, in place, with the
+    per-path recursion's operations in its order, less the exact identities
+    of :func:`_grad_ops`; driven in segments by :meth:`_BlockRecorder.drive`.
+    """
     sig = _pgd_constant_sigma(problem, volatility_mode)
     if sig is None:
         raise ValueError("kernel_pgd needs a constant-covariance family")
@@ -407,35 +522,40 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
                          psi if weights else None)
     X = rec.start(x0)
-    sig_scalar = _scalar_of(sig)
-    # noise_k = coef_k (s z_k), scaled as it is drawn
-    scales = (sig_scalar, coef) if sig_scalar is not None else ()
-    x_star = problem.x_star
+    grad_ops = _grad_ops(problem)
     G = np.empty_like(X)
-    # X <- (X - eta_k G) - coef_k noise_k, in place with the same operations
-    # in the same order as the per-path recursion
+    sig_scalar = _scalar_of(sig)
+    if sig_scalar is not None:
+        scales = (sig_scalar, coef)  # noise_k = coef_k (s z_k), scaled as drawn
+
+        def noise(z, k):
+            return z
+    else:
+        scales = ()
+
+        def noise(z, k):
+            out = z @ sig.T
+            out *= coef[k]
+            return out
+
+    def advance(Z, k0, i0, i1):
+        for i in range(i0, i1):
+            A = X
+            for op, operand in grad_ops:
+                op(A, operand, out=G)
+                A = G
+            np.multiply(A, eta[k0 + i], out=G)
+            np.subtract(X, G, out=X)
+            np.subtract(X, noise(Z[:, i, :], k0 + i), out=X)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, Z in _normal_chunks(gens, n_steps, problem.d, scales):
-            for i in range(Z.shape[1]):
-                k = k0 + i
-                np.subtract(X, x_star, out=G)
-                G *= d_mean
-                G += c_mean
-                G *= eta[k]
-                X -= G
-                if sig_scalar is not None:
-                    X -= Z[:, i, :]
-                else:
-                    noise = Z[:, i, :] @ sig.T
-                    noise *= coef[k]
-                    X -= noise
-                rec.record(k + 1, X)
+        rec.drive(X, _normal_chunks(gens, n_steps, problem.d, scales), advance)
     return rec.finish()
 
 
 def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
                         n_steps: int, gens, record_ks,
-                        drift_coef: np.ndarray, vol_coef: np.ndarray,
+                        drift_coef, vol_coef: np.ndarray,
                         volatility_mode: str,
                         node_psi: list | None) -> KernelResult:
     """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma dB.
@@ -443,40 +563,57 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
     ``drift_coef``/``vol_coef`` are the per-step scalars c(t_k), v(t_k);
     sigma is the constant matrix of ``volatility_mode``, which needs a
     constant covariance; ``node_psi`` (grid values of psi) switches on
-    trapezoidal accumulation of the weighted observables.
+    trapezoidal accumulation of the weighted observables.  The step is
+    X <- X + (dt (-c_k grad f(X)) + sqrt(dt) v_k sigma z_k), in place, with
+    the per-path integrator's operations in its order, less the exact
+    identities of :func:`_grad_ops`; when every c_k is 1.0 the two factors
+    -c_k and dt fold into one -dt, exact since negation is.  Driven in
+    segments by :meth:`_BlockRecorder.drive`.
     """
-    _, _, d_mean, c_mean = _affine_parts(problem)
     if not problem.has_constant_mb_covariance:
         raise ValueError("the diffusion kernels need a constant-covariance family")
     sigma_matrix = _pgd_constant_sigma(problem, volatility_mode)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt)
     X = rec.start(x0)
     sqrt_dt = np.sqrt(dt)
-    sig_scalar = _scalar_of(sigma_matrix)
-    # noise_k = (v_k s) z_k sqrt(dt), scaled as it is drawn
-    scales = (vol_coef * sig_scalar, sqrt_dt) if sig_scalar is not None else ()
-    drift = drift_coef.tolist()
-    x_star = problem.x_star
+    grad_ops = _grad_ops(problem)
     G = np.empty_like(X)
-    # X <- X + (dt (-c_k G) + sqrt(dt) noise_k), in place with the same
-    # operations in the same order as the per-path integrator
+    # G <- (-c_k G) dt as one factor -dt when every c_k is 1.0, else as the
+    # factor -c_k followed by dt
+    drift = np.asarray(drift_coef, dtype=float)
+    if np.all(drift == 1.0):
+        rate, after_rate = [-dt] * n_steps, ()
+    else:
+        rate, after_rate = (-drift).tolist(), ((np.multiply, dt),)
+    sig_scalar = _scalar_of(sigma_matrix)
+    if sig_scalar is not None:
+        # noise_k = (v_k s) z_k sqrt(dt), scaled as it is drawn
+        scales = (vol_coef * sig_scalar, sqrt_dt)
+
+        def noise(z, k):
+            return z
+    else:
+        scales = ()
+
+        def noise(z, k):
+            out = z @ (vol_coef[k] * sigma_matrix).T
+            out *= sqrt_dt
+            return out
+
+    def advance(Z, k0, i0, i1):
+        for i in range(i0, i1):
+            A = X
+            for op, operand in grad_ops:
+                op(A, operand, out=G)
+                A = G
+            np.multiply(A, rate[k0 + i], out=G)
+            for op, operand in after_rate:
+                op(G, operand, out=G)
+            np.add(G, noise(Z[:, i, :], k0 + i), out=G)
+            np.add(X, G, out=X)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, Z in _normal_chunks(gens, n_steps, problem.d, scales):
-            for i in range(Z.shape[1]):
-                k = k0 + i
-                np.subtract(X, x_star, out=G)
-                G *= d_mean
-                G += c_mean
-                G *= -drift[k]
-                G *= dt
-                if sig_scalar is not None:
-                    G += Z[:, i, :]
-                else:
-                    noise = Z[:, i, :] @ (vol_coef[k] * sigma_matrix).T
-                    noise *= sqrt_dt
-                    G += noise
-                X += G
-                rec.record(k + 1, X)
+        rec.drive(X, _normal_chunks(gens, n_steps, problem.d, scales), advance)
     return rec.finish()
 
 
@@ -484,15 +621,18 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, dt: float, n_steps: int, gens,
                   record_ks, volatility_mode: str = "exact",
                   weights: bool = False) -> KernelResult:
-    """Vectorised annealed gradient flow with constant covariance factor."""
+    """Vectorised annealed gradient flow with constant covariance factor.
+
+    The drift rate psi(t_k), the volatility psi(t_k) sqrt(h / b(t_k)) and
+    the node weights all come from one table of psi on the grid.
+    """
     h = adj.h
-    times = np.arange(n_steps) * dt
-    drift_coef = np.array([adj.psi(t) for t in times])
-    vol_coef = np.array([adj.psi(t) * np.sqrt(h / batch.value(t))
-                         for t in times])
-    node_psi = _psi_table(adj, n_steps, dt) if weights else None
+    psi = _psi_table(adj, n_steps, dt)
+    vol_coef = np.array([psi[k] * np.sqrt(h / batch.value(k * dt))
+                         for k in range(n_steps)])
     return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               drift_coef, vol_coef, volatility_mode, node_psi)
+                               psi[:n_steps], vol_coef, volatility_mode,
+                               psi if weights else None)
 
 
 def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -505,9 +645,8 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     for k in range(n_steps):
         warped = phi_inverse(adj, k * dt)
         vol_coef[k] = np.sqrt(h * adj.psi(warped) / batch.value(warped))
-    drift_coef = np.ones(n_steps)
     return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               drift_coef, vol_coef, volatility_mode,
+                               np.ones(n_steps), vol_coef, volatility_mode,
                                node_psi=None)
 
 

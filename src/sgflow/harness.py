@@ -683,15 +683,18 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
                     for i in range(d)], axis=1)
     tol = tol_mult * dt * float(np.linalg.norm(x0))
 
-    # autonomous equivalent-gradient ODE, Euler on the same grid
+    # autonomous equivalent-gradient ODE, Euler on the same grid, stepped on
+    # Python floats; every coordinate takes u + dt du, also where du = 0, so
+    # a -0.0 start turns +0.0 as it would in an array update
     ode = np.empty((n_steps + 1, d))
     ode[0] = x0
-    u = x0.copy()
+    lam_f, u0_f = lam.tolist(), x0.tolist()
+    moving = [lam_f[i] != 0.0 and u0_f[i] != 0.0 for i in range(d)]
+    u = list(u0_f)
     for k in range(n_steps):
-        du = np.array([equivalent_gradient_rhs(lam[i], x0[i], u[i])
-                       if lam[i] != 0.0 and x0[i] != 0.0 else 0.0
-                       for i in range(d)])
-        u = u + dt * du
+        u = [u_i + dt * (equivalent_gradient_rhs(lam_f[i], u0_f[i], u_i)
+                         if moving[i] else 0.0)
+             for i, u_i in enumerate(u)]
         ode[k + 1] = u
     ode_err = float(np.abs(ode - np.stack(
         [landscape_stretch_reference(lam[i], x0[i], np.arange(n_steps + 1) * dt)

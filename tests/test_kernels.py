@@ -551,8 +551,10 @@ def test_kernel_raising_mid_chunk_leaves_no_draw_thread(monkeypatch):
 
     monkeypatch.setattr(knl._BlockRecorder, "record", record)
     with pytest.raises(RuntimeError, match="step failed"):
+        # step 6 is on the record grid: the kernel steps in segments between
+        # recorded steps and calls record only there
         kernel_pgd(isotropic_problem(), AdjustmentSchedule(h=0.2),
-                   BatchSchedule(), X0, 20, streams, [0, 20])
+                   BatchSchedule(), X0, 20, streams, [0, 6, 20])
     assert _draw_threads() == []
     calls = [s.calls for s in streams]
     time.sleep(0.2)  # no fill goes on after the kernel has returned
@@ -673,3 +675,118 @@ def test_overflowing_sum_of_finite_states_not_flagged(kind):
     assert not res.diverged.any()
     assert np.all(res.divergence_step == -1)
     assert np.array_equal(res.states, ref)
+
+
+# -- segmented stepping ------------------------------------------------------
+#
+# The affine kernels step from one recorded step to the next with one
+# divergence test per segment, and replay a segment step by step when a path
+# turned non-finite in it.  A run that records every step tests every step,
+# so it is the reference: any record grid and any chunking must give the
+# same states at the grid's steps, and the same flags and divergence steps.
+
+SEGMENT_PATHS = 16
+
+
+def _growing_problem(vol):
+    # curvature 5 under psi = (1 + t)^(-0.1), h = dt = 1: the step's factor
+    # 1 - 5 psi_k stays below -1 for about 10^4 steps, so every path
+    # overflows, at a step its draws decide
+    if vol == "scalar":
+        return make_isotropic_quadratic(5.0, 2, sigma_star_sq=1.0)
+    return make_perturbed_quadratic([5.0, 5.0], [0.0, 0.0], NOISE)
+
+
+def _segmented_run(kind, vol, weights, n_steps, ks):
+    p = _growing_problem(vol)
+    adj = AdjustmentSchedule(h=1.0, family="power", a=0.1)
+    batch, x0 = BatchSchedule(), np.zeros(2)
+    gens = gen_list(seed, SEGMENT_PATHS)
+    if kind == "sgd":
+        return kernel_mb_sgd(p, adj, batch, x0, n_steps, gens, ks,
+                             weights=weights)
+    if kind == "pgd":
+        return kernel_pgd(p, adj, batch, x0, n_steps, gens, ks,
+                          volatility_mode="exact", weights=weights)
+    if kind == "mb-pgf":
+        return kernel_mb_pgf(p, adj, batch, x0, 1.0, n_steps, gens, ks,
+                             volatility_mode="exact", weights=weights)
+    # unit drift rate: dt = 0.5 keeps the factor 1 - 5 dt at -1.5
+    return kernel_time_changed(p, adj, batch, x0, 0.5, n_steps, gens, ks,
+                               volatility_mode="exact")
+
+
+def _same_run(res, ref, ks):
+    assert res.states.tobytes() == ref.states[:, ks].tobytes()
+    assert res.diverged.tobytes() == ref.diverged.tobytes()
+    assert res.divergence_step.tobytes() == ref.divergence_step.tobytes()
+    if ref.wsum_f_gap is not None:
+        assert res.wsum_f_gap.tobytes() == ref.wsum_f_gap[:, ks].tobytes()
+        assert res.wsum_grad_sq.tobytes() == ref.wsum_grad_sq[:, ks].tobytes()
+        assert res.denominators.tobytes() == ref.denominators[ks].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, weights", [
+    ("sgd", False), ("sgd", True), ("pgd", False), ("pgd", True),
+    ("mb-pgf", False), ("mb-pgf", True), ("time-changed", False),
+])
+@pytest.mark.parametrize("vol", ["scalar", "matrix"])
+def test_segmented_divergence_matches_per_step_recording(kind, weights, vol,
+                                                         monkeypatch):
+    # run to the last divergence step but one, so that some paths survive
+    probe = _segmented_run(kind, vol, False, 3000, np.arange(3001))
+    assert probe.diverged.all()
+    n = int(np.unique(probe.divergence_step)[-2])
+    ref = _segmented_run(kind, vol, weights, n, np.arange(n + 1))
+    steps = np.unique(ref.divergence_step[ref.diverged])
+    assert ref.diverged.any() and not ref.diverged.all()
+    assert steps.size >= 2
+    first, second = int(steps[0]), int(steps[1])
+    width = 1 if kind == "sgd" else 2  # draws per path and step
+    grids = [
+        # every divergence inside one segment, at different steps
+        [0, n],
+        # the first divergence exactly at a record step, later ones in a
+        # segment that starts with non-finite paths
+        [0, first, n],
+        # the first divergence in the middle of a segment, a later one at
+        # its end
+        [0, first - 1, second],
+    ]
+    for ks in grids:
+        ks = sorted(set(ks))
+        _same_run(_segmented_run(kind, vol, weights, n, ks), ref, ks)
+    # a divergence at a chunk's last step
+    for chunk in (first, second):
+        monkeypatch.setattr(knl, "_CHUNK_DOUBLES", chunk * SEGMENT_PATHS * width)
+        for ks in ([0, n], [0, first, n]):
+            _same_run(_segmented_run(kind, vol, weights, n, ks), ref, ks)
+
+
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf"])
+def test_signed_zero_start_without_noise_matches_simulator(kind):
+    # sigma = 0: every noise value is an exact zero, and x* = 0, c_mean = 0,
+    # so the -0.0 and +0.0 coordinates stay zero; the kernel skips the
+    # exact identities (+ 0.0 among them), so only the sign of a zero may
+    # differ from the simulator's, and the states compare equal
+    p = make_isotropic_quadratic(0.5, 3, sigma_star_sq=0.0)
+    adj = AdjustmentSchedule(h=0.1, family="power", a=0.5)
+    x0 = np.array([-0.0, 0.0, 1.5])
+    n_steps, ks = 12, np.arange(13)
+    if kind == "pgd":
+        res = kernel_pgd(p, adj, BatchSchedule(), x0, n_steps,
+                         gen_list(seed, 3), ks, volatility_mode="constant")
+        ref = stack_paths(lambda rng: run_pgd(p, adj, BatchSchedule(), x0,
+                                              n_steps, rng,
+                                              volatility_mode="constant"),
+                          seed, 3)
+    else:
+        res = kernel_mb_pgf(p, adj, BatchSchedule(), x0, 0.1, n_steps,
+                            gen_list(seed, 3), ks, volatility_mode="constant")
+        ref = stack_paths(lambda rng: simulate_mb_pgf(
+            p, adj, BatchSchedule(), x0, 0.1, n_steps * 0.1, rng,
+            volatility_mode="constant"), seed, 3)
+    assert np.all(res.states == ref)
+    assert np.all(res.states[:, :, :2] == 0.0)
+    assert not res.diverged.any()

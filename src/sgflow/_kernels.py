@@ -1,54 +1,41 @@
-"""Path-vectorised Monte-Carlo kernels for the ensemble runner.
+"""Path-vectorised step loops: the one implementation of every recursion.
 
-The simulators in :mod:`sgflow.discrete` and :mod:`sgflow.continuous` advance
-one path at a time with per-step generator draws; ensembles of thousands of
-paths would spend most of their budget in that Python loop.  The harness
-therefore dispatches suitable runs here.  A kernel holds an (n_paths, d)
-state block and draws every path's noise from that path's own generator in
-chunks: PCG64 streams are partition invariant -- ``standard_normal((k, d))``
-consumes the stream exactly like k successive ``standard_normal(d)`` calls,
-and sized integer draws behave the same way -- so a kernel fed the same
-per-path generators reproduces the simulator's sample paths (up to
-floating-point association in the matrix products; the test suite pins the
-equivalence and its tolerance).  The same two facts let every usable core
-fill a chunk: one thread per contiguous range of paths touches only those
-paths' streams, in the same order, and NumPy releases the GIL while it
-fills, so the draws run in parallel and no value depends on how many cores
-there are.  Two chunk buffers take turns, so those threads fill the next
-chunk while the kernel steps through the current one, and the noise scaling
-of the scalar-volatility kernels happens in the fill, value by value as the
-kernel would have done it (:func:`_draw_chunks`, :func:`_normal_chunks`).
+Each run mode has one kernel.  ``ensemble_run`` hands it a block of paths,
+and the simulators of :mod:`sgflow.discrete` and :mod:`sgflow.continuous`
+hand it one path.  A kernel holds an (n_paths, d) state block and draws every
+path's noise from that path's own generator in chunks: PCG64 streams are
+partition invariant -- ``standard_normal((k, d))`` consumes the stream
+exactly like k successive ``standard_normal(d)`` calls, and sized integer
+draws behave the same way -- so a path's states do not depend on the other
+paths of its block, except where a constant volatility matrix that is not a
+multiple of I multiplies the whole noise block as one product (the test
+suite pins that tolerance).  The same facts let every usable core fill a
+chunk, one thread per contiguous range of paths, with no value depending on
+how many cores there are; two chunk buffers take turns, so the next chunk
+fills while the kernel steps through this one, and the scalar-volatility
+kernels' noise is scaled in the fill, value by value as the kernel would
+scale it (:func:`_draw_chunks`, :func:`_normal_chunks`).
 
-Kernels cover only the shapes the experiments hit, and
-:func:`supports_kernel` states exactly which: affine-gradient finite sums and
-constant batch sizes, a constant volatility matrix for the Gaussian
-surrogate, a constant covariance for the mini-batch diffusions, and the
-two-component one-dimensional family for the variance-reduced delay kernel.
-The harness makes that decision before any path runs and sends every other
-configuration to the plain per-path simulators; a kernel's own errors reach
-the caller.
+The block gradient and volatility are array expressions where the problem
+has affine gradients and the volatility matrix is constant.  Otherwise the
+kernel loops over the rows (:func:`_rows`) with the functions one path
+calls: ``problem.grad``, the component gradients of the mini-batch and
+variance-reduced estimates, and the square roots of ``sigma_mb`` and
+``sigma_vr``.  The loop evaluates finite rows only and gives a non-finite
+row NaN, so a user's callable never sees a diverged point.  Batch sizes come
+from one scalar schedule call per step, and all stepsizes, coefficients and
+weights from one table of scalar ``psi`` calls (:func:`_psi_table`).
 
-Each kernel keeps only its recursion, one step loop over a range of steps.
-:class:`_BlockRecorder` does the bookkeeping they share: the record grid,
-the divergence flags, the snapshots and the running ``psi``-weighted sums of
-the observables and of ``psi`` itself (prefix sums over iterates for the
-discrete recursions, trapezoidal quadrature over the grid for the
-diffusions), whose ratios are the empirical counterparts of the
-randomized-output rate guarantees.  The harness books its per-path simulator
-runs through the same recorder, so both engines share one weighting rule and
-one scalar ``psi`` table (:func:`_psi_table`); each kernel takes all of its
-stepsizes and coefficients from one such table.
-
-The recorder also drives the affine kernels' step loops
-(:meth:`_BlockRecorder.drive`): they run in segments from one recorded step
-to the next, with one divergence test per segment instead of one per step,
-and a segment in which a path turns non-finite is replayed step by step, so
-the divergence flags and steps stay those of a per-step test.  Their drift
-(:func:`_grad_ops`) leaves out the operations that are exact identities for
-the problem at hand.  Every state is then the value the full operation
-sequence gives, with one exception: adding +0.0 turns -0.0 into +0.0, so
-where that addition is skipped the sign of an exact zero may differ from
-the old operation sequence (and equal values still compare equal).
+:class:`_BlockRecorder` does the bookkeeping: the record grid, the
+divergence flags, the snapshots and the running ``psi``-weighted sums behind
+the randomized-output guarantees.  It also drives the SGD, PGD and
+diffusion kernels (:meth:`_BlockRecorder.drive`) in segments from one
+recorded step to the next, with one divergence test per segment; a segment
+in which a path turns non-finite is replayed step by step, so the flags are
+those of a per-step test.  Their affine drift (:func:`_grad_ops`) leaves out
+operations that are exact identities; the only value that can differ from
+the full operation sequence is the sign of an exact zero (adding +0.0 turns
+-0.0 into +0.0).
 """
 
 from __future__ import annotations
@@ -60,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import _pgd_constant_sigma
+from .estimators import sigma_mb, sigma_vr
 from .problems import FiniteSumProblem
 from .schedules import (
     AdjustmentSchedule,
@@ -78,7 +65,6 @@ __all__ = [
     "kernel_time_changed",
     "kernel_svrg",
     "kernel_vr_pgf",
-    "supports_kernel",
 ]
 
 # Per-buffer noise budget in float64 values (~40 MB; a draw keeps two
@@ -111,48 +97,32 @@ class KernelResult:
     denominators: np.ndarray | None = None
 
 
-def supports_kernel(mode: str, problem: FiniteSumProblem,
-                    batch: BatchSchedule | None,
-                    volatility_mode: str = "exact") -> bool:
-    """Whether a kernel covers this configuration.
+def _pgd_constant_sigma(problem: FiniteSumProblem,
+                        volatility_mode: str) -> np.ndarray | None:
+    """sigma for ``volatility_mode`` where it is constant, else None.
 
-    Every kernel needs an affine gradient family and a constant batch size.
-    The Gaussian surrogate needs a constant volatility matrix: the constant
-    volatility mode or a constant covariance.  The mini-batch diffusions
-    need a constant covariance in either volatility mode, and the delay
-    kernel needs the two-component family with d = 1 (its volatility is
-    state-dependent).
+    "constant" is sqrt(sigma_star_sq) I; "exact" is the square root of the
+    one-sample covariance, constant for the constant-covariance families.
     """
-    if problem.affine is None:
-        return False
-    if batch is not None and batch.family != "constant":
-        return False
-    if mode in ("sgd", "svrg"):
-        return True
-    if mode == "pgd":
-        return (volatility_mode == "constant"
-                or problem.has_constant_mb_covariance)
-    if mode in ("mb-pgf", "time-changed"):
-        return problem.has_constant_mb_covariance
-    if mode == "vr-pgf":
-        return problem.d == 1 and problem.n_components == 2
-    return False
-
-
-def _affine_parts(problem: FiniteSumProblem):
-    affine = problem.affine
-    if affine is None:
-        raise ValueError("kernels require an affine-gradient problem")
-    return affine.D, affine.C, affine.d_mean, affine.c_mean
+    if volatility_mode == "constant":
+        s2 = problem.constants.sigma_star_sq
+        if s2 is None:
+            raise ValueError("volatility_mode='constant' needs a declared sigma_star_sq")
+        return np.sqrt(s2) * np.eye(problem.d)
+    if volatility_mode != "exact":
+        raise ValueError(f"unknown volatility_mode {volatility_mode!r}")
+    if problem.has_constant_mb_covariance:
+        return sigma_mb(problem, problem.x_star).sqrt_matrix
+    return None
 
 
 def _psi_table(adj: AdjustmentSchedule, n_steps: int,
                dt: float | None = None) -> list:
     """psi_k at every step index k <= n_steps, or psi(k dt) at every grid node.
 
-    Python floats from one scalar schedule call per entry, the calls the
-    per-path simulators make: evaluating the schedule on an index array may
-    round psi differently by an ulp, depending on the host's SIMD level.
+    Python floats from one scalar schedule call per entry: evaluating the
+    schedule on an index array may round psi differently by an ulp,
+    depending on the host's SIMD level.
     """
     if dt is None:
         return [float(adj.psi_k(k)) for k in range(n_steps + 1)]
@@ -169,6 +139,25 @@ def _step_tables(adj: AdjustmentSchedule, n_steps: int):
     return [adj.h * p for p in psi[:n_steps]], psi
 
 
+def _batch_sizes(batch: BatchSchedule, n_steps: int, h: float) -> list:
+    """b_k for k < n_steps: one scalar call per step, one for a constant batch."""
+    if batch.family == "constant":
+        return [batch.size_at_step(0, h)] * n_steps
+    return [batch.size_at_step(k, h) for k in range(n_steps)]
+
+
+def _rows(fn, shape: tuple, X: np.ndarray, *per_row) -> np.ndarray:
+    """fn(X[p], *(a[p] for a in per_row)), of shape ``shape``, for each row p.
+
+    A row of X with a non-finite entry is never passed to fn and gets NaN,
+    which keeps it non-finite through the step (see :class:`_BlockRecorder`).
+    """
+    out = np.full((X.shape[0], *shape), np.nan)
+    for p in np.flatnonzero(np.isfinite(X).all(axis=1)):
+        out[p] = fn(X[p], *(a[p] for a in per_row))
+    return out
+
+
 def _grad_ops(problem: FiniteSumProblem) -> tuple:
     """grad f = (X - x*) d_mean + c_mean row-wise, as (ufunc, operand) pairs.
 
@@ -181,7 +170,7 @@ def _grad_ops(problem: FiniteSumProblem) -> tuple:
     (``+ c_mean``, or ``- x*`` with a -0.0 in x*).  An empty tuple means
     grad f(X) = X.
     """
-    _, _, d_mean, c_mean = _affine_parts(problem)
+    d_mean, c_mean = problem.affine.d_mean, problem.affine.c_mean
     ops = []
     if problem.x_star.any():
         ops.append((np.subtract, problem.x_star))
@@ -193,14 +182,63 @@ def _grad_ops(problem: FiniteSumProblem) -> tuple:
     return tuple(ops)
 
 
+def _grad_block(problem: FiniteSumProblem):
+    """grad f row-wise: (X, out) -> :func:`_grad_ops` into out, or the rows."""
+    if problem.affine is None:
+        return lambda X, out: _rows(problem.grad, (problem.d,), X)
+    ops = _grad_ops(problem)
+
+    def grad(X, out):
+        A = X
+        for op, operand in ops:
+            op(A, operand, out=out)
+            A = out
+        return A
+    return grad
+
+
 def _gap_and_grad_sq(problem: FiniteSumProblem, X: np.ndarray):
     """(f - f*, |grad f|^2) for each row of a (n, d) block of states."""
     if problem.affine is not None:
         return problem.affine.block_observables(X - problem.x_star,
                                                 problem.constants.f_star)
-    grads = [problem.grad(x) for x in X]
-    return (np.array([problem.gap(x) for x in X], dtype=float),
-            np.array([float(g @ g) for g in grads], dtype=float))
+
+    def gap_and_grad_sq(x):
+        g = problem.grad(x)
+        return problem.gap(x), float(g @ g)
+    both = _rows(gap_and_grad_sq, (2,), X)
+    return both[:, 0], both[:, 1]
+
+
+def _noise(problem: FiniteSumProblem, sigma, X: np.ndarray, inner, outer):
+    """(noise(Z, k), scales): step k's noise (inner_k sigma(X)) z_k outer_k.
+
+    ``inner`` is a per-step table or None, ``outer`` a table or a scalar.
+    For sigma = s I the factors are the scales of :func:`_normal_chunks`;
+    sigma None is the square root of ``sigma_mb`` row by row.
+    """
+    def post(k):
+        return outer[k] if np.ndim(outer) else outer
+
+    if sigma is None:
+        def one_row(x, z, k):
+            S = sigma_mb(problem, x).sqrt_matrix
+            return (S if inner is None else inner[k] * S) @ z
+
+        def noise(Z, k):
+            out = _rows(lambda x, z: one_row(x, z, k), (problem.d,), X, Z)
+            out *= post(k)
+            return out
+        return noise, ()
+    s = _scalar_of(sigma)
+    if s is not None:
+        return (lambda Z, k: Z), (s if inner is None else inner * s, outer)
+
+    def noise(Z, k):
+        out = Z @ (sigma if inner is None else inner[k] * sigma).T
+        out *= post(k)
+        return out
+    return noise, ()
 
 
 def _fill_workers(n_paths: int) -> int:
@@ -240,7 +278,8 @@ def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
     of its ranges has finished; on the way out every fill still in flight
     is waited for, so no thread outlives the call or writes into a buffer
     the caller holds.  The threads live for one call (a pool kept across
-    calls would hang in a forked child).
+    calls would hang in a forked child); a single chunk for a single worker
+    is filled in the caller, with no thread.
     """
     n_paths = len(gens)
     chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * width)))
@@ -262,6 +301,10 @@ def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
         B = chunk_view(j)
         return [pool.submit(fill, B, starts[j], lo, hi) for lo, hi in ranges]
 
+    if n_workers == 1 and len(starts) == 1:  # nothing to overlap: no thread
+        fill(chunk_view(0), 0, 0, n_paths)
+        yield 0, chunk_view(0)
+        return
     pool = ThreadPoolExecutor(n_workers, thread_name_prefix="sgflow-draw")
     pending = []
     try:
@@ -295,11 +338,23 @@ def _normal_chunks(gens, n_steps: int, d: int, scales=()):
     yield from _draw_chunks(gens, n_steps, d, np.float64, fill_row)
 
 
-def _index_chunks(gens, n_steps: int, n_components: int, b: int):
-    """Yield (k0, I) with I[p] the next chunk of batch index draws for path p."""
-    def fill_row(g, row, k0):
-        row[...] = g.integers(0, n_components, size=row.shape)
-    yield from _draw_chunks(gens, n_steps, b, np.int64, fill_row)
+def _index_chunks(gens, n_steps: int, n_components: int, sizes: list):
+    """Yield (k0, I) with I[p, i, :b] the b = sizes[k0 + i] indices of path p.
+
+    The draws of per-step ``integers(0, n_components, size=b_k)`` calls, in
+    step order; a varying batch fills the first b_k of max(sizes) entries.
+    """
+    width = max(sizes, default=1)
+    if min(sizes, default=width) == width:
+        def fill_row(g, row, k0):
+            row[...] = g.integers(0, n_components, size=row.shape)
+    else:
+        used = np.arange(width) < np.array(sizes)[:, None]
+
+        def fill_row(g, row, k0):
+            mask = used[k0:k0 + row.shape[0]]
+            row[mask] = g.integers(0, n_components, size=np.count_nonzero(mask))
+    yield from _draw_chunks(gens, n_steps, width, np.int64, fill_row)
 
 
 class _BlockRecorder:
@@ -313,22 +368,18 @@ class _BlockRecorder:
     sums over the iterates without ``dt``, trapezoid integrals over the
     grid with it.  A kernel starts its block with :meth:`start` and either
     calls :meth:`record` once after every step, or hands its step loop to
-    :meth:`drive`, which calls :meth:`record` at the recorded steps; the
-    harness feeds it its per-path runs step by step.  The snapshots'
-    observables are left to the consumer, which reduces them once after the
-    run, not once per step.
+    :meth:`drive`, which calls :meth:`record` at the recorded steps.  The
+    snapshots' observables are left to the consumer, which reduces them once
+    after the run, not once per step.
 
-    :meth:`drive` tests for divergence once per segment, not once per step.
-    That is exact only where non-finite values are absorbing: once an entry
-    of a row is inf or NaN, every later step leaves it non-finite.  It holds
-    for the affine recursions of :func:`kernel_mb_sgd`, :func:`kernel_pgd`
-    and the diffusions: a step updates each entry by adding, subtracting and
-    multiplying finite operands and terms computed from that entry alone
-    (the noise never reads the state), and inf or NaN stays non-finite
-    through all three.  It fails for :func:`kernel_svrg` and
-    :func:`kernel_vr_pgf`, whose epoch-end jumps can copy a finite window
-    state over a non-finite one, so those two keep their per-step
-    :meth:`record` calls.
+    :meth:`drive` tests for divergence once per segment, which is exact
+    only where non-finite values are absorbing.  They are in
+    :func:`kernel_mb_sgd`, :func:`kernel_pgd` and the diffusions: an affine
+    step adds, subtracts and multiplies each entry with finite operands and
+    terms of that entry alone (a constant volatility never reads the
+    state), and the row loops (:func:`_rows`) give a non-finite row NaN.
+    The epoch-end jumps of :func:`kernel_svrg` and :func:`kernel_vr_pgf` can
+    copy a finite state over a non-finite one, so those two record per step.
     """
 
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
@@ -478,28 +529,35 @@ def _scalar_of(matrix: np.ndarray) -> float | None:
 def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, n_steps: int, gens,
                   record_ks, weights: bool = False) -> KernelResult:
-    """Vectorised mini-batch SGD (constant batch size, affine gradients).
+    """Vectorised mini-batch SGD: X <- X - eta_k G_MB(X, b_k), path by path.
 
+    G_MB averages D[i] (x - x*) + C[i] over each path's b_k indices for an
+    affine family, and the component gradients row by row otherwise.
     Driven in segments by :meth:`_BlockRecorder.drive`.
     """
-    D, C, _, _ = _affine_parts(problem)
-    b = batch.size_at_step(0, adj.h)
+    sizes = _batch_sizes(batch, n_steps, adj.h)
     eta, psi = _step_tables(adj, n_steps)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
                          psi if weights else None)
     X = rec.start(x0)
-    x_star = problem.x_star
+    affine, x_star = problem.affine, problem.x_star
+
+    def estimate(x, idx):
+        return np.mean([problem.component_grad(int(i), x) for i in idx], axis=0)
 
     def advance(I, k0, i0, i1):
         for i in range(i0, i1):
-            idx = I[:, i, :]
-            U = X - x_star
-            G = (D[idx] * U[:, None, :] + C[idx]).mean(axis=1)
+            idx = I[:, i, :sizes[k0 + i]]
+            if affine is None:
+                G = _rows(estimate, (problem.d,), X, idx)
+            else:
+                U = X - x_star
+                G = (affine.D[idx] * U[:, None, :] + affine.C[idx]).mean(axis=1)
             G *= eta[k0 + i]
             np.subtract(X, G, out=X)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rec.drive(X, _index_chunks(gens, n_steps, problem.n_components, b),
+        rec.drive(X, _index_chunks(gens, n_steps, problem.n_components, sizes),
                   advance)
     return rec.finish()
 
@@ -508,75 +566,57 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int, gens, record_ks,
                volatility_mode: str = "exact",
                weights: bool = False) -> KernelResult:
-    """Vectorised Gaussian surrogate (constant batch size and volatility matrix).
+    """Vectorised Gaussian surrogate of mini-batch SGD.
 
-    X <- (X - eta_k grad f(X)) - coef_k sigma z_k, in place, with the
-    per-path recursion's operations in its order, less the exact identities
-    of :func:`_grad_ops`; driven in segments by :meth:`_BlockRecorder.drive`.
+    X <- (X - eta_k grad f(X)) - coef_k sigma(X) z_k with coef_k =
+    eta_k / sqrt(b_k), in place, less the exact identities of
+    :func:`_grad_ops`.  sigma is the constant matrix of ``volatility_mode``
+    where there is one, else the square root of ``sigma_mb`` row by row.
+    Driven in segments by :meth:`_BlockRecorder.drive`.
     """
     sig = _pgd_constant_sigma(problem, volatility_mode)
-    if sig is None:
-        raise ValueError("kernel_pgd needs a constant-covariance family")
     eta, psi = _step_tables(adj, n_steps)
-    coef = np.array(eta) / np.sqrt(batch.size_at_step(0, adj.h))
+    coef = np.array(eta) / np.sqrt(_batch_sizes(batch, n_steps, adj.h))
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
                          psi if weights else None)
     X = rec.start(x0)
-    grad_ops = _grad_ops(problem)
+    grad = _grad_block(problem)
     G = np.empty_like(X)
-    sig_scalar = _scalar_of(sig)
-    if sig_scalar is not None:
-        scales = (sig_scalar, coef)  # noise_k = coef_k (s z_k), scaled as drawn
-
-        def noise(z, k):
-            return z
-    else:
-        scales = ()
-
-        def noise(z, k):
-            out = z @ sig.T
-            out *= coef[k]
-            return out
+    noise, scales = _noise(problem, sig, X, None, coef)
 
     def advance(Z, k0, i0, i1):
         for i in range(i0, i1):
-            A = X
-            for op, operand in grad_ops:
-                op(A, operand, out=G)
-                A = G
-            np.multiply(A, eta[k0 + i], out=G)
+            k = k0 + i
+            N = noise(Z[:, i, :], k)  # of the state before the step
+            np.multiply(grad(X, G), eta[k], out=G)
             np.subtract(X, G, out=X)
-            np.subtract(X, noise(Z[:, i, :], k0 + i), out=X)
+            np.subtract(X, N, out=X)
 
     with np.errstate(over="ignore", invalid="ignore"):
         rec.drive(X, _normal_chunks(gens, n_steps, problem.d, scales), advance)
     return rec.finish()
 
 
-def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
-                        n_steps: int, gens, record_ks,
-                        drift_coef, vol_coef: np.ndarray,
-                        volatility_mode: str,
-                        node_psi: list | None) -> KernelResult:
-    """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma dB.
+def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
+               record_ks, drift_coef, vol_coef: np.ndarray,
+               volatility_mode: str, node_psi: list | None) -> KernelResult:
+    """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma(X) dB.
 
     ``drift_coef``/``vol_coef`` are the per-step scalars c(t_k), v(t_k);
-    sigma is the constant matrix of ``volatility_mode``, which needs a
-    constant covariance; ``node_psi`` (grid values of psi) switches on
-    trapezoidal accumulation of the weighted observables.  The step is
-    X <- X + (dt (-c_k grad f(X)) + sqrt(dt) v_k sigma z_k), in place, with
-    the per-path integrator's operations in its order, less the exact
-    identities of :func:`_grad_ops`; when every c_k is 1.0 the two factors
-    -c_k and dt fold into one -dt, exact since negation is.  Driven in
-    segments by :meth:`_BlockRecorder.drive`.
+    sigma is the constant matrix of ``volatility_mode`` where there is one,
+    else the square root of ``sigma_mb`` row by row; ``node_psi`` (grid
+    values of psi) switches on trapezoidal accumulation of the weighted
+    observables.  The step is X <- X + (dt (-c_k grad f(X)) + sqrt(dt)
+    (v_k sigma) z_k), in place, less the exact identities of
+    :func:`_grad_ops`; when every c_k is 1.0 the two factors -c_k and dt
+    fold into one -dt, exact since negation is.  Driven in segments by
+    :meth:`_BlockRecorder.drive`.
     """
-    if not problem.has_constant_mb_covariance:
-        raise ValueError("the diffusion kernels need a constant-covariance family")
     sigma_matrix = _pgd_constant_sigma(problem, volatility_mode)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt)
     X = rec.start(x0)
     sqrt_dt = np.sqrt(dt)
-    grad_ops = _grad_ops(problem)
+    grad = _grad_block(problem)
     G = np.empty_like(X)
     # G <- (-c_k G) dt as one factor -dt when every c_k is 1.0, else as the
     # factor -c_k followed by dt
@@ -585,31 +625,15 @@ def _kernel_em_constant(problem: FiniteSumProblem, x0, dt: float,
         rate, after_rate = [-dt] * n_steps, ()
     else:
         rate, after_rate = (-drift).tolist(), ((np.multiply, dt),)
-    sig_scalar = _scalar_of(sigma_matrix)
-    if sig_scalar is not None:
-        # noise_k = (v_k s) z_k sqrt(dt), scaled as it is drawn
-        scales = (vol_coef * sig_scalar, sqrt_dt)
-
-        def noise(z, k):
-            return z
-    else:
-        scales = ()
-
-        def noise(z, k):
-            out = z @ (vol_coef[k] * sigma_matrix).T
-            out *= sqrt_dt
-            return out
+    noise, scales = _noise(problem, sigma_matrix, X, vol_coef, sqrt_dt)
 
     def advance(Z, k0, i0, i1):
         for i in range(i0, i1):
-            A = X
-            for op, operand in grad_ops:
-                op(A, operand, out=G)
-                A = G
-            np.multiply(A, rate[k0 + i], out=G)
+            k = k0 + i
+            np.multiply(grad(X, G), rate[k], out=G)
             for op, operand in after_rate:
                 op(G, operand, out=G)
-            np.add(G, noise(Z[:, i, :], k0 + i), out=G)
+            np.add(G, noise(Z[:, i, :], k), out=G)
             np.add(X, G, out=X)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -621,7 +645,7 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, dt: float, n_steps: int, gens,
                   record_ks, volatility_mode: str = "exact",
                   weights: bool = False) -> KernelResult:
-    """Vectorised annealed gradient flow with constant covariance factor.
+    """Vectorised annealed gradient flow with mini-batch noise.
 
     The drift rate psi(t_k), the volatility psi(t_k) sqrt(h / b(t_k)) and
     the node weights all come from one table of psi on the grid.
@@ -630,9 +654,9 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     psi = _psi_table(adj, n_steps, dt)
     vol_coef = np.array([psi[k] * np.sqrt(h / batch.value(k * dt))
                          for k in range(n_steps)])
-    return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               psi[:n_steps], vol_coef, volatility_mode,
-                               psi if weights else None)
+    return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
+                      psi[:n_steps], vol_coef, volatility_mode,
+                      psi if weights else None)
 
 
 def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -645,15 +669,20 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     for k in range(n_steps):
         warped = phi_inverse(adj, k * dt)
         vol_coef[k] = np.sqrt(h * adj.psi(warped) / batch.value(warped))
-    return _kernel_em_constant(problem, x0, dt, n_steps, gens, record_ks,
-                               np.ones(n_steps), vol_coef, volatility_mode,
-                               node_psi=None)
+    return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
+                      np.ones(n_steps), vol_coef, volatility_mode,
+                      node_psi=None)
 
 
 def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
                 n_epochs: int, x0, gens, record_ks) -> KernelResult:
-    """Vectorised SVRG with uniform epoch-end resampling (affine, b = 1)."""
-    D, C, d_mean, c_mean = _affine_parts(problem)
+    """Vectorised SVRG with uniform epoch-end resampling (b = 1, psi = 1).
+
+    Within an epoch X <- X - h G_VR(X, pivot), with the pivot frozen at the
+    epoch's start; at its end each path restarts from a uniformly drawn
+    state of its epoch window.  G_VR is D[i] (x - pivot) + grad f(pivot) for
+    an affine family, and the component gradients row by row otherwise.
+    """
     if epoch_steps < 1:
         raise ValueError("epoch_steps must be >= 1")
     m = epoch_steps
@@ -662,15 +691,26 @@ def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
     X = rec.start(x0)
     window = np.empty((n_paths, m, problem.d))
     rows = np.arange(n_paths)
+    affine = problem.affine
+
+    def estimate(x, pivot, idx):
+        return np.mean([problem.component_grad(int(i), x)
+                        - problem.component_grad(int(i), pivot)
+                        for i in idx], axis=0) + problem.grad(pivot)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_epochs):
             pivot = X.copy()
-            grad_pivot = (pivot - problem.x_star) * d_mean + c_mean
+            if affine is not None:
+                grad_pivot = (pivot - problem.x_star) * affine.d_mean + affine.c_mean
             I = np.array([g.integers(0, problem.n_components, size=m)
                           for g in gens])
             for i in range(m):
                 window[:, i, :] = X
-                G = D[I[:, i]] * (X - pivot) + grad_pivot
+                if affine is None:
+                    G = _rows(estimate, (problem.d,), X, pivot, I[:, i:i + 1])
+                else:
+                    G = affine.D[I[:, i]] * (X - pivot) + grad_pivot
                 X = X - h * G
                 if i < m - 1:
                     rec.record(j * m + i + 1, X)
@@ -681,54 +721,76 @@ def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
     return rec.finish()
 
 
+def _vr_increment(problem: FiniteSumProblem, dt: float, h: float):
+    """The delay kernel's increment (X, X_del, Z) -> step.
+
+    sqrt(h) sigma_VR is the square root of ``sigma_vr`` row by row, except
+    for the two-component one-dimensional affine family, whose one-sample
+    deviation |(D_1 - D_2)/2 (x - x_delayed)| takes a closed form with the
+    centering arithmetic of :func:`sgflow.estimators.sigma_vr`.
+    """
+    sqrt_dt, sqrt_h = np.sqrt(dt), np.sqrt(h)
+    if (problem.affine is None or problem.d != 1
+            or problem.n_components != 2):
+        grad = _grad_block(problem)
+
+        def increment(X, X_del, Z):
+            step = grad(X, np.empty_like(X)) * -dt
+            noise = _rows(lambda x, x_del, z:
+                          (sqrt_h * sigma_vr(problem, x, x_del).sqrt_matrix) @ z,
+                          (problem.d,), X, X_del, Z)
+            return step + sqrt_dt * noise
+        return increment
+    D, dm, cm = problem.affine.D, problem.affine.d_mean, problem.affine.c_mean
+    xs = float(problem.x_star[0])
+    d0, d1 = float(D[0, 0]), float(D[1, 0])
+    dm, cm = float(dm[0]), float(cm[0])
+
+    def increment(X, X_del, Z):
+        x, x_del = X[:, 0], X_del[:, 0]
+        grad = dm * (x - xs) + cm
+        # one-sample covariance of the VR estimate, centered as in
+        # sigma_vr: e_i = (grad f_i(x) - grad f_i(y)) - (grad f(x) - grad f(y))
+        mean_term = grad - (dm * (x_del - xs) + cm)
+        e0 = d0 * (x - x_del) - mean_term
+        e1 = d1 * (x - x_del) - mean_term
+        s = np.sqrt(0.5 * (e0 * e0 + e1 * e1))
+        return (dt * (-grad) + sqrt_dt * (sqrt_h * s) * Z[:, 0])[:, None]
+    return increment
+
+
 def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
                   x0, dt: float, n_steps: int, gens, record_ks,
                   with_jumps: bool = True) -> KernelResult:
-    """Vectorised variance-reduced delay diffusion (two components, d = 1).
+    """Vectorised variance-reduced delay diffusion.
 
-    The volatility is the exact one-sample deviation of the variance-reduced
-    estimate, which for two affine components is |(D_1 - D_2)/2 (x - x_delayed)|
-    per path -- computed here with the same centering arithmetic as
-    :func:`sgflow.estimators.sigma_vr`.
+    dX = -grad f(X) dt + sqrt(h) sigma_VR(X, X_del) dB, where X_del is the
+    state at the current epoch's start; with ``with_jumps`` each epoch ends
+    on a uniformly drawn grid state of that epoch.  The volatility is the
+    square root of ``sigma_vr`` row by row, in closed form for the
+    two-component one-dimensional affine family (:func:`_vr_increment`).
     """
-    D, C, d_mean, c_mean = _affine_parts(problem)
-    if problem.d != 1 or problem.n_components != 2:
-        raise ValueError("kernel_vr_pgf covers the two-component 1-d family")
     q = staleness.grid_steps(dt)
-    h = staleness.h
     n_paths = len(gens)
     rec = _BlockRecorder(problem, n_steps, n_paths, record_ks)
-    x = rec.start(x0)[:, 0]
-    xs = float(problem.x_star[0])
-    d0, d1 = float(D[0, 0]), float(D[1, 0])
-    dm, cm = float(d_mean[0]), float(c_mean[0])
-    window = np.empty((n_paths, q))
+    X = rec.start(x0)
+    increment = _vr_increment(problem, dt, staleness.h)
+    window = np.empty((n_paths, q, problem.d))
     rows = np.arange(n_paths)
-    sqrt_dt = np.sqrt(dt)
-    sqrt_h = np.sqrt(h)
     # Noise must be drawn in epoch-sized blocks: the per-path stream
     # interleaves q normal increments with one jump draw per epoch.
     with np.errstate(over="ignore", invalid="ignore"):
         k0 = 0
         while k0 < n_steps:
             q_eff = min(q, n_steps - k0)
-            Z = np.array([g.standard_normal(q_eff) for g in gens])
+            Z = np.array([g.standard_normal((q_eff, problem.d)) for g in gens])
             for i in range(q_eff):
                 k = k0 + i
-                window[:, k % q] = x
-                x_del = window[:, 0]
-                grad = dm * (x - xs) + cm
-                # one-sample covariance of the VR estimate, centered as in
-                # sigma_vr: e_i = (grad f_i(x) - grad f_i(y)) - (grad f(x) - grad f(y))
-                mean_term = grad - (dm * (x_del - xs) + cm)
-                e0 = d0 * (x - x_del) - mean_term
-                e1 = d1 * (x - x_del) - mean_term
-                s = np.sqrt(0.5 * (e0 * e0 + e1 * e1))
-                step = dt * (-grad) + sqrt_dt * (sqrt_h * s) * Z[:, i]
-                x = x + step
+                window[:, k % q] = X
+                X = X + increment(X, window[:, 0], Z[:, i])
                 if with_jumps and (k + 1) % q == 0:
                     J = np.array([g.integers(0, q) for g in gens])
-                    x = window[rows, J].copy()
-                rec.record(k + 1, x[:, None])
+                    X = window[rows, J].copy()
+                rec.record(k + 1, X)
             k0 += q_eff
     return rec.finish()

@@ -288,7 +288,8 @@ def bound_discrete_curve(inputs: BoundInputs, ks, kind: str) -> np.ndarray:
         raise ValueError("step indices must be >= 0")
     k_max = int(ks.max())
     h, d, L, s2 = inputs.h, inputs.d, inputs.L, inputs.sigma_star_sq
-    psis = inputs.adj.psi_k(np.arange(k_max + 1))
+    # scalar calls: on an index array the host's SIMD level may move an ulp
+    psis = np.array([inputs.adj.psi_k(k) for k in range(k_max + 1)], dtype=float)
     bs = np.asarray(inputs.batch.size_at_step(np.arange(k_max + 1), h), dtype=float)
     big_phi = np.cumsum(psis)            # Phi_{i+1}
     w = psis * psis / bs                 # psi_i² / b_i

@@ -1,17 +1,19 @@
 """Euler-Maruyama integration of the diffusion models behind the algorithms.
 
-The generic integrator advances
+The generic integrator :func:`euler_maruyama` advances
 
     x_{k+1} = x_k + dt * drift(x_k, t_k) + sqrt(dt) * volatility(x_k, t_k) @ Z_k
 
-with fresh standard-normal increments Z_k.  In delay mode it integrates a
-delay equation whose lag is the sawtooth staleness xi(t) = t mod T_epoch: the
-delayed state is always the most recent epoch-start state, which lies exactly
-on the grid because T_epoch must be a multiple of dt (no interpolation, by
-construction).  An optional jump rule resamples the state at each epoch end
-uniformly from the grid states of the finished epoch.
+with fresh standard-normal increments Z_k, for any :class:`SdeSpec`.  In
+delay mode it integrates a delay equation whose lag is the sawtooth
+staleness xi(t) = t mod T_epoch: the delayed state is always the most recent
+epoch-start state, which lies exactly on the grid because T_epoch must be a
+multiple of dt (no interpolation, by construction).  An optional jump rule
+resamples the state at each epoch end uniformly from the grid states of the
+finished epoch.
 
-Three model builders wrap the integrator:
+Three simulators run the paper's diffusions through their kernels in
+:mod:`sgflow._kernels`, as ensembles do, on one path:
 
 * :func:`simulate_mb_pgf` — annealed gradient flow with mini-batch volatility
   psi(t) sqrt(h/b(t)) sigma(x);
@@ -29,10 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import Trajectory, _pgd_constant_sigma, _Recorder
+from . import _kernels
+from .discrete import Trajectory, _Recorder, _trajectory
+# unused here; perfbench/layers.py traces the estimators under these names
 from .estimators import sigma_mb, sigma_vr
 from .problems import FiniteSumProblem
-from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule, phi_inverse
+from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule, record_steps
+from .schedules import phi_inverse  # unused here; traced under this name too
 
 __all__ = [
     "SdeSpec",
@@ -66,10 +71,7 @@ class SdeSpec:
 
     def __post_init__(self) -> None:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.T < self.dt:
-            raise ValueError("horizon T must be at least one step dt")
+        _grid_steps(self.dt, self.T)
         if self.jump_rule not in (None, "uniform_epoch"):
             raise ValueError(f"unknown jump rule {self.jump_rule!r}")
         if self.delay is not None:
@@ -79,7 +81,16 @@ class SdeSpec:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+        return _grid_steps(self.dt, self.T)
+
+
+def _grid_steps(dt: float, T: float) -> int:
+    """The number of steps of size dt in the horizon T, once both are checked."""
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    if T < dt:
+        raise ValueError("horizon T must be at least one step dt")
+    return int(round(T / dt))
 
 
 def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
@@ -126,14 +137,6 @@ def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
     return rec.finish()
 
 
-def _mb_volatility(problem: FiniteSumProblem, volatility_mode: str) -> Callable:
-    """State part sigma(x) of the mini-batch volatility, exact or constant."""
-    const = _pgd_constant_sigma(problem, volatility_mode)
-    if const is not None:
-        return lambda x: const
-    return lambda x: sigma_mb(problem, x).sqrt_matrix
-
-
 def simulate_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                     batch: BatchSchedule, x0, dt: float, T: float,
                     rng: np.random.Generator, volatility_mode: str = "exact",
@@ -145,18 +148,11 @@ def simulate_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     The batch schedule enters unrounded.  dt should not exceed the stepsize h
     the model was derived from (the diffusion is the fine-grained limit).
     """
-    sig = _mb_volatility(problem, volatility_mode)
-    h = adj.h
-
-    def drift(x, t):
-        return -adj.psi(t) * problem.grad(x)
-
-    def volatility(x, t, _):
-        return (adj.psi(t) * np.sqrt(h / batch.value(t))) * sig(x)
-
-    spec = SdeSpec(drift=drift, volatility=volatility, x0=x0, dt=dt, T=T,
-                   problem=problem)
-    return euler_maruyama(spec, rng, record_every)
+    n_steps = _grid_steps(dt, T)
+    res = _kernels.kernel_mb_pgf(problem, adj, batch, x0, dt, n_steps, [rng],
+                                 record_steps(n_steps, record_every),
+                                 volatility_mode=volatility_mode)
+    return _trajectory(problem, res, dt, record_every)
 
 
 def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
@@ -171,18 +167,13 @@ def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     grid states, as in the discrete algorithm.  Uses psi = 1 and b = 1 (the
     regime the variance-reduction guarantee covers).
     """
-    h = staleness.h
-
-    def drift(x, t):
-        return -problem.grad(x)
-
-    def volatility(x, t, x_delayed):
-        return np.sqrt(h) * sigma_vr(problem, x, x_delayed).sqrt_matrix
-
-    spec = SdeSpec(drift=drift, volatility=volatility, x0=x0, dt=dt, T=T,
-                   delay=staleness, jump_rule="uniform_epoch" if with_jumps else None,
-                   problem=problem)
-    return euler_maruyama(spec, rng, record_every)
+    n_steps = _grid_steps(dt, T)
+    res = _kernels.kernel_vr_pgf(problem, staleness, x0, dt, n_steps, [rng],
+                                 record_steps(n_steps, record_every),
+                                 with_jumps=with_jumps)
+    q = staleness.grid_steps(dt)
+    return _trajectory(problem, res, dt, record_every,
+                       jump_every=q if with_jumps else None)
 
 
 def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -197,16 +188,8 @@ def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     annealing is traded for a vanishing noise amplitude: with psi = 1/(1+t)
     and constant sigma the amplitude is sqrt(h) sigma e^{-t/2}.
     """
-    sig = _mb_volatility(problem, volatility_mode)
-    h = adj.h
-
-    def drift(y, t):
-        return -problem.grad(y)
-
-    def volatility(y, t, _):
-        warped = phi_inverse(adj, t)
-        return np.sqrt(h * adj.psi(warped) / batch.value(warped)) * sig(y)
-
-    spec = SdeSpec(drift=drift, volatility=volatility, x0=x0, dt=dt, T=T,
-                   problem=problem)
-    return euler_maruyama(spec, rng, record_every)
+    n_steps = _grid_steps(dt, T)
+    res = _kernels.kernel_time_changed(problem, adj, batch, x0, dt, n_steps,
+                                       [rng], record_steps(n_steps, record_every),
+                                       volatility_mode=volatility_mode)
+    return _trajectory(problem, res, dt, record_every)

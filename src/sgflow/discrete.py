@@ -6,17 +6,21 @@ f(x_k) - f*, squared gradient norm and squared distance to the minimizer.
 Runs are deterministic given a numpy Generator; ensembles derive independent
 per-path generators from a master seed (see :mod:`sgflow.harness`).
 
-Divergent paths (non-finite iterates, e.g. from an inadmissible stepsize) are
-truncated and flagged rather than raising, so an ensemble can report its
-divergence fraction.
+Each simulator runs its path through the recursion's kernel in
+:mod:`sgflow._kernels`, as ensembles do, and replays the recorded states
+through :class:`_Recorder` for the observables.  Divergent paths (non-finite
+iterates, e.g. from an inadmissible stepsize) are truncated and flagged
+rather than raising, so an ensemble can report its divergence fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+# unused here; perfbench/layers.py traces the estimators under these names
 from .estimators import mb_estimate, sigma_mb, vr_estimate
 from .problems import FiniteSumProblem
 from .schedules import AdjustmentSchedule, BatchSchedule, record_steps
@@ -72,11 +76,8 @@ class _Recorder:
         self.diverged = False
         self.divergence_step: int | None = None
 
-    def wants(self, k: int) -> bool:
-        return self._cursor < self._record_steps.size and k == self._next_step
-
     def record(self, k: int, x: np.ndarray, jumped: bool = False) -> None:
-        if not self.wants(k):
+        if self._cursor == self._record_steps.size or k != self._next_step:
             return
         i = self._cursor
         self.states[i] = x
@@ -106,24 +107,37 @@ class _Recorder:
             diverged=self.diverged, divergence_step=self.divergence_step)
 
 
+def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
+                dt: float, record_every: int,
+                jump_every: int | None = None) -> Trajectory:
+    """The first path of a kernel run, replayed through a :class:`_Recorder`.
+
+    The recorder adds the observables, ends the path before its divergence
+    step and, given ``jump_every``, flags the states at its positive
+    multiples as epoch-end jumps.
+    """
+    ks = res.record_ks.tolist()
+    rec = _Recorder(problem, problem.d, ks[-1], dt, record_every,
+                    track_jumps=jump_every is not None)
+    end = int(res.divergence_step[0]) if res.diverged[0] else ks[-1] + 1
+    for k, x in zip(ks, res.states[0]):
+        if k >= end:
+            break
+        rec.record(k, x, jumped=bool(jump_every) and k > 0 and k % jump_every == 0)
+    if res.diverged[0]:
+        rec.mark_divergence(end)
+    return rec.finish()
+
+
 def run_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int,
                rng: np.random.Generator, record_every: int = 1) -> Trajectory:
     """Mini-batch SGD:  x_{k+1} = x_k - h psi_k G_MB(x_k, b_k)."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = np.array(x0, dtype=float).reshape(problem.d)
-    rec = _Recorder(problem, problem.d, n_steps, adj.h, record_every)
-    rec.record(0, x)
-    for k in range(n_steps):
-        b_k = batch.size_at_step(k, adj.h)
-        g = mb_estimate(problem, x, b_k, rng).value
-        x = x - adj.eta_k(k) * g
-        if not np.all(np.isfinite(x)):
-            rec.mark_divergence(k + 1)
-            break
-        rec.record(k + 1, x)
-    return rec.finish()
+    res = _kernels.kernel_mb_sgd(problem, adj, batch, x0, n_steps, [rng],
+                                 record_steps(n_steps, record_every))
+    return _trajectory(problem, res, adj.h, record_every)
 
 
 def run_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -142,34 +156,10 @@ def run_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    x = np.array(x0, dtype=float).reshape(problem.d)
-    sigma_const = _pgd_constant_sigma(problem, volatility_mode)
-    rec = _Recorder(problem, problem.d, n_steps, adj.h, record_every)
-    rec.record(0, x)
-    for k in range(n_steps):
-        b_k = batch.size_at_step(k, adj.h)
-        eta = adj.eta_k(k)
-        z = rng.standard_normal(problem.d)
-        sig = sigma_const if sigma_const is not None else sigma_mb(problem, x).sqrt_matrix
-        x = x - eta * problem.grad(x) - (eta / np.sqrt(b_k)) * (sig @ z)
-        if not np.all(np.isfinite(x)):
-            rec.mark_divergence(k + 1)
-            break
-        rec.record(k + 1, x)
-    return rec.finish()
-
-
-def _pgd_constant_sigma(problem: FiniteSumProblem, volatility_mode: str) -> np.ndarray | None:
-    if volatility_mode == "constant":
-        s2 = problem.constants.sigma_star_sq
-        if s2 is None:
-            raise ValueError("volatility_mode='constant' needs a declared sigma_star_sq")
-        return np.sqrt(s2) * np.eye(problem.d)
-    if volatility_mode != "exact":
-        raise ValueError(f"unknown volatility_mode {volatility_mode!r}")
-    if problem.has_constant_mb_covariance:
-        return sigma_mb(problem, problem.x_star).sqrt_matrix
-    return None
+    res = _kernels.kernel_pgd(problem, adj, batch, x0, n_steps, [rng],
+                              record_steps(n_steps, record_every),
+                              volatility_mode=volatility_mode)
+    return _trajectory(problem, res, adj.h, record_every)
 
 
 def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
@@ -187,23 +177,7 @@ def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
         raise ValueError("epoch_steps must be >= 1")
     if n_epochs < 1:
         raise ValueError("n_epochs must be >= 1")
-    m = epoch_steps
-    x = np.array(x0, dtype=float).reshape(problem.d)
-    n_steps = m * n_epochs
-    rec = _Recorder(problem, problem.d, n_steps, h, record_every, track_jumps=True)
-    rec.record(0, x)
-    epoch_window = np.empty((m, problem.d))
-    for j in range(n_epochs):
-        pivot = x.copy()
-        for i in range(m):
-            epoch_window[i] = x
-            g = vr_estimate(problem, x, pivot, 1, rng).value
-            x = x - h * g
-            if not np.all(np.isfinite(x)):
-                rec.mark_divergence(j * m + i + 1)
-                return rec.finish()
-            if i < m - 1:
-                rec.record(j * m + i + 1, x)
-        x = epoch_window[rng.integers(0, m)].copy()
-        rec.record((j + 1) * m, x, jumped=True)
-    return rec.finish()
+    n_steps = epoch_steps * n_epochs
+    res = _kernels.kernel_svrg(problem, h, epoch_steps, n_epochs, x0, [rng],
+                               record_steps(n_steps, record_every))
+    return _trajectory(problem, res, h, record_every, jump_every=epoch_steps)

@@ -3,14 +3,11 @@
 ``ensemble_run`` simulates many independent sample paths of any of the six
 run modes (the three discrete recursions and the three diffusions), derives
 every path's generator from one master seed, and aggregates the observables
-into means, variances and standard errors on a shared record grid.  A
-vectorised kernel (:mod:`sgflow._kernels`) runs the ensemble exactly when
-``_kernels.supports_kernel`` covers the configuration, else every path runs
-through the plain simulator; a kernel's errors are raised, not turned into a
-fallback.  Both engines book their paths with the kernels' recorder, so they
-share one weighting rule and one reduction.  Either way the sample paths —
-and hence the statistics — are the same, and results are deterministic
-functions of (config, seed).
+into means, variances and standard errors on a shared record grid.  Every
+ensemble runs on its mode's vectorised kernel (:mod:`sgflow._kernels`), the
+one implementation of each recursion, which the per-path simulators run as
+well; so a path's states are the simulator's for the same generator, and
+results are deterministic functions of (config, seed).
 
 On top of the runner sit the named experiments: rate-bound verification
 (``verify_bound``), the time-change distribution match, landscape
@@ -50,7 +47,6 @@ from .schedules import (
     AdjustmentSchedule,
     BatchSchedule,
     StalenessSchedule,
-    discrete_phi,
     phi,
     phi_inverse,
     record_steps,
@@ -225,11 +221,8 @@ def _run_one_path(spec: RunSpec, rng: np.random.Generator,
                                  record_every=record_every)
 
 
-def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult | None:
-    """The kernel's result, or None when no kernel covers the spec."""
-    if not _kernels.supports_kernel(spec.mode, spec.problem, spec.batch,
-                                    spec.volatility_mode):
-        return None
+def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
+    """The spec's run on its mode's kernel, one path per generator."""
     if spec.mode == "sgd":
         return _kernels.kernel_mb_sgd(spec.problem, spec.adj, spec.batch,
                                       spec.x0, spec.n_steps, gens, ks,
@@ -257,45 +250,13 @@ def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResu
                                   spec.dt, spec.total_steps, gens, ks)
 
 
-def _run_paths(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
-    """Every path through its simulator, booked by the kernels' recorder.
-
-    Paths run in groups whose stride-1 trajectories fit the kernels' noise
-    budget, and each group's steps are fed to one recorder in lockstep.  A
-    diverged path is NaN from its divergence step on, so the recorder flags
-    it at the simulator's step.
-    """
-    n, d = spec.total_steps, spec.problem.d
-    dt = spec.dt if spec.mode == "mb-pgf" else None  # the trapezoid rule
-    psi = _kernels._psi_table(spec.adj, n, dt) if spec.weights else None
-    group = max(1, _kernels._CHUNK_DOUBLES // ((n + 1) * d))
-    parts = []
-    for p0 in range(0, len(gens), group):
-        members = gens[p0:p0 + group]
-        block = np.full((n + 1, len(members), d), np.nan)
-        for j, rng in enumerate(members):
-            states = _run_one_path(spec, rng).states
-            block[:len(states), j] = states
-        rec = _kernels._BlockRecorder(spec.problem, n, len(members), ks, psi, dt)
-        for k in range(n + 1):
-            rec.record(k, block[k])
-        parts.append(rec.finish())
-    return _kernels.KernelResult(ks, *(
-        None if getattr(parts[0], name) is None
-        else np.concatenate([getattr(part, name) for part in parts])
-        for name in ("states", "diverged", "divergence_step", "wsum_f_gap",
-                     "wsum_grad_sq")), denominators=parts[0].denominators)
-
-
 def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
     """Simulate n_paths independent paths and aggregate their observables.
 
     Per-path generators are spawned from ``master_seed`` (an int or a
     numpy SeedSequence), so results are reproducible and independent of how
-    the work is batched.  A kernel runs the ensemble exactly when
-    ``_kernels.supports_kernel`` covers the spec, else every path runs
-    through its simulator (:func:`_run_paths`); both book the run with the
-    same recorder.  Paths that diverge are masked out of the statistics and
+    the work is batched.  The mode's kernel runs every path
+    (:func:`_kernel_dispatch`).  Paths that diverge are masked out of the statistics and
     counted; more than 50% divergence raises :class:`EnsembleDivergenceError`.
     The observables are computed once, in chunks of whole paths.
     """
@@ -306,8 +267,6 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
            else np.random.SeedSequence(master_seed))
     gens = [np.random.default_rng(child) for child in seq.spawn(n_paths)]
     result = _kernel_dispatch(spec, gens, ks)
-    if result is None:
-        result = _run_paths(spec, gens, ks)
 
     div_count = int(result.diverged.sum())
     if div_count * 2 > n_paths:
@@ -569,7 +528,8 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
 
     warped_pos = geometric_checkpoints(n_y, n_checkpoints, start=1)
     s_times = warped_pos * dt
-    x_pos = np.round(np.asarray(phi_inverse(adj, s_times)) / dt).astype(int)
+    # one scalar call per checkpoint, as the kernels take their tables
+    x_pos = np.round(np.array([phi_inverse(adj, s) for s in s_times]) / dt).astype(int)
     x_pos = np.minimum(np.maximum(x_pos, 1), n_x)
     x_ks = np.unique(x_pos)
     y_ks = warped_pos
@@ -918,7 +878,7 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                    dt=dt, T=n_steps * dt, record_ks=cp)
     stats = ensemble_run(spec, n_paths, seed)
     times = stats.grid
-    factor = np.exp(2.0 * mu * np.asarray(phi(adj, times), dtype=float))
+    factor = np.exp(2.0 * mu * np.array([phi(adj, t) for t in times]))
     energy = factor * stats.mean["f_gap"]
     energy_se = factor * stats.se("f_gap")
 

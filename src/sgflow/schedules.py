@@ -9,13 +9,17 @@ where ``h`` is a fixed discretization stepsize and ``psi`` is a nonincreasing
 
 The discrete weights are read off the continuous function on the step grid,
 ``psi_k = psi(h*k)``.  Both views share one formula but not always one
-rounding.  On an array argument NumPy evaluates ``power`` with its vector
-loop, which on SIMD hosts (AVX-512) can differ by one ulp from the scalar
-``pow`` applied to a Python or ``np.float64`` argument.  The per-path
-simulators take their schedule values one scalar at a time, so the ensemble
-kernels build their coefficient and weight tables from the same scalar
-calls, one per step, and stay bitwise equal to them whatever the host's SIMD
-level.
+rounding.  On an array argument NumPy evaluates ``power``, ``log1p`` and
+``expm1`` with its vector loops, which on SIMD hosts (AVX-512) can differ by
+one ulp from the C library's scalar functions.  A scalar or 0-d argument
+takes the scalar functions: ``**`` on an ``np.float64``, and
+``math.log1p``/``math.expm1`` for ``phi``/``phi_inverse`` at a = 1, since
+NumPy runs its vector loop for ``log1p`` and ``expm1`` even on a 0-d array.
+So scalar calls give the same values whatever SIMD level NumPy dispatches
+to, and the kernels, the bound curves and the experiments build every table
+of schedule values from them, one call per entry.  What they still share
+with the host is the C library's own choice of implementation (glibc picks
+FMA variants at load time).
 
 A scalar argument (``int``, ``float`` or ``np.float64``) skips the array
 conversion, but gets the same ``np.float64`` arithmetic, result type and
@@ -251,8 +255,8 @@ def phi(schedule: AdjustmentSchedule, t):
             raise ValueError("phi is only defined for t >= 0")
     if schedule.family == "constant":
         out = t.copy()
-    elif schedule.a == 1.0:
-        out = np.log1p(t)
+    elif schedule.a == 1.0:  # NumPy's log1p runs its vector loop even at 0-d
+        out = np.log1p(t) if t.ndim else np.float64(math.log1p(t))
     else:
         a = schedule.a
         out = ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a)
@@ -276,7 +280,10 @@ def phi_inverse(schedule: AdjustmentSchedule, s):
     if schedule.family == "constant":
         out = s.copy()
     elif schedule.a == 1.0:
-        out = np.expm1(s)
+        try:  # NumPy's expm1 runs its vector loop even at 0-d
+            out = np.expm1(s) if s.ndim else np.float64(math.expm1(s))
+        except OverflowError:  # math's, at 0-d
+            out = np.float64(math.inf)
     else:
         a = schedule.a
         out = (1.0 + (1.0 - a) * s) ** (1.0 / (1.0 - a)) - 1.0

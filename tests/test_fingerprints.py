@@ -7,18 +7,19 @@ implementation.  A new psi value enters every step, so a coefficient table
 that moves by one ulp anywhere changes the digest: these tests pin the
 kernels' arithmetic bit for bit, where the simulator-parity tests in
 ``test_kernels.py`` allow the matrix paths a tolerance.  The same is done for
-one path of each per-path simulator (states and observables) and for the
-means and variances of ``ensemble_run`` in every mode, on the kernel and on
-the per-path engine.
+one path of each public simulator (states and observables), which runs its
+kernel on one generator, for one discrete bound curve, and for the means and
+variances of ``ensemble_run`` in every mode, on the whole block of paths and
+one path at a time.
 
-The digests depend on this platform's libm (``pow``, ``sqrt``) and on the
-NumPy build: they were frozen on x86-64 Linux with glibc and NumPy 2.4.6.
-Every schedule value behind them comes from a scalar call, so they do not
-depend on the SIMD level NumPy dispatches to; the last test reruns them with
-AVX-512 and with AVX2 masked.  On another platform they may legitimately
-differ; print the local digests with
-``PYTHONPATH=src python tests/test_fingerprints.py`` and compare them with a
-run of the reference implementation there.
+The digests depend on this platform's libm (``pow``, ``exp``, ``expm1``,
+``sqrt``) and on the NumPy build: they were frozen on x86-64 Linux with
+glibc and NumPy 2.4.6.  Every schedule value behind them comes from a scalar
+call, so they do not depend on the SIMD level NumPy dispatches to; the last
+test reruns them with AVX-512 and with AVX2 masked.  On another platform they
+may legitimately differ; print the local digests, and those of the per-path
+reference loops in ``tests/reference.py``, with
+``PYTHONPATH=src python tests/test_fingerprints.py`` and compare them.
 """
 
 import hashlib
@@ -30,7 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 import sgflow._kernels as knl
+import sgflow.harness as harness
 from sgflow._kernels import (
     _step_tables,
     kernel_mb_pgf,
@@ -45,6 +48,7 @@ from sgflow.continuous import (
     simulate_time_changed,
     simulate_vr_pgf,
 )
+from sgflow.bounds import BoundInputs, bound_discrete_curve
 from sgflow.discrete import run_mb_sgd, run_pgd, run_svrg_option2
 from sgflow.harness import RunSpec, ensemble_run
 from sgflow.problems import (
@@ -112,6 +116,12 @@ def _run(case: str):
     if case == "time-changed":
         return kernel_time_changed(_isotropic(), adj, BatchSchedule(b=1), X0,
                                    0.01, N_STEPS, _gens(), ks)
+    if case == "time-changed-a1":
+        # tau = expm1 at a = 1: the warp NumPy's SIMD expm1 rounded
+        # differently from the scalar libm call
+        a1 = AdjustmentSchedule(h=0.05, family="power", a=1.0)
+        return kernel_time_changed(_isotropic(), a1, BatchSchedule(b=1), X0,
+                                   0.01, N_STEPS, _gens(), ks)
     if case == "svrg":
         return kernel_svrg(_noisy(), 0.05, 5, N_STEPS // 5, X0, _gens(), ks)
     if case == "vr-pgf":
@@ -156,6 +166,9 @@ GOLDEN = {
     "time-changed": {
         "states": "30a71865342913b3e56f4f13e29bf432f4542c44986f3df6076457f7c119357f",
     },
+    "time-changed-a1": {
+        "states": "e337c34a556524c041be65d261bf0ebd3b33f9d09770159b0e6e2c6399866e02",
+    },
     "svrg": {
         "states": "a3da20857807c0d17400425fb6cc08d4cbcc568ebc0158148a893c10be548ebe",
     },
@@ -179,8 +192,8 @@ def test_kernel_fingerprint(case):
 ], ids=["power-0.5", "power-1", "constant"])
 def test_step_tables_are_the_scalar_schedule_values(adj):
     # the tables kernel_pgd and kernel_mb_sgd step with must hold the values
-    # of the scalar calls the per-path simulators make, not those of an
-    # index-array evaluation, which SIMD power may round differently
+    # of the scalar schedule calls, not those of an index-array evaluation,
+    # which SIMD power may round differently
     eta, psi = _step_tables(adj, N_STEPS)
     assert len(eta) == N_STEPS and len(psi) == N_STEPS + 1
     for k in range(N_STEPS + 1):
@@ -213,28 +226,51 @@ def test_parallel_fill_keeps_the_fingerprint(case, workers, monkeypatch):
     assert _digests(_run(case)) == GOLDEN[case]
 
 
+# -- a discrete bound curve --------------------------------------------------
+
+# the pl_dt curve under psi_k = (1 + h k)^(-1/2): the table NumPy's SIMD power
+# rounded differently from the scalar libm call
+GOLDEN_BOUND_CURVE = "e26a0b6b24bd91d24ffd0da4b19083fe1776a42e278a51914023dd86b17b2203"
+
+
+def _bound_curve_digest() -> str:
+    inputs = BoundInputs.from_problem(_noisy(), X0, _adj(), BatchSchedule(b=2))
+    curve = bound_discrete_curve(inputs, np.arange(N_STEPS + 1), "pl_dt")
+    return hashlib.sha256(np.ascontiguousarray(curve).tobytes()).hexdigest()
+
+
+def test_bound_curve_fingerprint():
+    assert _bound_curve_digest() == GOLDEN_BOUND_CURVE
+
+
 # -- per-path simulators -----------------------------------------------------
 
+SIMULATORS = {"run_mb_sgd": run_mb_sgd, "run_pgd": run_pgd,
+              "run_svrg_option2": run_svrg_option2,
+              "simulate_mb_pgf": simulate_mb_pgf,
+              "simulate_vr_pgf": simulate_vr_pgf,
+              "simulate_time_changed": simulate_time_changed}
 
-def _simulate(case: str):
-    """One path of a per-path simulator, from the first spawned stream."""
+
+def _simulate(case: str, reference_loop: bool = False):
+    """One path of a public simulator (or its reference loop), first stream."""
+    sim = getattr(reference, case) if reference_loop else SIMULATORS[case]
     adj = _adj()
     rng = _gens()[0]
     T = N_STEPS * 0.01
     growing = BatchSchedule(family="linear-growth", b0=1.0, rate=0.5)
     if case == "run_mb_sgd":
-        return run_mb_sgd(_noisy(), adj, BatchSchedule(b=2), X0, N_STEPS, rng)
+        return sim(_noisy(), adj, BatchSchedule(b=2), X0, N_STEPS, rng)
     if case == "run_pgd":
-        return run_pgd(_noisy(), adj, growing, X0, N_STEPS, rng)
+        return sim(_noisy(), adj, growing, X0, N_STEPS, rng)
     if case == "run_svrg_option2":
-        return run_svrg_option2(_noisy(), 0.05, 5, N_STEPS // 5, X0, rng)
+        return sim(_noisy(), 0.05, 5, N_STEPS // 5, X0, rng)
     if case == "simulate_mb_pgf":
-        return simulate_mb_pgf(_noisy(), adj, growing, X0, 0.01, T, rng)
+        return sim(_noisy(), adj, growing, X0, 0.01, T, rng)
     if case == "simulate_vr_pgf":
-        return simulate_vr_pgf(_spread(), _staleness(), X0[:1], 0.01, T, rng)
+        return sim(_spread(), _staleness(), X0[:1], 0.01, T, rng)
     if case == "simulate_time_changed":
-        return simulate_time_changed(_isotropic(), adj, BatchSchedule(b=1), X0,
-                                     0.01, T, rng)
+        return sim(_isotropic(), adj, BatchSchedule(b=1), X0, 0.01, T, rng)
     raise ValueError(case)
 
 
@@ -301,8 +337,9 @@ ENSEMBLE_MODES = ("sgd", "pgd", "mb-pgf", "time-changed", "svrg", "vr-pgf")
 def _ensemble(mode: str, engine: str = "kernel"):
     """ensemble_run of one mode, weighted where the mode allows it.
 
-    ``engine="paths"`` runs it on the per-path simulators, by telling the
-    harness that no kernel covers the spec.
+    ``engine="paths"`` runs the kernel on one path at a time, as the public
+    simulators do, and stacks the paths; the matrix-volatility modes (pgd,
+    mb-pgf) then take per-path matrix products instead of one block product.
     """
     T = ENSEMBLE_STEPS * 0.01
     common = dict(x0=X0, record_every=7)
@@ -325,7 +362,8 @@ def _ensemble(mode: str, engine: str = "kernel"):
                        staleness=_staleness(), dt=0.01, T=T, record_every=7)
     with pytest.MonkeyPatch.context() as mp:
         if engine == "paths":
-            mp.setattr(knl, "supports_kernel", lambda *a, **k: False)
+            mp.setattr(harness, "_kernel_dispatch",
+                       reference.one_path_at_a_time(harness._kernel_dispatch))
         return ensemble_run(spec, N_PATHS, SEED)
 
 
@@ -386,10 +424,10 @@ def test_ensemble_fingerprint_for_any_fill_worker_count(mode, workers,
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_ENSEMBLES))
 def test_small_chunks_keep_the_ensemble_digests(case, monkeypatch):
-    # a budget of 2 112 doubles splits the 4 per-path trajectories of 301
-    # steps x 2 into groups of 3 and 1, the (4, 44, 2) state block into
+    # a budget of 2 112 doubles splits the (4, 44, 2) state block into
     # observable chunks of 3 paths and 1, and the kernels' draws into
-    # 264-step chunks ending on a 36-step one
+    # 264-step chunks ending on a 36-step one (1 056-step chunks one path
+    # at a time)
     monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 2_112)
     mode, engine = case.rsplit("/", 1)
     assert _stats_digest(_ensemble(mode, engine)) == GOLDEN_ENSEMBLES[case]
@@ -406,13 +444,15 @@ SIMD_LEVELS = {
 
 
 def test_digests_do_not_depend_on_simd_level():
-    # every kernel and ensemble digest above must hold whatever SIMD level
-    # NumPy dispatches to: the schedule values behind them come from scalar
-    # calls, never from NumPy's vector power
+    # every kernel, simulator, bound-curve and ensemble digest above must
+    # hold whatever SIMD level NumPy dispatches to: the schedule values
+    # behind them come from scalar calls, never from NumPy's vector power,
+    # log1p or expm1
     root = Path(__file__).resolve().parents[1]
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            str(Path(__file__).resolve()),
-           "-k", "ensemble_fingerprint or kernel_fingerprint"]
+           "-k", "ensemble_fingerprint or kernel_fingerprint"
+                 " or simulator_fingerprint or bound_curve_fingerprint"]
     children = {}
     for level, masked in SIMD_LEVELS.items():
         env = dict(os.environ)
@@ -424,8 +464,10 @@ def test_digests_do_not_depend_on_simd_level():
         children[level] = subprocess.Popen(
             cmd, cwd=root, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
-    # the kernel and ensemble digests, and 4 worker counts x 4 modes
-    n_cases = len(GOLDEN) + len(GOLDEN_ENSEMBLES) + 4 * 4
+    # the kernel, simulator, bound-curve and ensemble digests, and 4 worker
+    # counts x 4 modes
+    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 1
+               + len(GOLDEN_ENSEMBLES) + 4 * 4)
     for level, child in children.items():
         out, _ = child.communicate(timeout=600)
         assert child.returncode == 0, (level, out[-3000:])
@@ -435,12 +477,16 @@ def test_digests_do_not_depend_on_simd_level():
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in ("sgd", "pgd-scalar", "pgd-matrix", "mb-pgf-scalar",
-                 "mb-pgf-matrix", "time-changed", "svrg", "vr-pgf"):
+                 "mb-pgf-matrix", "time-changed", "time-changed-a1", "svrg",
+                 "vr-pgf"):
         print(f"    {name!r}: {_digests(_run(name))!r},")
-    print("}\nGOLDEN_SIMULATORS = {")
-    for name in ("run_mb_sgd", "run_pgd", "run_svrg_option2",
-                 "simulate_mb_pgf", "simulate_vr_pgf", "simulate_time_changed"):
-        print(f"    {name!r}: {_trajectory_digests(_simulate(name))!r},")
+    print(f"}}\nGOLDEN_BOUND_CURVE = {_bound_curve_digest()!r}")
+    print("GOLDEN_SIMULATORS = {")
+    for name in SIMULATORS:
+        digests = _trajectory_digests(_simulate(name))
+        same = digests == _trajectory_digests(_simulate(name, reference_loop=True))
+        print(f"    {name!r}: {digests!r},"
+              + ("" if same else "  # differs from the reference loop"))
     print("}\nGOLDEN_ENSEMBLES = {")
     for mode in ENSEMBLE_MODES:
         for engine in ("kernel", "paths"):

@@ -1,19 +1,23 @@
 """Ensemble runner, statistics, and the verification experiments.
 
 Determinism claims are asserted bitwise: the same (spec, seed) pair must give
-the same statistics whether or not the vectorised kernels are used, whether
-or not the noise is chunked, and across repeated calls.  Bound verification
+the same statistics whether the kernel steps the whole block of paths or one
+path at a time, whether or not the noise is chunked, and across repeated
+calls.  Bound verification
 is pinned with hand-built ensembles whose moments are known exactly.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import reference
+import sgflow.harness as harness
 from sgflow import _kernels
 from sgflow.bounds import AdmissibilityError, BoundInputs, RateBound, bound_discrete
-from sgflow.discrete import run_svrg_option2
+from sgflow.discrete import run_pgd, run_svrg_option2
 from sgflow.harness import (
     EnsembleDivergenceError,
     EnsembleStats,
@@ -41,8 +45,10 @@ seed = 271828
 
 
 def per_path_engine(monkeypatch):
-    """Make ensemble_run take the per-path simulators: no kernel covers a spec."""
-    monkeypatch.setattr(_kernels, "supports_kernel", lambda *a, **k: False)
+    """Make ensemble_run run its kernel one path at a time, as the simulators do."""
+    monkeypatch.setattr(harness, "_kernel_dispatch",
+                        reference.one_path_at_a_time(harness._kernel_dispatch))
+
 H_DIAG = np.array([1.0, 2.0])
 NOISE = np.array([[0.5, 0.3], [-0.5, -0.3]])
 X_STAR = np.array([0.25, -1.0])
@@ -257,6 +263,49 @@ def test_majority_divergence_raises(kernel, monkeypatch):
         ensemble_run(spec, 4, seed)
 
 
+def _strict(fn):
+    """fn, raising on a non-finite argument as a user's callable may."""
+    def checked(x):
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("callable evaluated at a diverged point")
+        return fn(x)
+    return checked
+
+
+def _strict_callable(problem):
+    """The problem given through callables that raise on non-finite points."""
+    comps = [(_strict(lambda x, i=i: problem.component_value(i, x)),
+              _strict(lambda x, i=i: problem.component_grad(i, x)))
+             for i in range(problem.n_components)]
+    return FiniteSumProblem(d=problem.d, x_star=problem.x_star,
+                            constants=problem.constants, components=comps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_callable_family_is_truncated_without_an_error():
+    # the row loops never pass a diverged state to a user's callable, so a
+    # diverging path ends as the reference loop ends it
+    p = _strict_callable(noisy_problem())
+    adj = AdjustmentSchedule(h=1e155)  # the second step overflows
+    tr = run_pgd(p, adj, BatchSchedule(), X0, 5, np.random.default_rng(seed))
+    ref = reference.run_pgd(p, adj, BatchSchedule(), X0, 5,
+                            np.random.default_rng(seed))
+    assert tr.diverged and tr.divergence_step == ref.divergence_step == 2
+    for key in ("times", "states", "f_gap", "grad_norm_sq", "dist_sq"):
+        assert np.array_equal(getattr(tr, key), getattr(ref, key)), key
+
+    # an ensemble in which about a quarter of the paths diverge
+    spec = RunSpec(mode="sgd", problem=_strict_callable(stiff_problem()),
+                   x0=[10.0], adj=AdjustmentSchedule(h=1.0), n_steps=2)
+    n = 40
+    stats = ensemble_run(spec, n, seed)
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n)]
+    diverged = [reference.run_one_path(spec, g).diverged for g in gens]
+    assert stats.divergence_count == sum(diverged) > 0
+    assert stats.mean["dist_sq"][-1] == 0.0
+
+
 def test_run_one_path_dispatch_matches_direct_call():
     p = noisy_problem()
     spec = RunSpec(mode="svrg", problem=p, x0=X0, h=0.05, epoch_steps=3,
@@ -267,12 +316,11 @@ def test_run_one_path_dispatch_matches_direct_call():
     assert np.array_equal(tr.jump_flags, ref.jump_flags)
 
 
-# -- engine selection --------------------------------------------------------
+# -- the engine --------------------------------------------------------------
 
 
 def test_kernel_errors_are_not_swallowed(monkeypatch):
-    # a kernel that fails must fail the run, not hand it silently to the
-    # per-path simulators
+    # a kernel that fails must fail the run, with its own error
     def broken(*args, **kwargs):
         raise ValueError("injected kernel failure")
 
@@ -326,34 +374,182 @@ def _value_error(run):
     return None
 
 
+# Every cell's two paths before the simulators and ensembles ran on the
+# kernels: the first 16 hex digits of the SHA-256 of each path's states, which
+# the per-path simulator and the ensemble engine of the time gave alike, or
+# the ValueError both raised.
+ENGINE_GRID = {
+    'sgd-callable-constant-exact': ('9a634b8f8fa5dd7e', '763dc936b7200222'),
+    'sgd-callable-constant-constant': ('9a634b8f8fa5dd7e', '763dc936b7200222'),
+    'sgd-callable-linear-growth-exact': ('1cb6d5cce15103c5', '0e5a1a95bc431d01'),
+    'sgd-callable-linear-growth-constant': ('1cb6d5cce15103c5', '0e5a1a95bc431d01'),
+    'sgd-isotropic-constant-exact': ('007919bacc09adbc', '1908dd10c6de196e'),
+    'sgd-isotropic-constant-constant': ('007919bacc09adbc', '1908dd10c6de196e'),
+    'sgd-isotropic-linear-growth-exact': ('a78f430778c983f7', '6e52049a059016b1'),
+    'sgd-isotropic-linear-growth-constant': ('a78f430778c983f7', '6e52049a059016b1'),
+    'sgd-perturbed-constant-exact': ('9a634b8f8fa5dd7e', '763dc936b7200222'),
+    'sgd-perturbed-constant-constant': ('9a634b8f8fa5dd7e', '763dc936b7200222'),
+    'sgd-perturbed-linear-growth-exact': ('1cb6d5cce15103c5', '0e5a1a95bc431d01'),
+    'sgd-perturbed-linear-growth-constant': ('1cb6d5cce15103c5', '0e5a1a95bc431d01'),
+    'sgd-spread-d1-constant-exact': ('4eeeb803294fe429', '5049e733cf5f85c7'),
+    'sgd-spread-d1-constant-constant': ('4eeeb803294fe429', '5049e733cf5f85c7'),
+    'sgd-spread-d1-linear-growth-exact': ('6b79a6ff0007025a', '3df27880235aa122'),
+    'sgd-spread-d1-linear-growth-constant': ('6b79a6ff0007025a', '3df27880235aa122'),
+    'sgd-spread-d2-constant-exact': ('77b74aa4489f7de8', 'db7bccd435a4a64f'),
+    'sgd-spread-d2-constant-constant': ('77b74aa4489f7de8', 'db7bccd435a4a64f'),
+    'sgd-spread-d2-linear-growth-exact': ('db81152b1ff2ba49', 'd2ac31686a2f17c0'),
+    'sgd-spread-d2-linear-growth-constant': ('db81152b1ff2ba49', 'd2ac31686a2f17c0'),
+    'pgd-callable-constant-exact': ('23530e897d9907b7', '88102f2c3d40031b'),
+    'pgd-callable-constant-constant': ('6554137721742085', 'ff5ebc7f2b82e702'),
+    'pgd-callable-linear-growth-exact': ('12ab3fe55d342db3', 'e1b2eb45dc28da49'),
+    'pgd-callable-linear-growth-constant': ('ca6bf820605d4b24', '11321f60e7ff8610'),
+    'pgd-isotropic-constant-exact': ('9a7d9784ff5b9390', 'ee7322af5b0d07a5'),
+    'pgd-isotropic-constant-constant': ('9a7d9784ff5b9390', 'ee7322af5b0d07a5'),
+    'pgd-isotropic-linear-growth-exact': ('dc26e73ea11f8ced', '1b1ba7d26e8013b6'),
+    'pgd-isotropic-linear-growth-constant': ('dc26e73ea11f8ced', '1b1ba7d26e8013b6'),
+    'pgd-perturbed-constant-exact': ('b9d6f0eb57b77361', 'f0f246d3170b2eaa'),
+    'pgd-perturbed-constant-constant': ('e5eb447233d6ff61', '33fe814c9af85192'),
+    'pgd-perturbed-linear-growth-exact': ('3f7948ac2aa20a29', 'e8383deb5350aba3'),
+    'pgd-perturbed-linear-growth-constant': ('ca6bf820605d4b24', '11321f60e7ff8610'),
+    'pgd-spread-d1-constant-exact': ('6b8f33e322a5ddba', 'b6ff22f54bb1cdf3'),
+    'pgd-spread-d1-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'pgd-spread-d1-linear-growth-exact': ('52665b660ab4d869', '5311941e85f75f3e'),
+    'pgd-spread-d1-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'pgd-spread-d2-constant-exact': ('5d285cd1a0615c8b', '83360cf7f5a01831'),
+    'pgd-spread-d2-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'pgd-spread-d2-linear-growth-exact': ('676cd04b2015932e', 'ef4d9de86213fe47'),
+    'pgd-spread-d2-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'svrg-callable-constant-exact': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-callable-constant-constant': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-callable-linear-growth-exact': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-callable-linear-growth-constant': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-isotropic-constant-exact': ('2cade3049336fa26', 'e3e6d59141e60211'),
+    'svrg-isotropic-constant-constant': ('2cade3049336fa26', 'e3e6d59141e60211'),
+    'svrg-isotropic-linear-growth-exact': ('2cade3049336fa26', 'e3e6d59141e60211'),
+    'svrg-isotropic-linear-growth-constant': ('2cade3049336fa26', 'e3e6d59141e60211'),
+    'svrg-perturbed-constant-exact': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-perturbed-constant-constant': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-perturbed-linear-growth-exact': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-perturbed-linear-growth-constant': ('8cd6fa64d8d37618', 'e01f1a3fa08019ea'),
+    'svrg-spread-d1-constant-exact': ('e50ea9216aaa9ef8', '9f093037ff8f565f'),
+    'svrg-spread-d1-constant-constant': ('e50ea9216aaa9ef8', '9f093037ff8f565f'),
+    'svrg-spread-d1-linear-growth-exact': ('e50ea9216aaa9ef8', '9f093037ff8f565f'),
+    'svrg-spread-d1-linear-growth-constant': ('e50ea9216aaa9ef8', '9f093037ff8f565f'),
+    'svrg-spread-d2-constant-exact': ('64b63a98ce523a12', '9feacb2cb21a5425'),
+    'svrg-spread-d2-constant-constant': ('64b63a98ce523a12', '9feacb2cb21a5425'),
+    'svrg-spread-d2-linear-growth-exact': ('64b63a98ce523a12', '9feacb2cb21a5425'),
+    'svrg-spread-d2-linear-growth-constant': ('64b63a98ce523a12', '9feacb2cb21a5425'),
+    'mb-pgf-callable-constant-exact': ('92c13a596ac19d94', 'af6670427788ddf0'),
+    'mb-pgf-callable-constant-constant': ('3902a4909243c1c4', '0dc8838e757c55b3'),
+    'mb-pgf-callable-linear-growth-exact': ('11c2eda3639e991e', '173eed1d15c4c32f'),
+    'mb-pgf-callable-linear-growth-constant': ('abe90d7568dab6c8', 'cdd8c9c051c732a5'),
+    'mb-pgf-isotropic-constant-exact': ('22f94632d27fdbc8', '6a97954ebf029d46'),
+    'mb-pgf-isotropic-constant-constant': ('22f94632d27fdbc8', '6a97954ebf029d46'),
+    'mb-pgf-isotropic-linear-growth-exact': ('47d04156e9702fe9', 'f07a9be7460d3e98'),
+    'mb-pgf-isotropic-linear-growth-constant': ('47d04156e9702fe9', 'f07a9be7460d3e98'),
+    'mb-pgf-perturbed-constant-exact': ('093fb2a2c61fb429', '9aa9d4c9f9a6dd41'),
+    'mb-pgf-perturbed-constant-constant': ('3902a4909243c1c4', '0dc8838e757c55b3'),
+    'mb-pgf-perturbed-linear-growth-exact': ('e6b9f21280109491', '56956e7bf29eddfd'),
+    'mb-pgf-perturbed-linear-growth-constant': ('abe90d7568dab6c8', 'cdd8c9c051c732a5'),
+    'mb-pgf-spread-d1-constant-exact': ('ab31c2c3fed47d3d', '7c74b80473ecb580'),
+    'mb-pgf-spread-d1-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'mb-pgf-spread-d1-linear-growth-exact': ('10e90574da6eb399', '953d06067a1ea832'),
+    'mb-pgf-spread-d1-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'mb-pgf-spread-d2-constant-exact': ('dc9d0d8082e830aa', '352a1d831fd829ed'),
+    'mb-pgf-spread-d2-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'mb-pgf-spread-d2-linear-growth-exact': ('1ea775f89984ad55', 'e66da32287ab39d2'),
+    'mb-pgf-spread-d2-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'vr-pgf-callable-constant-exact': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-callable-constant-constant': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-callable-linear-growth-exact': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-callable-linear-growth-constant': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-isotropic-constant-exact': ('899b3f0d03260e93', '3c762247a0546027'),
+    'vr-pgf-isotropic-constant-constant': ('899b3f0d03260e93', '3c762247a0546027'),
+    'vr-pgf-isotropic-linear-growth-exact': ('899b3f0d03260e93', '3c762247a0546027'),
+    'vr-pgf-isotropic-linear-growth-constant': ('899b3f0d03260e93', '3c762247a0546027'),
+    'vr-pgf-perturbed-constant-exact': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-perturbed-constant-constant': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-perturbed-linear-growth-exact': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-perturbed-linear-growth-constant': ('c10582bb1f325501', 'ad301d56e46bdfd1'),
+    'vr-pgf-spread-d1-constant-exact': ('9f093037ff8f565f', 'e50ea9216aaa9ef8'),
+    'vr-pgf-spread-d1-constant-constant': ('9f093037ff8f565f', 'e50ea9216aaa9ef8'),
+    'vr-pgf-spread-d1-linear-growth-exact': ('9f093037ff8f565f', 'e50ea9216aaa9ef8'),
+    'vr-pgf-spread-d1-linear-growth-constant': ('9f093037ff8f565f', 'e50ea9216aaa9ef8'),
+    'vr-pgf-spread-d2-constant-exact': ('1c286ba8543bb8dc', '932bdaedeb937d35'),
+    'vr-pgf-spread-d2-constant-constant': ('1c286ba8543bb8dc', '932bdaedeb937d35'),
+    'vr-pgf-spread-d2-linear-growth-exact': ('1c286ba8543bb8dc', '932bdaedeb937d35'),
+    'vr-pgf-spread-d2-linear-growth-constant': ('1c286ba8543bb8dc', '932bdaedeb937d35'),
+    'time-changed-callable-constant-exact': ('eeb6a94e4d4a44ca', '6829d0744f83a676'),
+    'time-changed-callable-constant-constant': ('664ade31c9298213', 'f6ae2e912160d118'),
+    'time-changed-callable-linear-growth-exact': ('c87a163dafbed721', 'a74a5c4bfc5160c3'),
+    'time-changed-callable-linear-growth-constant': ('2a3ae5a436d304aa', '350b98de32a8062f'),
+    'time-changed-isotropic-constant-exact': ('52a6f6f9fe0a236b', '6dfa2b773aeafb47'),
+    'time-changed-isotropic-constant-constant': ('52a6f6f9fe0a236b', '6dfa2b773aeafb47'),
+    'time-changed-isotropic-linear-growth-exact': ('e9d59a048991d8b0', '90a6d98663deb3b9'),
+    'time-changed-isotropic-linear-growth-constant': ('e9d59a048991d8b0', '90a6d98663deb3b9'),
+    'time-changed-perturbed-constant-exact': ('d44b0ce2f2221ddc', '6829d0744f83a676'),
+    'time-changed-perturbed-constant-constant': ('664ade31c9298213', 'f6ae2e912160d118'),
+    'time-changed-perturbed-linear-growth-exact': ('fd16424b18f33b94', 'd52e71421aa251db'),
+    'time-changed-perturbed-linear-growth-constant': ('2a3ae5a436d304aa', '350b98de32a8062f'),
+    'time-changed-spread-d1-constant-exact': ('2d6dea2afb290eb3', '8943673342451f5b'),
+    'time-changed-spread-d1-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'time-changed-spread-d1-linear-growth-exact': ('6f44abbd2d8fee5a', 'fc379c91378864f0'),
+    'time-changed-spread-d1-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'time-changed-spread-d2-constant-exact': ('6c34dd4722e488d3', '1f5c93b0b5f0d603'),
+    'time-changed-spread-d2-constant-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+    'time-changed-spread-d2-linear-growth-exact': ('a0d7489f2dab9078', 'cf8024e933a8fa62'),
+    'time-changed-spread-d2-linear-growth-constant': "volatility_mode='constant' needs a declared sigma_star_sq",
+}
+
+
+def _digest(states):
+    return hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest()[:16]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("volatility", ["exact", "constant"])
 @pytest.mark.parametrize("batch_name", sorted(SELECTION_BATCHES))
 @pytest.mark.parametrize("problem_name", sorted(SELECTION_PROBLEMS))
 @pytest.mark.parametrize("mode", ["sgd", "pgd", "svrg", "mb-pgf", "vr-pgf",
                                   "time-changed"])
-def test_supports_kernel_is_exact(monkeypatch, mode, problem_name, batch_name,
-                                  volatility):
-    # supports_kernel must hold exactly when the batch size is constant and
-    # the kernel runs without a shape error.  A ValueError the per-path
-    # simulator raises too (a missing sigma_star_sq) is the configuration's
-    # fault, not the kernel's, and reaches the caller from either engine.
+def test_supports_kernel_is_exact(mode, problem_name, batch_name, volatility):
+    # the kernel supports every valid configuration, exactly: the ensemble
+    # engine and the simulator reproduce each cell's frozen paths bit for
+    # bit, or raise its frozen error.  The one exception is a constant
+    # volatility matrix that is not a multiple of I under a growing batch:
+    # its ensemble moved from per-path matrix-vector products to one block
+    # matrix product, which holds the matrix-path tolerance of test_kernels
     batch = SELECTION_BATCHES[batch_name]
     spec = _selection_spec(mode, SELECTION_PROBLEMS[problem_name](), batch,
                            volatility)
-    supported = _kernels.supports_kernel(mode, spec.problem, spec.batch,
-                                         volatility)
+    frozen = ENGINE_GRID[f"{mode}-{problem_name}-{batch_name}-{volatility}"]
 
     def gens():
         return [np.random.default_rng(s)
                 for s in np.random.SeedSequence(seed).spawn(2)]
 
-    monkeypatch.setattr(_kernels, "supports_kernel", lambda *a, **k: True)
-    ks = spec.resolved_record_ks()
-    kernel_error = _value_error(lambda: _kernel_dispatch(spec, gens(), ks))
-    path_error = _value_error(lambda: _run_one_path(spec, gens()[0]))
-    shape_error = kernel_error is not None and kernel_error != path_error
-    assert supported == (batch.family == "constant" and not shape_error)
+    if isinstance(frozen, str):
+        ks = spec.resolved_record_ks()
+        for run in (lambda: _kernel_dispatch(spec, gens(), ks),
+                    lambda: _run_one_path(spec, gens()[0])):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == frozen
+        return
+    res = _kernel_dispatch(spec, gens(), spec.resolved_record_ks())
+    assert not res.diverged.any()
+    block_product = (batch.family != "constant" and problem_name == "perturbed"
+                     and volatility == "exact" and mode not in ("sgd", "svrg", "vr-pgf"))
+    for p, rng in enumerate(gens()):
+        tr = _run_one_path(spec, rng)
+        assert tr.divergence_step is None
+        assert _digest(tr.states) == frozen[p]
+        if block_product:
+            ref = reference.run_one_path(spec, gens()[p]).states
+            assert _digest(ref) == frozen[p]
+            assert res.states[p] == pytest.approx(ref, rel=1e-14)
+        else:
+            assert _digest(res.states[p]) == frozen[p]
 
 
 # -- weighted averages -------------------------------------------------------
@@ -405,9 +601,10 @@ def test_weighted_average_of_constant_is_exact():
 
 @pytest.mark.parametrize("mode", ["sgd", "pgd"])
 def test_weighted_per_path_run_on_a_callable_problem(mode):
-    # no kernel takes a callable family: the per-path engine runs it, and its
-    # weighted averages are the psi-weighted prefix sums of each path's own
-    # f-gap and squared gradient norm, divided by the prefix sums of psi
+    # a callable family runs on the kernels' row loops, and its weighted
+    # averages are the psi-weighted prefix sums of each path's own f-gap and
+    # squared gradient norm (from the reference loop), divided by the prefix
+    # sums of psi
     adj = AdjustmentSchedule(h=0.25, family="power", a=0.5)
     spec = RunSpec(mode=mode, problem=_callable_problem(), x0=X0, adj=adj,
                    n_steps=12, record_every=5, weights=True)
@@ -419,7 +616,7 @@ def test_weighted_per_path_run_on_a_callable_problem(mode):
             for s in np.random.SeedSequence(seed).spawn(3)]
     f_avg, g_avg = [], []
     for rng in gens:
-        states = _run_one_path(spec, rng).states
+        states = reference.run_one_path(spec, rng).states
         acc_w = acc_f = acc_g = 0.0
         row_f, row_g = [], []
         for k, x in enumerate(states):

@@ -1,11 +1,13 @@
-"""Vectorised ensemble kernels against the per-path simulators.
+"""Vectorised kernels against the per-path reference loops.
 
-The kernels claim stream-for-stream reproduction of the simulators: feeding
-them the same per-path generators must give the same sample paths.  For the
-discrete recursions and the constant-volatility diffusions that equality is
-bitwise (the matrix products reduce over too few terms to reassociate); the
-variance-reduced delay kernel recomputes its volatility in closed form and is
-pinned to a tight relative tolerance instead.
+The kernels are the only step loops of the package; ``tests/reference.py``
+keeps the per-path loops the simulators ran before.  The kernels claim
+stream-for-stream reproduction of those loops: feeding them the same
+per-path generators must give the same sample paths.  For the discrete
+recursions and the scalar-volatility diffusions that equality is bitwise; a
+matrix volatility multiplies the noise block as one product, and the
+variance-reduced delay kernel recomputes its volatility in closed form, so
+those two are pinned to a tight relative tolerance instead.
 """
 
 import math
@@ -25,14 +27,15 @@ from sgflow._kernels import (
     kernel_svrg,
     kernel_time_changed,
     kernel_vr_pgf,
-    supports_kernel,
 )
-from sgflow.continuous import (
+from reference import (
+    run_mb_sgd,
+    run_pgd,
+    run_svrg_option2,
     simulate_mb_pgf,
     simulate_time_changed,
     simulate_vr_pgf,
 )
-from sgflow.discrete import run_mb_sgd, run_pgd, run_svrg_option2
 from sgflow.problems import (
     FiniteSumProblem,
     ProblemConstants,
@@ -67,56 +70,11 @@ def gen_list(master, n):
 
 
 def stack_paths(run_one, master, n):
-    """States (n, n_rec, d) from per-path simulator runs on spawned streams."""
+    """States (n, n_rec, d) from per-path reference-loop runs on spawned streams."""
     return np.stack([run_one(rng).states for rng in gen_list(master, n)])
 
 
-# -- dispatch ----------------------------------------------------------------
-
-
-def callable_problem():
-    constants = ProblemConstants(L=1.0)
-    return FiniteSumProblem(
-        d=1, x_star=np.zeros(1), constants=constants,
-        components=[(lambda x: float(0.5 * x @ x), lambda x: x)],
-    )
-
-
-@pytest.mark.parametrize("mode", ["sgd", "pgd", "svrg", "mb-pgf", "vr-pgf",
-                                  "time-changed"])
-def test_supports_kernel_needs_affine(mode):
-    assert not supports_kernel(mode, callable_problem(), BatchSchedule())
-
-
-@pytest.mark.parametrize("mode", ["sgd", "pgd", "mb-pgf", "time-changed"])
-def test_supports_kernel_needs_constant_batch(mode):
-    growing = BatchSchedule(family="linear-growth", b0=1.0, rate=2.0)
-    assert not supports_kernel(mode, noisy_problem(), growing)
-
-
-def test_supports_kernel_table():
-    perturbed = noisy_problem()
-    spread1 = make_spread_quadratic(3.0, 1.0)
-    spread2 = make_spread_quadratic(3.0, 1.0, d=2)
-    b = BatchSchedule(b=2)
-
-    assert supports_kernel("sgd", perturbed, b)
-    assert supports_kernel("pgd", perturbed, b)
-    assert supports_kernel("svrg", perturbed, None)
-    assert supports_kernel("svrg", spread2, None)
-
-    # the mini-batch diffusions need a constant covariance
-    assert supports_kernel("mb-pgf", perturbed, b)
-    assert supports_kernel("time-changed", isotropic_problem(), b)
-    assert not supports_kernel("mb-pgf", spread1, b)
-    assert not supports_kernel("time-changed", spread1, b)
-
-    # the delay kernel covers only the two-component scalar family
-    assert supports_kernel("vr-pgf", spread1, None)
-    assert not supports_kernel("vr-pgf", spread2, None)
-    assert not supports_kernel("vr-pgf", perturbed, None)
-
-    assert not supports_kernel("warp-drive", perturbed, b)
+# -- volatility ------------------------------------------------------------
 
 
 def test_scalar_of():
@@ -214,13 +172,6 @@ def test_kernel_pgd_matches_simulator(problem_fn, mode, exact_bits):
     else:
         assert res.states == pytest.approx(ref, rel=1e-14)
     assert not res.diverged.any()
-
-
-def test_kernel_pgd_rejects_state_dependent_volatility():
-    spread = make_spread_quadratic(3.0, 1.0, d=2)
-    with pytest.raises(ValueError, match="constant-covariance"):
-        kernel_pgd(spread, AdjustmentSchedule(h=0.1), BatchSchedule(), [1.0, 1.0],
-                   5, gen_list(seed, 2), record_ks=[0, 5])
 
 
 def test_kernel_svrg_matches_simulator_bitwise():
@@ -351,10 +302,7 @@ def test_kernel_vr_pgf_matches_simulator(with_jumps):
 
 
 def test_kernel_vr_pgf_rejects_wrong_shapes():
-    with pytest.raises(ValueError, match="two-component"):
-        kernel_vr_pgf(make_spread_quadratic(3.0, 1.0, d=2),
-                      StalenessSchedule(m=2, h=0.01), [1.0, 1.0], 0.01, 4,
-                      gen_list(seed, 2), record_ks=[0, 4])
+    # an epoch must span a whole number of grid steps
     with pytest.raises(ValueError, match="multiple of dt"):
         kernel_vr_pgf(make_spread_quadratic(3.0, 1.0),
                       StalenessSchedule(m=3, h=0.01), [1.0], 0.02, 4,
@@ -392,8 +340,20 @@ def _drawn(kind, gens):
     if kind == "normal":
         chunks = knl._normal_chunks(gens, FILL_STEPS, FILL_WIDTH)
     else:
-        chunks = knl._index_chunks(gens, FILL_STEPS, 5, FILL_WIDTH)
+        chunks = knl._index_chunks(gens, FILL_STEPS, 5, [FILL_WIDTH] * FILL_STEPS)
     return np.concatenate([B.copy() for _, B in chunks], axis=1)
+
+
+def test_growing_batch_indices_are_the_per_step_draws(monkeypatch):
+    # batch sizes that vary by step, drawn in 3-step chunks 4 wide: each
+    # step's first b_k entries are the b_k indices of a per-step call
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * 2 * 4)
+    sizes = [1, 2, 2, 3, 4, 4, 1]
+    drawn = np.concatenate([B.copy() for _, B in knl._index_chunks(
+        gen_list(seed, 2), len(sizes), 5, sizes)], axis=1)
+    for p, g in enumerate(gen_list(seed, 2)):
+        for k, b in enumerate(sizes):
+            assert np.array_equal(drawn[p, k, :b], g.integers(0, 5, size=b))
 
 
 @pytest.mark.parametrize("kind", ["normal", "index"])

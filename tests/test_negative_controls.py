@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 import sgflow._kernels as knl
-import sgflow.continuous as continuous
-import sgflow.discrete as discrete
 import sgflow.harness as harness
 from sgflow.bounds import BoundInputs, RateBound
 from sgflow.harness import (RunSpec, ball_experiment, ensemble_run,
@@ -83,19 +81,18 @@ CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
 
 def volatility_x1_5(monkeypatch):
     """Every constant volatility matrix 1.5 times too large."""
-    real = discrete._pgd_constant_sigma
+    real = knl._pgd_constant_sigma
 
     def scaled(problem, volatility_mode):
         sig = real(problem, volatility_mode)
         return None if sig is None else 1.5 * sig
 
-    for module in (knl, discrete, continuous):
-        monkeypatch.setattr(module, "_pgd_constant_sigma", scaled)
+    monkeypatch.setattr(knl, "_pgd_constant_sigma", scaled)
 
 
 def no_sqrt_h(monkeypatch):
     """The diffusion kernels' volatility without its sqrt(h) factor."""
-    real_em = knl._kernel_em_constant
+    real_em = knl._kernel_em
 
     def dropping(kernel):
         def mutant(problem, adj, *args, **kwargs):
@@ -103,11 +100,11 @@ def no_sqrt_h(monkeypatch):
                 em_args = list(em_args)
                 em_args[7] = em_args[7] / math.sqrt(adj.h)  # vol_coef
                 return real_em(*em_args, **em_kwargs)
-            knl._kernel_em_constant = em  # for this kernel call only
+            knl._kernel_em = em  # for this kernel call only
             try:
                 return kernel(problem, adj, *args, **kwargs)
             finally:
-                knl._kernel_em_constant = real_em
+                knl._kernel_em = real_em
         return mutant
 
     for name in ("kernel_mb_pgf", "kernel_time_changed"):

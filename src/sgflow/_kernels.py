@@ -23,8 +23,8 @@ calls: ``problem.grad``, the component gradients of the mini-batch and
 variance-reduced estimates, and the square roots of ``sigma_mb`` and
 ``sigma_vr``.  The loop evaluates finite rows only and gives a non-finite
 row NaN, so a user's callable never sees a diverged point.  Batch sizes come
-from one scalar schedule call per step, and all stepsizes, coefficients and
-weights from one table of scalar ``psi`` calls (:func:`_psi_table`).
+from one schedule call per step, and all stepsizes, coefficients and weights
+from one table of ``psi`` values (:func:`_psi_table`).
 
 :class:`_BlockRecorder` does the bookkeeping: the record grid, the
 divergence flags, the snapshots and the running ``psi``-weighted sums behind
@@ -120,9 +120,9 @@ def _psi_table(adj: AdjustmentSchedule, n_steps: int,
                dt: float | None = None) -> list:
     """psi_k at every step index k <= n_steps, or psi(k dt) at every grid node.
 
-    Python floats from one scalar schedule call per entry: evaluating the
-    schedule on an index array may round psi differently by an ulp,
-    depending on the host's SIMD level.
+    Python floats, one schedule call per entry; an index-array argument
+    gives the same values (:mod:`sgflow.schedules` has one scalar formula
+    per value).
     """
     if dt is None:
         return [float(adj.psi_k(k)) for k in range(n_steps + 1)]

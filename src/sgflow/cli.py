@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import AdmissibilityError, BoundInputs, RateBound
+from .continuous import _grid_steps  # the one dt/T check, as RunSpec makes it
 from .discrete import Trajectory
 from .harness import (
     EnsembleDivergenceError,
@@ -47,7 +48,7 @@ from .harness import (
 )
 from .harness import _MODES  # the run modes RunSpec accepts
 from .harness import _json_clean  # one JSON cleaner for reports and CLI payloads
-from .harness import _run_one_path  # single-trajectory dispatch shared with ensembles
+from .harness import _run_one_path  # one path through the ensemble's kernel dispatch
 from .problems import (
     FiniteSumProblem,
     make_isotropic_quadratic,
@@ -153,6 +154,24 @@ def _as_float(v) -> float:
     return x
 
 
+def _as_step(v) -> float:
+    x = _as_float(v)
+    if not x > 0:
+        raise ValueError(f"must be positive, got {x}")
+    return x
+
+
+def _dt(sim: dict, overrides: argparse.Namespace, **kw) -> float | None:
+    """The integrator step: ``--dt`` if given, else ``dt`` in [simulation]."""
+    dt = getattr(overrides, "dt", None)
+    if dt is None:
+        return _get(sim, "dt", _as_step, where="simulation", **kw)
+    try:
+        return _as_step(dt)
+    except ValueError as e:
+        raise ConfigError(f"bad value for --dt: {e}") from e
+
+
 def _as_int(v) -> int:
     if isinstance(v, float) and v != int(v):
         raise ValueError(f"expected an integer, got {v}")
@@ -255,9 +274,7 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {list(_MODES)}")
     x0 = _get(sec, "x0", _as_vector, required=True, where="simulation")
     adj, batch, m = build_schedules(cfg)
-    dt = getattr(overrides, "dt", None)
-    if dt is None:
-        dt = _get(sec, "dt", _as_float, where="simulation")
+    dt = _dt(sec, overrides)
     T = _get(sec, "t", _as_float, where="simulation")
     n_steps = _get(sec, "n_steps", _as_int, where="simulation")
     n_epochs = _get(sec, "n_epochs", _as_int, where="simulation")
@@ -416,11 +433,9 @@ def _bound_grid(cfg: dict, bound: RateBound, m: int | None,
         js = np.arange(n_epochs + 1)
         return js.astype(float), js
     if bound.is_continuous:
-        dt = getattr(overrides, "dt", None)
-        if dt is None:
-            dt = _get(sec, "dt", _as_float, required=True, where="simulation")
+        dt = _dt(sec, overrides, required=True)
         T = _get(sec, "t", _as_float, required=True, where="simulation")
-        n = int(round(T / dt))
+        n = _grid_steps(dt, T)
         stride = _get(sec, "record_every", _as_int,
                       default=max(1, n // 1000), where="simulation")
         ts = record_steps(n, stride) * dt
@@ -518,8 +533,7 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
         frac = _get(vsec, "min_pass_fraction", _as_float, default=0.95,
                     where="verify")
         x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = getattr(overrides, "dt", None) or _get(sim, "dt", _as_float,
-                                                    where="simulation")
+        dt = _dt(sim, overrides)
         try:
             report = time_change_experiment(problem, x0, adj.h, t_w, n_paths,
                                             seed, dt=dt, n_checkpoints=n_cp,
@@ -535,9 +549,7 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
         slope_tol = _get(vsec, "slope_tol", _as_float, default=0.02,
                          where="verify")
         x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = getattr(overrides, "dt", None) or _get(sim, "dt", _as_float,
-                                                    required=True,
-                                                    where="simulation")
+        dt = _dt(sim, overrides, required=True)
         T = _get(sim, "t", _as_float, required=True, where="simulation")
         try:
             report = landscape_stretch_experiment(lam, x0, dt, T,
@@ -568,9 +580,7 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
         t_long = _get(vsec, "t_long", _as_float, required=True, where="verify")
         tail = _get(vsec, "tail_fraction", _as_float, default=0.5, where="verify")
         rel_tol = _get(vsec, "rel_tol", _as_float, default=0.10, where="verify")
-        dt = getattr(overrides, "dt", None) or _get(sim, "dt", _as_float,
-                                                    default=adj.h,
-                                                    where="simulation")
+        dt = _dt(sim, overrides, default=adj.h)
         x0 = _get(sim, "x0", _as_vector, where="simulation")
         try:
             report = ball_experiment(problem, adj.h, batch.b, dt, t_long,
@@ -585,9 +595,7 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
         if adj is None:
             raise ConfigError("the supermartingale probe needs 'h' in [schedule]")
         x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = getattr(overrides, "dt", None) or _get(sim, "dt", _as_float,
-                                                    required=True,
-                                                    where="simulation")
+        dt = _dt(sim, overrides, required=True)
         T = _get(sim, "t", _as_float, required=True, where="simulation")
         try:
             report = pl_supermartingale_probe(problem, adj, batch, x0, dt, T,

@@ -147,6 +147,9 @@ def simulate_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
 
     The batch schedule enters unrounded.  dt should not exceed the stepsize h
     the model was derived from (the diffusion is the fine-grained limit).
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
     """
     n_steps = _grid_steps(dt, T)
     res = _kernels.kernel_mb_pgf(problem, adj, batch, x0, dt, n_steps, [rng],
@@ -166,6 +169,9 @@ def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     ``with_jumps`` the epoch-end state is resampled uniformly from the epoch's
     grid states, as in the discrete algorithm.  Uses psi = 1 and b = 1 (the
     regime the variance-reduction guarantee covers).
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
     """
     n_steps = _grid_steps(dt, T)
     res = _kernels.kernel_vr_pgf(problem, staleness, x0, dt, n_steps, [rng],
@@ -187,6 +193,9 @@ def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     with tau the inverse of phi(t) = ∫ psi.  Y(t) has the law of X(tau(t)), so
     annealing is traded for a vanishing noise amplitude: with psi = 1/(1+t)
     and constant sigma the amplitude is sqrt(h) sigma e^{-t/2}.
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
     """
     n_steps = _grid_steps(dt, T)
     res = _kernels.kernel_time_changed(problem, adj, batch, x0, dt, n_steps,

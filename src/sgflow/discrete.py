@@ -132,7 +132,11 @@ def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
 def run_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int,
                rng: np.random.Generator, record_every: int = 1) -> Trajectory:
-    """Mini-batch SGD:  x_{k+1} = x_k - h psi_k G_MB(x_k, b_k)."""
+    """Mini-batch SGD:  x_{k+1} = x_k - h psi_k G_MB(x_k, b_k).
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     res = _kernels.kernel_mb_sgd(problem, adj, batch, x0, n_steps, [rng],
@@ -153,6 +157,9 @@ def run_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     volatility_mode="constant" replaces sigma(x) by sqrt(sigma_star_sq)·I
     (requires the constant to be declared); "exact" recomputes — or, for
     constant-covariance families, caches — the true matrix.
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -172,6 +179,9 @@ def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
     At the epoch end, the next epoch's start is drawn uniformly from the m
     iterates {x_{jm}, ..., x_{jm+m-1}} — the window the contraction bound
     averages over.  Epoch-boundary states carry a jump flag.
+
+    Draws are made ahead, so a run that diverges leaves ``rng`` further along
+    than a per-step loop does; the states and ``divergence_step`` agree.
     """
     if epoch_steps < 1:
         raise ValueError("epoch_steps must be >= 1")

@@ -36,12 +36,10 @@ from .bounds import (
     equivalent_gradient_rhs,
     landscape_stretch_reference,
 )
-from .continuous import (
-    simulate_mb_pgf,
-    simulate_time_changed,
-    simulate_vr_pgf,
-)
-from .discrete import Trajectory, run_mb_sgd, run_pgd, run_svrg_option2
+from .continuous import _grid_steps
+# the six simulators are unused here; perfbench/layers.py wraps these names
+from .continuous import simulate_mb_pgf, simulate_time_changed, simulate_vr_pgf
+from .discrete import Trajectory, _trajectory, run_mb_sgd, run_pgd, run_svrg_option2
 from .problems import FiniteSumProblem, ProblemConstants
 from .schedules import (
     AdjustmentSchedule,
@@ -137,15 +135,22 @@ class RunSpec:
         if self.mode in ("sgd", "pgd"):
             if self.adj is None or self.n_steps is None:
                 raise ValueError(f"mode {self.mode!r} needs adj and n_steps")
+            if self.n_steps < 1:
+                raise ValueError("n_steps must be >= 1")
         elif self.mode in ("mb-pgf", "time-changed"):
             if self.adj is None or self.dt is None or self.T is None:
                 raise ValueError(f"mode {self.mode!r} needs adj, dt and T")
+            _grid_steps(self.dt, self.T)
         elif self.mode == "svrg":
             if self.h is None or self.epoch_steps is None or self.n_epochs is None:
                 raise ValueError("mode 'svrg' needs h, epoch_steps and n_epochs")
+            for name in ("epoch_steps", "n_epochs"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1")
         elif self.mode == "vr-pgf":
             if self.staleness is None or self.dt is None or self.T is None:
                 raise ValueError("mode 'vr-pgf' needs staleness, dt and T")
+            _grid_steps(self.dt, self.T)
             self.staleness.grid_steps(self.dt)
         if self.volatility_mode is None:
             self.volatility_mode = "constant" if self.mode == "time-changed" else "exact"
@@ -196,29 +201,20 @@ def _observable_arrays(problem: FiniteSumProblem, states: np.ndarray):
 
 def _run_one_path(spec: RunSpec, rng: np.random.Generator,
                   record_every: int = 1) -> Trajectory:
-    """One path of the spec, recorded every ``record_every`` steps and at the end."""
-    if spec.mode == "sgd":
-        return run_mb_sgd(spec.problem, spec.adj, spec.batch, spec.x0,
-                          spec.n_steps, rng, record_every)
-    if spec.mode == "pgd":
-        return run_pgd(spec.problem, spec.adj, spec.batch, spec.x0,
-                       spec.n_steps, rng, record_every,
-                       volatility_mode=spec.volatility_mode)
+    """One path of the spec, recorded every ``record_every`` steps and at the end.
+
+    The ensemble's kernel run on one generator, replayed as the public
+    simulators replay theirs, with epoch-end jumps flagged for svrg and
+    vr-pgf.
+    """
+    res = _kernel_dispatch(spec, [rng], record_steps(spec.total_steps, record_every))
+    jump_every = None
     if spec.mode == "svrg":
-        return run_svrg_option2(spec.problem, spec.h, spec.epoch_steps,
-                                spec.n_epochs, spec.x0, rng, record_every)
-    if spec.mode == "mb-pgf":
-        return simulate_mb_pgf(spec.problem, spec.adj, spec.batch, spec.x0,
-                               spec.dt, spec.T, rng,
-                               volatility_mode=spec.volatility_mode,
-                               record_every=record_every)
-    if spec.mode == "vr-pgf":
-        return simulate_vr_pgf(spec.problem, spec.staleness, spec.x0,
-                               spec.dt, spec.T, rng, record_every=record_every)
-    return simulate_time_changed(spec.problem, spec.adj, spec.batch, spec.x0,
-                                 spec.dt, spec.T, rng,
-                                 volatility_mode=spec.volatility_mode,
-                                 record_every=record_every)
+        jump_every = spec.epoch_steps
+    elif spec.mode == "vr-pgf":
+        jump_every = spec.staleness.grid_steps(spec.dt)
+    return _trajectory(spec.problem, res, spec.grid_spacing, record_every,
+                       jump_every=jump_every)
 
 
 def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
@@ -528,8 +524,7 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
 
     warped_pos = geometric_checkpoints(n_y, n_checkpoints, start=1)
     s_times = warped_pos * dt
-    # one scalar call per checkpoint, as the kernels take their tables
-    x_pos = np.round(np.array([phi_inverse(adj, s) for s in s_times]) / dt).astype(int)
+    x_pos = np.round(phi_inverse(adj, s_times) / dt).astype(int)
     x_pos = np.minimum(np.maximum(x_pos, 1), n_x)
     x_ks = np.unique(x_pos)
     y_ks = warped_pos
@@ -878,7 +873,7 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                    dt=dt, T=n_steps * dt, record_ks=cp)
     stats = ensemble_run(spec, n_paths, seed)
     times = stats.grid
-    factor = np.exp(2.0 * mu * np.array([phi(adj, t) for t in times]))
+    factor = np.exp(2.0 * mu * phi(adj, times))
     energy = factor * stats.mean["f_gap"]
     energy_se = factor * stats.se("f_gap")
 

@@ -8,23 +8,18 @@ where ``h`` is a fixed discretization stepsize and ``psi`` is a nonincreasing
 * ``power(a)`` —  psi(t) = (1 + t)^(-a)  with  a in (0, 1].
 
 The discrete weights are read off the continuous function on the step grid,
-``psi_k = psi(h*k)``.  Both views share one formula but not always one
-rounding.  On an array argument NumPy evaluates ``power``, ``log1p`` and
-``expm1`` with its vector loops, which on SIMD hosts (AVX-512) can differ by
-one ulp from the C library's scalar functions.  A scalar or 0-d argument
-takes the scalar functions: ``**`` on an ``np.float64``, and
-``math.log1p``/``math.expm1`` for ``phi``/``phi_inverse`` at a = 1, since
-NumPy runs its vector loop for ``log1p`` and ``expm1`` even on a 0-d array.
-So scalar calls give the same values whatever SIMD level NumPy dispatches
-to, and the kernels, the bound curves and the experiments build every table
-of schedule values from them, one call per entry.  What they still share
-with the host is the C library's own choice of implementation (glibc picks
-FMA variants at load time).
-
-A scalar argument (``int``, ``float`` or ``np.float64``) skips the array
-conversion, but gets the same ``np.float64`` arithmetic, result type and
-errors as a 0-d array argument.  Overflow gives ``inf``, as NumPy scalar
-arithmetic does, not the ``OverflowError`` of Python floats.
+``psi_k = psi(h*k)``.  Each schedule value has one scalar formula, whatever
+the argument's shape: ``int``, ``float`` and ``np.float64`` arguments run it
+directly, and any other argument is mapped over its elements through it.
+The formulas take the C library's scalar functions, never NumPy's array
+``power``, ``log1p`` or ``expm1``, whose vector loops (and the ``sqrt``,
+``square`` and ``reciprocal`` that array ``power`` takes for the exponents
+1/2, 2 and -1) round differently by an ulp.  So no schedule value depends on
+the SIMD level NumPy dispatches to; what is left of the host is the C
+library's own choice of implementation (glibc picks FMA variants at load
+time).  Results are ``np.float64`` (the float ``1.0`` for a constant psi, an
+``int`` for ``size_at_step``), or arrays of the argument's shape.  Overflow
+gives ``inf``, as NumPy scalar arithmetic does.
 
 The running integral ``phi(t) = ∫_0^t psi(s) ds`` acts as a deformed clock: every
 convergence rate in :mod:`sgflow.bounds` is a function of ``phi(t)`` rather than
@@ -36,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,9 +47,21 @@ __all__ = [
     "record_steps",
 ]
 
-# Exact argument types of the scalar path; bool and NumPy integers take the
-# array path.
+# Exact argument types the formulas take directly; every other argument is
+# mapped over its elements by _each.
 _SCALARS = (int, float, np.float64)
+
+
+def _each(f, x, dtype=float):
+    """``f`` over the elements of array-like ``x``, as floats, in x's shape.
+
+    A 0-d argument gives ``f``'s own result.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.array([f(v) for v in x.ravel().tolist()],
+                    dtype=dtype).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -88,30 +96,21 @@ class AdjustmentSchedule:
 
     def psi(self, t):
         """Adjustment value psi(t); accepts scalars or arrays, requires t >= 0."""
-        if type(t) in _SCALARS:
-            if t < 0:
-                raise ValueError("psi is only defined for t >= 0")
-            if self.family == "constant":
-                return 1.0
-            return (1.0 + np.float64(t)) ** (-self.a)
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if type(t) not in _SCALARS:
+            return _each(self.psi, t)
+        if t < 0:
             raise ValueError("psi is only defined for t >= 0")
         if self.family == "constant":
-            return np.ones_like(t)[()] if t.ndim else 1.0
-        out = (1.0 + t) ** (-self.a)
-        return out[()] if out.ndim == 0 else out
+            return 1.0
+        return (1.0 + np.float64(t)) ** (-self.a)
 
     def psi_k(self, k):
         """Discrete weight psi_k = psi(h*k) for step index k >= 0."""
-        if type(k) in _SCALARS:
-            if k < 0:
-                raise ValueError("step index must be >= 0")
-            return self.psi(self.h * float(k))
-        k = np.asarray(k)
-        if np.any(k < 0):
+        if type(k) not in _SCALARS:
+            return _each(self.psi_k, k)
+        if k < 0:
             raise ValueError("step index must be >= 0")
-        return self.psi(self.h * np.asarray(k, dtype=float))
+        return self.psi(self.h * float(k))
 
     def eta_k(self, k):
         """Stepsize eta_k = h * psi_k."""
@@ -147,33 +146,24 @@ class BatchSchedule:
 
     def value(self, t):
         """Unrounded b(t) >= 1 (used by the SDE integrators)."""
-        if type(t) in _SCALARS:
-            if t < 0:
-                raise ValueError("batch schedule is only defined for t >= 0")
-            if self.family == "constant":
-                return np.float64(self.b)
-            return self.b0 + self.rate * np.float64(t)
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
+        if type(t) not in _SCALARS:
+            return _each(self.value, t)
+        if t < 0:
             raise ValueError("batch schedule is only defined for t >= 0")
         if self.family == "constant":
-            out = np.full_like(t, float(self.b))
-        else:
-            out = self.b0 + self.rate * t
-        return out[()] if out.ndim == 0 else out
+            return np.float64(self.b)
+        return self.b0 + self.rate * np.float64(t)
 
     def size_at_step(self, k, h: float):
         """Integer batch size b_k = round-half-up(b(h*k)), clamped to >= 1."""
-        if type(k) in _SCALARS:
-            v = self.value(float(k) * h)
-            # below 2**63 floor agrees with the int64 cast; inf and nan fail
-            # the test and take the cast
-            if v < 2.0 ** 63:
-                return max(math.floor(v + 0.5), 1)
-        else:
-            v = self.value(np.asarray(k, dtype=float) * h)
-        out = np.maximum(np.floor(np.asarray(v) + 0.5).astype(int), 1)
-        return int(out) if out.ndim == 0 else out
+        if type(k) not in _SCALARS:
+            return _each(partial(self.size_at_step, h=h), k, dtype=int)
+        v = self.value(float(k) * h)
+        # below 2**63 floor agrees with the int64 cast; inf and nan fail the
+        # test and take the cast
+        if v < 2.0 ** 63:
+            return max(math.floor(v + 0.5), 1)
+        return max(int(np.floor(v + 0.5).astype(int)), 1)
 
 
 @dataclass(frozen=True)
@@ -245,22 +235,17 @@ def phi(schedule: AdjustmentSchedule, t):
 
     Strictly increasing with phi(0) = 0.
     """
-    if type(t) in _SCALARS:
-        if t < 0:
-            raise ValueError("phi is only defined for t >= 0")
-        t = np.float64(t)
-    else:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("phi is only defined for t >= 0")
+    if type(t) not in _SCALARS:
+        return _each(partial(phi, schedule), t)
+    if t < 0:
+        raise ValueError("phi is only defined for t >= 0")
+    t = np.float64(t)
     if schedule.family == "constant":
-        out = t.copy()
-    elif schedule.a == 1.0:  # NumPy's log1p runs its vector loop even at 0-d
-        out = np.log1p(t) if t.ndim else np.float64(math.log1p(t))
-    else:
-        a = schedule.a
-        out = ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a)
-    return out[()] if out.ndim == 0 else out
+        return t
+    if schedule.a == 1.0:
+        return np.float64(math.log1p(t))
+    a = schedule.a
+    return ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a)
 
 
 def phi_inverse(schedule: AdjustmentSchedule, s):
@@ -269,25 +254,20 @@ def phi_inverse(schedule: AdjustmentSchedule, s):
     Closed forms: constant -> s;  power(1) -> e^s - 1;
     power(a != 1) -> (1 + (1-a) s)^(1/(1-a)) - 1.
     """
-    if type(s) in _SCALARS:
-        if s < 0:
-            raise ValueError("phi_inverse is only defined for s >= 0")
-        s = np.float64(s)
-    else:
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise ValueError("phi_inverse is only defined for s >= 0")
+    if type(s) not in _SCALARS:
+        return _each(partial(phi_inverse, schedule), s)
+    if s < 0:
+        raise ValueError("phi_inverse is only defined for s >= 0")
+    s = np.float64(s)
     if schedule.family == "constant":
-        out = s.copy()
-    elif schedule.a == 1.0:
-        try:  # NumPy's expm1 runs its vector loop even at 0-d
-            out = np.expm1(s) if s.ndim else np.float64(math.expm1(s))
-        except OverflowError:  # math's, at 0-d
-            out = np.float64(math.inf)
-    else:
-        a = schedule.a
-        out = (1.0 + (1.0 - a) * s) ** (1.0 / (1.0 - a)) - 1.0
-    return out[()] if out.ndim == 0 else out
+        return s
+    if schedule.a == 1.0:
+        try:
+            return np.float64(math.expm1(s))
+        except OverflowError:
+            return np.float64(math.inf)
+    a = schedule.a
+    return (1.0 + (1.0 - a) * s) ** (1.0 / (1.0 - a)) - 1.0
 
 
 def phi_inverse_bisect(schedule: AdjustmentSchedule, s: float,
@@ -336,8 +316,6 @@ def randomized_index(schedule: AdjustmentSchedule, k: int, rng: np.random.Genera
     This is the index distribution under which the randomized-iterate rate
     bounds hold; drawn by inverse CDF on the cumulative weights.
     """
-    if k < 0:
-        raise ValueError("step index must be >= 0")
     cum = psi_prefix_sums(schedule, k)
     u = rng.random() * cum[-1]
     return int(np.searchsorted(cum, u, side="right"))

@@ -644,6 +644,63 @@ def test_record_every_below_one_exits_2(tmp_path, capsys, command, stride):
     assert "record_every must be >= 1" in capsys.readouterr().err
 
 
+MB_PGF_INI = PERTURBED_INI.replace("mode = sgd", "mode = mb-pgf").replace(
+    "n_steps = 20", "dt = 0.05\nt = 1.0")
+
+# (config, argv, message) for each step or horizon the CLI must refuse
+BAD_STEP_CASES = {
+    "simulate-dt-0": (MB_PGF_INI, ["simulate", "--dt", "0"],
+                      "bad value for --dt: must be positive, got 0.0"),
+    "simulate-dt-negative": (MB_PGF_INI, ["simulate", "--dt", "-0.01"],
+                             "bad value for --dt: must be positive, got -0.01"),
+    "simulate-dt-inf": (MB_PGF_INI, ["simulate", "--dt", "inf"],
+                        "bad value for --dt: must be finite, got inf"),
+    "simulate-n_steps-negative": (
+        PERTURBED_INI.replace("n_steps = 20", "n_steps = -5"), ["simulate"],
+        "[simulation] n_steps must be >= 1"),
+    "simulate-n_steps-0": (PERTURBED_INI.replace("n_steps = 20", "n_steps = 0"),
+                           ["simulate"], "[simulation] n_steps must be >= 1"),
+    "simulate-t-0": (MB_PGF_INI.replace("t = 1.0", "t = 0"), ["simulate"],
+                     "[simulation] horizon T must be at least one step dt"),
+    "simulate-svrg-n_epochs-0": (
+        PERTURBED_INI.replace("mode = sgd", "mode = svrg")
+        .replace("h = 0.25", "h = 0.25\nm = 3").replace("n_steps = 20", "n_epochs = 0"),
+        ["simulate"], "[simulation] n_epochs must be >= 1"),
+    "simulate-config-dt-0": (MB_PGF_INI.replace("dt = 0.05", "dt = 0"),
+                             ["simulate"], "bad value for 'dt' in [simulation]: "
+                             "must be positive, got 0.0"),
+    "bound-dt-0": (BOUND_INI, ["bound", "smooth_ct", "--dt", "0"],
+                   "bad value for --dt: must be positive, got 0.0"),
+    "bound-t-below-dt": (BOUND_INI.replace("t = 10.0", "t = 0.5"),
+                         ["bound", "smooth_ct"],
+                         "horizon T must be at least one step dt"),
+    "verify-bound-dt-0": (CONFIGS_DIR / "08_smooth_ct.ini",
+                          ["verify", "bound", "--dt", "0"],
+                          "bad value for --dt: must be positive, got 0.0"),
+    "verify-ball-dt-negative": (CONFIGS_DIR / "01_ou_ball_ct.ini",
+                                ["verify", "ball", "--dt=-1"],
+                                "bad value for --dt: must be positive, got -1.0"),
+}
+for _name, _config in (("time-change", "03_time_change.ini"),
+                       ("landscape", "10_landscape.ini"),
+                       ("ball", "01_ou_ball_ct.ini"),
+                       ("pl-probe", "12_pl_probe.ini")):
+    BAD_STEP_CASES[f"verify-{_name}-dt-0"] = (
+        CONFIGS_DIR / _config, ["verify", _name, "--dt", "0"],
+        "bad value for --dt: must be positive, got 0.0")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STEP_CASES))
+def test_bad_step_or_horizon_exits_2(tmp_path, capsys, case):
+    config, argv, message = BAD_STEP_CASES[case]
+    path = config if isinstance(config, Path) else write(tmp_path, "c.ini", config)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(path), "--out", str(out),
+                        "--paths", "4"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 VR_OFF_GRID_INI = """[problem]
 family = spread
 lambda_mean = 10.0

@@ -12,14 +12,17 @@ kernel on one generator, for one discrete bound curve, and for the means and
 variances of ``ensemble_run`` in every mode, on the whole block of paths and
 one path at a time.
 
-The digests depend on this platform's libm (``pow``, ``exp``, ``expm1``,
-``sqrt``) and on the NumPy build: they were frozen on x86-64 Linux with
-glibc and NumPy 2.4.6.  Every schedule value behind them comes from a scalar
-call, so they do not depend on the SIMD level NumPy dispatches to; the last
-test reruns them with AVX-512 and with AVX2 masked.  On another platform they
-may legitimately differ; print the local digests, and those of the per-path
-reference loops in ``tests/reference.py``, with
-``PYTHONPATH=src python tests/test_fingerprints.py`` and compare them.
+The digests hold per libm build: they depend on this platform's libm
+(``pow``, ``exp``, ``expm1``, ``log1p``, ``sqrt``), including the variants
+glibc selects at load time (with or without FMA), and on the NumPy build.
+They were frozen on x86-64 Linux with glibc 2.36 and NumPy 2.4.6.  Every
+schedule value behind them comes from one scalar formula, also for array
+arguments (a digest of such tables is pinned too), so they do not depend on
+the SIMD level NumPy dispatches to; the last test reruns them with AVX-512
+and with AVX2 masked.  On another platform or libm they may legitimately
+differ; print the local digests, and those of the per-path reference loops
+in ``tests/reference.py``, with ``PYTHONPATH=src python
+tests/test_fingerprints.py`` and compare them.
 """
 
 import hashlib
@@ -56,7 +59,14 @@ from sgflow.problems import (
     make_perturbed_quadratic,
     make_spread_quadratic,
 )
-from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
+from sgflow.schedules import (
+    AdjustmentSchedule,
+    BatchSchedule,
+    StalenessSchedule,
+    phi,
+    phi_inverse,
+    psi_prefix_sums,
+)
 
 N_STEPS = 2_000
 N_PATHS = 4
@@ -192,8 +202,7 @@ def test_kernel_fingerprint(case):
 ], ids=["power-0.5", "power-1", "constant"])
 def test_step_tables_are_the_scalar_schedule_values(adj):
     # the tables kernel_pgd and kernel_mb_sgd step with must hold the values
-    # of the scalar schedule calls, not those of an index-array evaluation,
-    # which SIMD power may round differently
+    # of the schedule calls, as Python floats
     eta, psi = _step_tables(adj, N_STEPS)
     assert len(eta) == N_STEPS and len(psi) == N_STEPS + 1
     for k in range(N_STEPS + 1):
@@ -241,6 +250,30 @@ def _bound_curve_digest() -> str:
 
 def test_bound_curve_fingerprint():
     assert _bound_curve_digest() == GOLDEN_BOUND_CURVE
+
+
+# -- schedule tables from array arguments ------------------------------------
+
+# psi_k over an index array, phi and phi_inverse over a grid on [0, 4] and the
+# prefix sums of psi_k, at a = 1/2 and a = 1: the tables NumPy's SIMD power,
+# log1p and expm1 rounded differently from the scalar libm calls
+GOLDEN_SCHEDULE_TABLES = "f90ce874aa6b4be66184ae9d1c916ec930cce3d847fa683520f155607e49c341"
+
+
+def _schedule_tables_digest() -> str:
+    ks = np.arange(20_001)
+    grid = np.linspace(0.0, 4.0, 20_001)
+    digest = hashlib.sha256()
+    for a in (0.5, 1.0):
+        adj = AdjustmentSchedule(h=2e-4, family="power", a=a)
+        for table in (adj.psi_k(ks), phi(adj, grid), phi_inverse(adj, grid),
+                      psi_prefix_sums(adj, ks[-1])):
+            digest.update(np.ascontiguousarray(table).tobytes())
+    return digest.hexdigest()
+
+
+def test_schedule_table_fingerprint():
+    assert _schedule_tables_digest() == GOLDEN_SCHEDULE_TABLES
 
 
 # -- per-path simulators -----------------------------------------------------
@@ -444,15 +477,16 @@ SIMD_LEVELS = {
 
 
 def test_digests_do_not_depend_on_simd_level():
-    # every kernel, simulator, bound-curve and ensemble digest above must
-    # hold whatever SIMD level NumPy dispatches to: the schedule values
-    # behind them come from scalar calls, never from NumPy's vector power,
-    # log1p or expm1
+    # every kernel, simulator, bound-curve, schedule-table and ensemble
+    # digest above must hold whatever SIMD level NumPy dispatches to: the
+    # schedule values behind them come from scalar formulas, never from
+    # NumPy's vector power, log1p or expm1
     root = Path(__file__).resolve().parents[1]
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            str(Path(__file__).resolve()),
            "-k", "ensemble_fingerprint or kernel_fingerprint"
-                 " or simulator_fingerprint or bound_curve_fingerprint"]
+                 " or simulator_fingerprint or bound_curve_fingerprint"
+                 " or schedule_table_fingerprint"]
     children = {}
     for level, masked in SIMD_LEVELS.items():
         env = dict(os.environ)
@@ -464,9 +498,9 @@ def test_digests_do_not_depend_on_simd_level():
         children[level] = subprocess.Popen(
             cmd, cwd=root, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
-    # the kernel, simulator, bound-curve and ensemble digests, and 4 worker
-    # counts x 4 modes
-    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 1
+    # the kernel, simulator, bound-curve, schedule-table and ensemble
+    # digests, and 4 worker counts x 4 modes
+    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 2
                + len(GOLDEN_ENSEMBLES) + 4 * 4)
     for level, child in children.items():
         out, _ = child.communicate(timeout=600)
@@ -481,6 +515,7 @@ if __name__ == "__main__":
                  "vr-pgf"):
         print(f"    {name!r}: {_digests(_run(name))!r},")
     print(f"}}\nGOLDEN_BOUND_CURVE = {_bound_curve_digest()!r}")
+    print(f"GOLDEN_SCHEDULE_TABLES = {_schedule_tables_digest()!r}")
     print("GOLDEN_SIMULATORS = {")
     for name in SIMULATORS:
         digests = _trajectory_digests(_simulate(name))

@@ -19,6 +19,8 @@ import time
 import numpy as np
 import pytest
 
+import reference
+import sgflow
 import sgflow._kernels as knl
 from sgflow._kernels import (
     kernel_mb_pgf,
@@ -299,6 +301,44 @@ def test_kernel_vr_pgf_matches_simulator(with_jumps):
     # simulator takes a 1x1 eigendecomposition -- equal only up to round-off
     assert res.states == pytest.approx(ref, rel=1e-9, abs=1e-12)
     assert not res.diverged.any()
+
+
+# one config per mode: a growing batch for sgd and mb-pgf, exact volatility
+# for time-changed
+_GROWING = BatchSchedule(family="linear-growth", b0=1.0, rate=2.0)
+_POWER = AdjustmentSchedule(h=0.2, family="power", a=0.5)
+GENERATOR_STATE_RUNS = {
+    "run_mb_sgd": lambda sim, rng: sim(noisy_problem(), _POWER, _GROWING, X0,
+                                       30, rng),
+    "run_pgd": lambda sim, rng: sim(noisy_problem(), _POWER, BatchSchedule(b=3),
+                                    X0, 30, rng),
+    "run_svrg_option2": lambda sim, rng: sim(noisy_problem(), 0.05, 3, 4, X0,
+                                             rng),
+    "simulate_mb_pgf": lambda sim, rng: sim(noisy_problem(), _POWER, _GROWING,
+                                            X0, 0.01, 0.4, rng),
+    "simulate_vr_pgf": lambda sim, rng: sim(
+        make_spread_quadratic(3.0, 1.0), StalenessSchedule(m=2, h=0.01),
+        np.array([1.5]), 0.01, 0.07, rng),
+    "simulate_time_changed": lambda sim, rng: sim(
+        isotropic_problem(), AdjustmentSchedule(h=0.2, family="power", a=1.0),
+        BatchSchedule(b=1), X0, 0.05, 1.0, rng, volatility_mode="exact"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_STATE_RUNS))
+def test_simulator_leaves_the_generator_where_the_loop_does(name):
+    # after a run that does not diverge, the simulator's chunked draws have
+    # taken exactly the per-step loop's values, so the caller's next draws
+    # from the same generator are the loop's
+    run = GENERATOR_STATE_RUNS[name]
+    after = {}
+    for label, sim in (("simulator", getattr(sgflow, name)),
+                       ("loop", getattr(reference, name))):
+        rng = np.random.default_rng(seed)
+        assert not run(sim, rng).diverged
+        after[label] = (rng.standard_normal(3), rng.integers(0, 7, size=3))
+    for got, want in zip(after["simulator"], after["loop"]):
+        assert np.array_equal(got, want)
 
 
 def test_kernel_vr_pgf_rejects_wrong_shapes():

@@ -263,3 +263,55 @@ def test_phi_inverse_overflows_to_inf(adj, s):
     with np.errstate(over="ignore"):
         out = phi_inverse(adj, s)
     assert type(out) is np.float64 and out == np.inf
+
+
+# -- array arguments -----------------------------------------------------------
+
+# long enough that NumPy's vector power, log1p and expm1 rounded thousands of
+# these values differently from the scalar calls on an AVX-512 host
+N_POINTS = 200_001
+INDICES = np.arange(N_POINTS)
+TIMES = np.linspace(0.0, 4.0, N_POINTS)
+
+
+def _same_bits(got, want):
+    return (type(got) is np.ndarray and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+def _scalar_map(f, xs, dtype=float):
+    return np.array([f(x) for x in xs.tolist()], dtype=dtype)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
+def test_array_arguments_give_the_scalar_bits(a):
+    adj = AdjustmentSchedule(h=2e-5, family="power", a=a)
+    for f, xs in ((adj.psi_k, INDICES), (adj.eta_k, INDICES), (adj.psi, TIMES),
+                  (lambda x: phi(adj, x), TIMES),
+                  (lambda x: phi_inverse(adj, x), TIMES)):
+        assert _same_bits(f(xs), _scalar_map(f, xs))
+    psi_ks = _scalar_map(adj.psi_k, INDICES[:20_001])
+    assert _same_bits(psi_prefix_sums(adj, 20_000), np.cumsum(psi_ks))
+    for k in (0, 1, 999, 20_000):
+        assert discrete_phi(adj, k) == float(np.sum(psi_ks[:k + 1]))
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=lambda s: s.family)
+def test_batch_array_arguments_give_the_scalar_bits(batch):
+    assert _same_bits(batch.value(TIMES), _scalar_map(batch.value, TIMES))
+    sizes = batch.size_at_step(INDICES, 2e-5)
+    assert _same_bits(sizes, _scalar_map(lambda k: batch.size_at_step(k, 2e-5),
+                                         INDICES, dtype=int))
+
+
+def test_array_arguments_keep_shape_and_dtype():
+    adj, batch = ADJUSTMENTS[1], BATCHES[1]
+    block = np.arange(6.0).reshape(2, 3)
+    assert adj.psi(block).shape == (2, 3)
+    assert batch.size_at_step(block, 0.5).dtype == np.dtype(int)
+    empty = batch.size_at_step(np.arange(0), 0.5)
+    assert empty.shape == (0,) and empty.dtype == np.dtype(int)
+    assert phi(adj, []).shape == (0,) and phi(adj, []).dtype == np.float64
+    assert np.array_equal(ADJUSTMENTS[0].psi([0.0, 2.5]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="step index must be >= 0"):
+        adj.psi_k(np.array([3, -1]))

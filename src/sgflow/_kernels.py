@@ -197,17 +197,22 @@ def _grad_block(problem: FiniteSumProblem):
     return grad
 
 
-def _gap_and_grad_sq(problem: FiniteSumProblem, X: np.ndarray):
-    """(f - f*, |grad f|^2) for each row of a (n, d) block of states."""
-    if problem.affine is not None:
-        return problem.affine.block_observables(X - problem.x_star,
-                                                problem.constants.f_star)
+def _observable_arrays(problem: FiniteSumProblem, X: np.ndarray):
+    """(f - f*, |grad f|^2, |x - x*|^2) for each row of a (n, d) block of states.
 
-    def gap_and_grad_sq(x):
-        g = problem.grad(x)
-        return problem.gap(x), float(g @ g)
-    both = _rows(gap_and_grad_sq, (2,), X)
-    return both[:, 0], both[:, 1]
+    The one observable formula: ensembles reduce their snapshots with it,
+    :class:`_BlockRecorder` weights it, and single paths take it once for
+    their recorded states.  Its sums are NumPy's own (``einsum``), with no
+    BLAS call, whose kernel OpenBLAS picks for the CPU at run time.
+    """
+    U = X - problem.x_star
+    if problem.affine is not None:
+        f_gap, grad_sq = problem.affine.block_observables(U, problem.constants.f_star)
+    else:
+        f_gap = _rows(problem.gap, (), X)
+        G = _rows(problem.grad, (problem.d,), X)
+        grad_sq = np.einsum("nd,nd->n", G, G)
+    return f_gap, grad_sq, np.einsum("nd,nd->n", U, U)
 
 
 def _noise(problem: FiniteSumProblem, sigma, X: np.ndarray, inner, outer):
@@ -489,7 +494,7 @@ class _BlockRecorder:
 
     def _accumulate(self, k: int, X: np.ndarray) -> None:
         alive, w = self.alive, self.psi[k]
-        f_gap, grad_sq = _gap_and_grad_sq(self.problem, X)
+        f_gap, grad_sq, _ = _observable_arrays(self.problem, X)
         if self.dt is None:
             self.acc_f[alive] += w * f_gap[alive]
             self.acc_g[alive] += w * grad_sq[alive]

@@ -278,7 +278,6 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
     T = _get(sec, "t", _as_float, where="simulation")
     n_steps = _get(sec, "n_steps", _as_int, where="simulation")
     n_epochs = _get(sec, "n_epochs", _as_int, where="simulation")
-    record_every = _get(sec, "record_every", _as_int, where="simulation")
     volatility = _get(sec, "volatility", _as_str, where="simulation")
     if volatility is not None and volatility not in ("exact", "constant"):
         raise ConfigError(f"unknown volatility {volatility!r}; "
@@ -303,12 +302,17 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
                        n_steps=n_steps, dt=dt, T=T, h=h, epoch_steps=m,
                        n_epochs=n_epochs, staleness=staleness,
                        volatility_mode=volatility, weights=weights)
-        spec.record_every = (record_every if record_every is not None
-                             else max(1, spec.total_steps // 1000))
+        spec.record_every = _record_stride(sec, spec.total_steps)
         spec.resolved_record_ks()  # a bad record grid is a config error
     except ValueError as e:
         raise ConfigError(f"[simulation] {e}") from e
     return spec
+
+
+def _record_stride(sec: dict, n_steps: int) -> int:
+    """``record_every`` in [simulation]; by default about 1000 records."""
+    return _get(sec, "record_every", _as_int, default=max(1, n_steps // 1000),
+                where="simulation")
 
 
 def _ensemble_params(cfg: dict, overrides: argparse.Namespace):
@@ -436,14 +440,10 @@ def _bound_grid(cfg: dict, bound: RateBound, m: int | None,
         dt = _dt(sec, overrides, required=True)
         T = _get(sec, "t", _as_float, required=True, where="simulation")
         n = _grid_steps(dt, T)
-        stride = _get(sec, "record_every", _as_int,
-                      default=max(1, n // 1000), where="simulation")
-        ts = record_steps(n, stride) * dt
+        ts = record_steps(n, _record_stride(sec, n)) * dt
         return ts, ts
     n_steps = _get(sec, "n_steps", _as_int, required=True, where="simulation")
-    stride = _get(sec, "record_every", _as_int,
-                  default=max(1, n_steps // 1000), where="simulation")
-    ks = record_steps(n_steps, stride)
+    ks = record_steps(n_steps, _record_stride(sec, n_steps))
     return ks.astype(float), ks
 
 
@@ -713,10 +713,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(load_config(args.config), args.experiment, args)
         return cmd_suite(args.config_dir, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except AdmissibilityError as e:
+    except (ConfigError, AdmissibilityError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except EnsembleDivergenceError as e:

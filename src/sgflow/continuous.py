@@ -155,7 +155,7 @@ def simulate_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     res = _kernels.kernel_mb_pgf(problem, adj, batch, x0, dt, n_steps, [rng],
                                  record_steps(n_steps, record_every),
                                  volatility_mode=volatility_mode)
-    return _trajectory(problem, res, dt, record_every)
+    return _trajectory(problem, res, dt)
 
 
 def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
@@ -178,8 +178,7 @@ def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
                                  record_steps(n_steps, record_every),
                                  with_jumps=with_jumps)
     q = staleness.grid_steps(dt)
-    return _trajectory(problem, res, dt, record_every,
-                       jump_every=q if with_jumps else None)
+    return _trajectory(problem, res, dt, jump_every=q if with_jumps else None)
 
 
 def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -201,4 +200,4 @@ def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     res = _kernels.kernel_time_changed(problem, adj, batch, x0, dt, n_steps,
                                        [rng], record_steps(n_steps, record_every),
                                        volatility_mode=volatility_mode)
-    return _trajectory(problem, res, dt, record_every)
+    return _trajectory(problem, res, dt)

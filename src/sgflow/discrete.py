@@ -7,10 +7,13 @@ Runs are deterministic given a numpy Generator; ensembles derive independent
 per-path generators from a master seed (see :mod:`sgflow.harness`).
 
 Each simulator runs its path through the recursion's kernel in
-:mod:`sgflow._kernels`, as ensembles do, and replays the recorded states
-through :class:`_Recorder` for the observables.  Divergent paths (non-finite
-iterates, e.g. from an inadmissible stepsize) are truncated and flagged
-rather than raising, so an ensemble can report its divergence fraction.
+:mod:`sgflow._kernels`, as ensembles do, and takes the observables of the
+recorded states from the one function ensembles reduce with
+(:func:`sgflow._kernels._observable_arrays`), so a path's observables are
+the same bits on every CPU NumPy and OpenBLAS dispatch for.  Divergent paths
+(non-finite iterates, e.g. from an inadmissible stepsize) are truncated and
+flagged rather than raising, so an ensemble can report its divergence
+fraction.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ class Trajectory:
     """A recorded sample path on a strictly increasing time grid.
 
     ``states`` has one row per recorded time.  The observable arrays are
-    recomputable from the states (and are spot-checked in the test suite).
-    For runs without an attached problem the observables are None.
-    ``jump_flags`` marks epoch-boundary resampling events where present.
+    those of the states under :func:`sgflow._kernels._observable_arrays`,
+    the function ensembles reduce with.  For runs without an attached
+    problem the observables are None.  ``jump_flags`` marks epoch-boundary
+    resampling events where present.
     """
 
     times: np.ndarray
@@ -51,82 +55,66 @@ class Trajectory:
         return len(self.times)
 
 
+def _observed(problem: FiniteSumProblem | None, times: np.ndarray,
+              states: np.ndarray, jump_flags: np.ndarray | None,
+              divergence_step: int | None) -> Trajectory:
+    """The trajectory of the recorded states, with their observables."""
+    obs = ((None,) * 3 if problem is None
+           else _kernels._observable_arrays(problem, states))
+    return Trajectory(times, states, *obs, jump_flags=jump_flags,
+                      diverged=divergence_step is not None,
+                      divergence_step=divergence_step)
+
+
 class _Recorder:
-    """Accumulates a trajectory with an optional thinning stride.
+    """Accumulates a path's states with an optional thinning stride.
 
     Records step indices divisible by ``record_every`` plus the final step;
-    computes observables from the problem when one is attached.
+    :meth:`finish` adds the observables when a problem is attached.
     """
 
     def __init__(self, problem: FiniteSumProblem | None, d: int, n_steps: int,
                  dt: float, record_every: int = 1, track_jumps: bool = False):
         self.problem = problem
-        self.dt = dt
-        self.record_every = record_every
         self._record_steps = idx = record_steps(n_steps, record_every)
-        n_rec = idx.size
         self.times = idx * dt
-        self.states = np.empty((n_rec, d))
-        self.f_gap = np.empty(n_rec) if problem is not None else None
-        self.grad_norm_sq = np.empty(n_rec) if problem is not None else None
-        self.dist_sq = np.empty(n_rec) if problem is not None else None
-        self.jump_flags = np.zeros(n_rec, dtype=bool) if track_jumps else None
+        self.states = np.empty((idx.size, d))
+        self.jump_flags = np.zeros(idx.size, dtype=bool) if track_jumps else None
         self._cursor = 0
-        self._next_step = idx[0]
-        self.diverged = False
         self.divergence_step: int | None = None
 
     def record(self, k: int, x: np.ndarray, jumped: bool = False) -> None:
-        if self._cursor == self._record_steps.size or k != self._next_step:
-            return
         i = self._cursor
+        if i == self._record_steps.size or k != self._record_steps[i]:
+            return
         self.states[i] = x
-        if self.problem is not None:
-            g = self.problem.grad(x)
-            self.f_gap[i] = self.problem.gap(x)
-            self.grad_norm_sq[i] = float(g @ g)
-            self.dist_sq[i] = float(np.sum((x - self.problem.x_star) ** 2))
         if self.jump_flags is not None:
             self.jump_flags[i] = jumped
-        self._cursor += 1
-        if self._cursor < self._record_steps.size:
-            self._next_step = self._record_steps[self._cursor]
+        self._cursor = i + 1
 
     def mark_divergence(self, k: int) -> None:
-        self.diverged = True
         self.divergence_step = k
 
     def finish(self) -> Trajectory:
         n = self._cursor
-        return Trajectory(
-            times=self.times[:n], states=self.states[:n],
-            f_gap=None if self.f_gap is None else self.f_gap[:n],
-            grad_norm_sq=None if self.grad_norm_sq is None else self.grad_norm_sq[:n],
-            dist_sq=None if self.dist_sq is None else self.dist_sq[:n],
-            jump_flags=None if self.jump_flags is None else self.jump_flags[:n],
-            diverged=self.diverged, divergence_step=self.divergence_step)
+        return _observed(self.problem, self.times[:n], self.states[:n],
+                         None if self.jump_flags is None else self.jump_flags[:n],
+                         self.divergence_step)
 
 
 def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
-                dt: float, record_every: int,
-                jump_every: int | None = None) -> Trajectory:
-    """The first path of a kernel run, replayed through a :class:`_Recorder`.
+                dt: float, jump_every: int | None = None) -> Trajectory:
+    """The first path of a kernel run, ended before its divergence step.
 
-    The recorder adds the observables, ends the path before its divergence
-    step and, given ``jump_every``, flags the states at its positive
-    multiples as epoch-end jumps.
+    Given ``jump_every``, the states at its positive multiples are flagged
+    as epoch-end jumps.
     """
-    ks = res.record_ks.tolist()
-    rec = _Recorder(problem, problem.d, ks[-1], dt, record_every,
-                    track_jumps=jump_every is not None)
-    end = int(res.divergence_step[0]) if res.diverged[0] else ks[-1] + 1
-    for k, x in zip(ks, res.states[0]):
-        if k >= end:
-            break
-        rec.record(k, x, jumped=bool(jump_every) and k > 0 and k % jump_every == 0)
-    if res.diverged[0]:
-        rec.mark_divergence(end)
-    return rec.finish()
+    ks = res.record_ks
+    div = int(res.divergence_step[0]) if res.diverged[0] else None
+    n = ks.size if div is None else int(np.searchsorted(ks, div))
+    ks = ks[:n]
+    jumps = None if jump_every is None else (ks > 0) & (ks % jump_every == 0)
+    return _observed(problem, ks * dt, res.states[0, :n], jumps, div)
 
 
 def run_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -141,7 +129,7 @@ def run_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
         raise ValueError("n_steps must be >= 1")
     res = _kernels.kernel_mb_sgd(problem, adj, batch, x0, n_steps, [rng],
                                  record_steps(n_steps, record_every))
-    return _trajectory(problem, res, adj.h, record_every)
+    return _trajectory(problem, res, adj.h)
 
 
 def run_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
@@ -166,7 +154,7 @@ def run_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     res = _kernels.kernel_pgd(problem, adj, batch, x0, n_steps, [rng],
                               record_steps(n_steps, record_every),
                               volatility_mode=volatility_mode)
-    return _trajectory(problem, res, adj.h, record_every)
+    return _trajectory(problem, res, adj.h)
 
 
 def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
@@ -190,4 +178,4 @@ def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
     n_steps = epoch_steps * n_epochs
     res = _kernels.kernel_svrg(problem, h, epoch_steps, n_epochs, x0, [rng],
                                record_steps(n_steps, record_every))
-    return _trajectory(problem, res, h, record_every, jump_every=epoch_steps)
+    return _trajectory(problem, res, h, jump_every=epoch_steps)

@@ -29,6 +29,8 @@ import numpy as np
 from scipy import integrate
 
 from . import _kernels
+# ensemble_run reduces through this name, which perfbench/layers.py wraps
+from ._kernels import _observable_arrays
 from .bounds import (
     BoundInputs,
     RateBound,
@@ -188,17 +190,6 @@ def geometric_checkpoints(last: int, n_points: int = 30, start: int = 1) -> np.n
 # -- ensemble runner ---------------------------------------------------------
 
 
-def _observable_arrays(problem: FiniteSumProblem, states: np.ndarray):
-    """(f_gap, grad_norm_sq, dist_sq) row-wise for a (n, d) block of states."""
-    if problem.affine is not None:
-        U = states - problem.x_star
-        f_gap, grad_sq = problem.affine.block_observables(U, problem.constants.f_star)
-        return f_gap, grad_sq, np.einsum("nd,nd->n", U, U)
-    f_gap, grad_sq = _kernels._gap_and_grad_sq(problem, states)
-    return f_gap, grad_sq, np.array([float(np.sum((row - problem.x_star) ** 2))
-                                     for row in states])
-
-
 def _run_one_path(spec: RunSpec, rng: np.random.Generator,
                   record_every: int = 1) -> Trajectory:
     """One path of the spec, recorded every ``record_every`` steps and at the end.
@@ -213,8 +204,7 @@ def _run_one_path(spec: RunSpec, rng: np.random.Generator,
         jump_every = spec.epoch_steps
     elif spec.mode == "vr-pgf":
         jump_every = spec.staleness.grid_steps(spec.dt)
-    return _trajectory(spec.problem, res, spec.grid_spacing, record_every,
-                       jump_every=jump_every)
+    return _trajectory(spec.problem, res, spec.grid_spacing, jump_every=jump_every)
 
 
 def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
@@ -495,6 +485,18 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                           details={"observable": key})
 
 
+def _slope(x, y) -> float:
+    """The least-squares slope of y on x: sum((x - x̄)(y - ȳ)) / sum((x - x̄)²).
+
+    A closed form, not ``np.polyfit``: LAPACK's least-squares solve rounds
+    differently under the CPU kernels OpenBLAS picks at run time.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
+
+
 # -- time change -------------------------------------------------------------
 
 
@@ -518,6 +520,8 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
     t0 = time.perf_counter()
     adj = AdjustmentSchedule(h=h, family="power", a=1.0)
     dt = h if dt is None else dt
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     T_x = float(phi_inverse(adj, T_w))
     n_x = int(math.ceil(T_x / dt))
     n_y = int(math.ceil(T_w / dt))
@@ -553,14 +557,9 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
     # large-sample SE of a sample standard deviation: sd / sqrt(2 (n - 1))
     se_std = np.sqrt(std_x ** 2 / (2 * (n_x_paths - 1))
                      + std_y ** 2 / (2 * (n_y_paths - 1)))
-    dm = np.abs(mean_x - mean_y)
-    ds = np.abs(std_x - std_y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_mean = np.where(se_mean > 0, dm / np.where(se_mean > 0, se_mean, 1.0),
-                          np.where(dm == 0, 0.0, np.inf))
-        v_std = np.where(se_std > 0, ds / np.where(se_std > 0, se_std, 1.0),
-                         np.where(ds == 0, 0.0, np.inf))
-    ok = ((dm <= slack_se * se_mean) & (ds <= slack_se * se_std)).all(axis=1)
+    v_mean, ok_mean = _violations(mean_y, mean_x, se_mean, slack_se, two_sided=True)
+    v_std, ok_std = _violations(std_y, std_x, se_std, slack_se, two_sided=True)
+    ok = (ok_mean & ok_std).all(axis=1)
     frac = float(ok.mean())
     details = {
         "pass_fraction": frac,
@@ -615,7 +614,7 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
         D=lam[None, :], C=np.zeros((1, d)), x_star=np.zeros(d),
         constants=constants)
     adj = AdjustmentSchedule(h=1.0, family="power", a=1.0)
-    n_steps = int(round(T / dt))
+    n_steps = _grid_steps(dt, T)
 
     spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, dt=dt,
                    T=n_steps * dt, volatility_mode="constant")
@@ -669,9 +668,9 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
             y = np.abs(mean_states[fit_mask, i])
             if np.any(y <= 0):
                 continue
-            coef = np.polyfit(np.log1p(times[fit_mask]), np.log(y), 1)
-            slopes[f"coord_{i}"] = float(coef[0])
-            if abs(coef[0] + lam[i]) > slope_tol:
+            slope = _slope(np.log1p(times[fit_mask]), np.log(y))
+            slopes[f"coord_{i}"] = slope
+            if abs(slope + lam[i]) > slope_tol:
                 slope_ok = False
 
     ok = emp <= allowance
@@ -743,7 +742,7 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
         ratios = np.full(len(h_list) - 1, 2.0)
         passed = True
     else:
-        slope = float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
+        slope = _slope(np.log(h_list), np.log(errors))
         ratios = errors[:-1] / errors[1:]
         passed = slope_range[0] <= slope <= slope_range[1]
     details = {
@@ -794,7 +793,7 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
     x0 = problem.x_star.copy() if x0 is None else np.asarray(x0, dtype=float)
 
     if mode == "continuous":
-        n_steps = int(round(T_long / dt))
+        n_steps = _grid_steps(dt, T_long)
         spacing = dt
         spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj,
                        batch=batch, dt=dt, T=n_steps * dt)
@@ -866,7 +865,7 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     if 2.0 * mu * float(phi(adj, T)) > 600.0:
         raise ValueError("2 mu phi(T) too large; the energy would overflow")
     t0 = time.perf_counter()
-    n_steps = int(round(T / dt))
+    n_steps = _grid_steps(dt, T)
     cp = geometric_checkpoints(n_steps, n_checkpoints, start=1)
     cp = np.concatenate(([0], cp))
     spec = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, batch=batch,

@@ -93,7 +93,7 @@ class _AffineParts:
         """(f - f*, |grad f|^2) row-wise for a (n, d) block of offsets U = X - x*."""
         G = U * self.d_mean + self.c_mean
         f_gap = (0.5 * np.einsum("nd,nd->n", U, U * self.d_mean)
-                 + U @ self.c_mean - f_star)
+                 + np.einsum("nd,d->n", U, self.c_mean) - f_star)
         return f_gap, np.einsum("nd,nd->n", G, G)
 
 

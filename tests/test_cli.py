@@ -299,14 +299,14 @@ record_every = 3
         h=0.25, sim="mode = mb-pgf\nx0 = 1.25, 0.0\ndt = 0.001\nt = 3.0"),
 }
 STRIDE_DIGESTS = {
-    ("plain", "csv"): "ccc7123206a6e6a4755476303c4229fe9c5719c096093fff83f46d83c01fb135",
-    ("plain", "json"): "0c86ca3c058bf871e1a44684ac0792e95d30bebb3bbcdaeb78efeec9d60bffb3",
-    ("diverging", "csv"): "09989f53dfdb659c8bc5ecf76f5072c99ce26c722930ff48a216f50a28d18283",
-    ("diverging", "json"): "eb0484710e8fc7d76a3ff9698ab6ab65ad1659839d3ac834fe89de118f9d0b79",
+    ("plain", "csv"): "26cf53e7a8db03b20f733994928a040818814f4a6ca0a5ac6b6e980b838056e1",
+    ("plain", "json"): "58a909ec4184d55a896ce68f5790e8ce044b9f76a9208af0383dd05828beb719",
+    ("diverging", "csv"): "2a0a89063c74630f6086d0e21ec5a0bcfe9a0801ab5b2c1fd09a77c28288e31b",
+    ("diverging", "json"): "1c94186d4e2b0783153e2e337d5ed6c21a54e4082b9394304035c7676f0ce3a1",
     ("vr-pgf-jumps", "csv"): "7c9756b5254c862175303f7d7e4e1b191469961a37e94076bcca24cb539a4199",
     ("vr-pgf-jumps", "json"): "ac73db78db0625f399a659bf8e60f4afaa88fa5aae11ba65d862e8a0fe27e230",
-    ("no-record-every", "csv"): "c48aaef5e77ee49c2b234e8063acdea29ae9e38d9f91884e3a2c48b2e4dd3d8e",
-    ("no-record-every", "json"): "66916eab76eba91347c8b2fd43d95da6b2f7a61aa181f89783ed9b52ebcb36d9",
+    ("no-record-every", "csv"): "9d91730d9f1839ecd3c3f181c0c778d263b3499952d91d8eef7aeb51c02ca834",
+    ("no-record-every", "json"): "1b83ec60ddebc4cffe5e166aefb8e8a871f31b32ab9174fdeb552edef4953e00",
 }
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgflow._kernels import _observable_arrays
 from sgflow.discrete import run_mb_sgd, run_pgd, run_svrg_option2
 from sgflow.problems import (
     make_isotropic_quadratic,
@@ -66,14 +67,23 @@ def test_record_every_thinning():
 
 def test_observables_recomputable_from_states():
     p = noisy_problem()
-    tr = run_mb_sgd(p, AdjustmentSchedule(h=0.25), BatchSchedule(b=2),
-                    np.array([1.0, 1.0]), 40, np.random.default_rng(seed))
-    for i in range(len(tr)):
-        x = tr.states[i]
-        g = p.grad(x)
-        assert tr.f_gap[i] == p.gap(x)
-        assert tr.grad_norm_sq[i] == float(g @ g)
-        assert tr.dist_sq[i] == float(np.sum(x ** 2))
+    rng = np.random.default_rng(seed)
+    for tr in (run_mb_sgd(p, AdjustmentSchedule(h=0.25), BatchSchedule(b=2),
+                          np.array([1.0, 1.0]), 40, rng),
+               run_pgd(p, AdjustmentSchedule(h=0.25, family="power", a=0.5),
+                       BatchSchedule(b=2), np.array([2.0, -3.0]), 40, rng),
+               run_svrg_option2(p, 0.25, 4, 10, np.array([1.0, 1.0]), rng)):
+        # bit for bit the ensembles' block formula of the states
+        for got, want in zip((tr.f_gap, tr.grad_norm_sq, tr.dist_sq),
+                             _observable_arrays(p, tr.states)):
+            assert np.array_equal(got, want)
+        # the row formulas sum the same d products in another order (BLAS
+        # ddot may fuse them): the stated tolerance is d * eps relative
+        rows = np.array([[p.gap(x), float(p.grad(x) @ p.grad(x)),
+                          float(np.sum(x ** 2))] for x in tr.states])
+        np.testing.assert_allclose(
+            np.stack([tr.f_gap, tr.grad_norm_sq, tr.dist_sq], axis=1), rows,
+            rtol=p.d * np.finfo(float).eps, atol=0)
 
 
 def test_sgd_one_step_expected_gap():

@@ -17,11 +17,19 @@ The digests hold per libm build: they depend on this platform's libm
 glibc selects at load time (with or without FMA), and on the NumPy build.
 They were frozen on x86-64 Linux with glibc 2.36 and NumPy 2.4.6.  Every
 schedule value behind them comes from one scalar formula, also for array
-arguments (a digest of such tables is pinned too), so they do not depend on
-the SIMD level NumPy dispatches to; the last test reruns them with AVX-512
-and with AVX2 masked.  On another platform or libm they may legitimately
-differ; print the local digests, and those of the per-path reference loops
-in ``tests/reference.py``, with ``PYTHONPATH=src python
+arguments (a digest of such tables is pinned too), and one function,
+``sgflow._kernels._observable_arrays``, computes the observables of
+ensembles and single paths with NumPy sums, not BLAS dot products.  So they
+do not depend on the SIMD level NumPy dispatches to, nor on the CPU kernel
+OpenBLAS picks: the last test reruns them with AVX-512 and with AVX2 masked,
+and under OpenBLAS's Haswell kernels; they also hold under its Zen and
+SkylakeX kernels.  Under its pre-AVX2 kernels (``Sandybridge``,
+``Nehalem``) the matrix-volatility noise product differs and so do the
+digests that take it.  For the same reason the weak-error and landscape
+slopes are fitted in closed form, not by ``np.polyfit``; the fit's bits are
+pinned too.  On another platform or libm they may legitimately differ; print
+the local digests, and those of the per-path reference loops in
+``tests/reference.py``, with ``PYTHONPATH=src python
 tests/test_fingerprints.py`` and compare them.
 """
 
@@ -317,26 +325,26 @@ def _trajectory_digests(tr) -> dict:
 GOLDEN_SIMULATORS = {
     "run_mb_sgd": {
         "states": "3a8d7537a93728411c20063d7324b6662cfb8a8e6dfe334c95c1fb273959b65c",
-        "f_gap": "263cf76cf8a6a6492e8850e2eb83720c4f3eaca4fc18d0c9773b67fc6260d711",
-        "grad_norm_sq": "1636c354594212daeabd07ffc08b0abcc6d77ad2ef3a5ef6ccf08310abf96886",
+        "f_gap": "ca885ba8cbc987e79dc3dfdc8dbf9044026ea5d0e2df14abf23111b630c351d8",
+        "grad_norm_sq": "55782a9e2c24869efef89f1e96d0d9a76f345a16d1349b5029c53795eca77fe7",
         "dist_sq": "e9d41105289a198bf8d02e01c96e1f4a3236cbe6dbdd5c8c0bda5e64c1466e28",
     },
     "run_pgd": {
         "states": "6a9d5c32643678769e8e8e3b3a8e77145b5b0736c1d27746a002b85e9d89c292",
-        "f_gap": "c65f384d40ec06787de503e8356956c9b4c33a68e7ec2273cc45ebd7a28192a3",
-        "grad_norm_sq": "dddd963e209ab1c86109038e1e4a1107d38ba5bc7cd34330f465fb8658b1e77c",
+        "f_gap": "7a8a632e6eea904633fe51367d9d6eb1a71b96d735813930d0d6be8b432e0df0",
+        "grad_norm_sq": "07fedbdea7c6c02c7aabd462716d30f2b37767d0c4d4ec799ce9d44ee94192e7",
         "dist_sq": "91bae22b43d5761d70bae8b489c4358dbbfd8fcb983b6c1a21600dd74ced395a",
     },
     "run_svrg_option2": {
         "states": "22746445f90366b371016ba099fc68930366c1a5a2ac23c2a9425c05d95e9c0e",
-        "f_gap": "b129bdbe5f03cf143f49d17694d07e029277c24ce7633ebc754bbf0556a6d976",
-        "grad_norm_sq": "c2b1cdb887fc0035175929a4f8667fcce5ca1c0b03b0dfa3986427bfbba56519",
+        "f_gap": "9419f4e720bd35173b7e796f9bab0e1d2cb463f980a1edf13205d9626d2fca88",
+        "grad_norm_sq": "9cd1522f0c5ca46c701c75844238080017518b80f18dda591ff712d066e951d9",
         "dist_sq": "a62a3dda1d3799761b96052d88cd12a0ab10c8c187cf9310fafeead7f826f052",
     },
     "simulate_mb_pgf": {
         "states": "17ed992f708f9fb346aeee93d704808fc901c8ba6897212ed2232d3665878636",
-        "f_gap": "e289827170dd8ce589a6cf8f46c44f89eb5cccf331f997ac2cdea9eaeaac9701",
-        "grad_norm_sq": "01f0487d31dbf315ff4f4d2f84f0d68c7cc3b4c73befce6ec5f4654d8eb8e2d3",
+        "f_gap": "a6cea59e910f00600658710d97629978924e4c278d876de98f5dff0b50f0d802",
+        "grad_norm_sq": "179c5d3175d13cac5b508e2ec9b367ae31ef5b20b95742f94e6301a28e636bcf",
         "dist_sq": "d5db8f285decdedd25b79ee70fa7cfdae5e1b5ebf479581477f65c6a7d7050a1",
     },
     "simulate_vr_pgf": {
@@ -347,8 +355,8 @@ GOLDEN_SIMULATORS = {
     },
     "simulate_time_changed": {
         "states": "16949f076f3ec27c4099e5f9f800570fb057c5cff39c0d4f7c61cc7e5600abc1",
-        "f_gap": "6e8677f98a5b11ab226d3f8825edf22ef76f53bf6aa8012215baa415b2be56f9",
-        "grad_norm_sq": "34dae6c2e6c77d2218b37f06f492bf186382ddac5ecf865da567d25c3099e550",
+        "f_gap": "afb091e006c50b61fe0099910d025634a78b5bd3e26e286d01ab7bafbee392b7",
+        "grad_norm_sq": "2f73d33204f381b08cd69b1e6812faa9cd284a37db5181c9f586fefe713de800",
         "dist_sq": "2f73d33204f381b08cd69b1e6812faa9cd284a37db5181c9f586fefe713de800",
     },
 }
@@ -466,41 +474,63 @@ def test_small_chunks_keep_the_ensemble_digests(case, monkeypatch):
     assert _stats_digest(_ensemble(mode, engine)) == GOLDEN_ENSEMBLES[case]
 
 
+# -- the closed-form slope fit -----------------------------------------------
+
+# the fit behind the weak-error and landscape slopes, on inputs that take no
+# vector transcendental function: its mean and sums must not depend on the
+# SIMD level
+GOLDEN_SLOPE = "-0x1.7ffffd93c03e5p-1"
+
+
+def _slope_fit() -> float:
+    i = np.arange(20_001)
+    x = 1.0 + i / 64.0
+    return harness._slope(x, -0.75 * x + (i * 7919 % 101) / 997.0)
+
+
+def test_slope_fit_fingerprint():
+    assert _slope_fit().hex() == GOLDEN_SLOPE
+
+
 # NumPy's runtime dispatch switched down to what an x86-64 host without
-# AVX-512, and then without AVX2 as well, would run; set in the child's
-# environment only
+# AVX-512, and then without AVX2 as well, would run, and OpenBLAS's Haswell
+# kernels, which such a host without AVX-512 runs; set in the child's
+# environment only, and the native child runs the native kernels
 SIMD_LEVELS = {
-    "native": None,
-    "no-avx512": "AVX512_SPR AVX512_ICL X86_V4",
-    "no-avx2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+    "native": {},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "no-avx2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
 }
 
 
 def test_digests_do_not_depend_on_simd_level():
-    # every kernel, simulator, bound-curve, schedule-table and ensemble
-    # digest above must hold whatever SIMD level NumPy dispatches to: the
-    # schedule values behind them come from scalar formulas, never from
-    # NumPy's vector power, log1p or expm1
+    # every kernel, simulator, bound-curve, schedule-table, slope and
+    # ensemble digest above must hold whatever SIMD level NumPy and OpenBLAS
+    # dispatch to: the schedule values behind them come from scalar
+    # formulas, never from NumPy's vector power, log1p or expm1, and the
+    # observables and the slope from NumPy sums, never from a BLAS dot
+    # product or a LAPACK solve
     root = Path(__file__).resolve().parents[1]
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
            str(Path(__file__).resolve()),
            "-k", "ensemble_fingerprint or kernel_fingerprint"
                  " or simulator_fingerprint or bound_curve_fingerprint"
-                 " or schedule_table_fingerprint"]
+                 " or schedule_table_fingerprint or slope_fit_fingerprint"]
     children = {}
-    for level, masked in SIMD_LEVELS.items():
+    for level, settings in SIMD_LEVELS.items():
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        if masked:
-            env["NPY_DISABLE_CPU_FEATURES"] = masked
+        env.pop("OPENBLAS_CORETYPE", None)
+        env.update(settings)
         children[level] = subprocess.Popen(
             cmd, cwd=root, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
-    # the kernel, simulator, bound-curve, schedule-table and ensemble
+    # the kernel, simulator, bound-curve, schedule-table, slope and ensemble
     # digests, and 4 worker counts x 4 modes
-    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 2
+    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 3
                + len(GOLDEN_ENSEMBLES) + 4 * 4)
     for level, child in children.items():
         out, _ = child.communicate(timeout=600)
@@ -516,6 +546,7 @@ if __name__ == "__main__":
         print(f"    {name!r}: {_digests(_run(name))!r},")
     print(f"}}\nGOLDEN_BOUND_CURVE = {_bound_curve_digest()!r}")
     print(f"GOLDEN_SCHEDULE_TABLES = {_schedule_tables_digest()!r}")
+    print(f"GOLDEN_SLOPE = {_slope_fit().hex()!r}")
     print("GOLDEN_SIMULATORS = {")
     for name in SIMULATORS:
         digests = _trajectory_digests(_simulate(name))

@@ -786,6 +786,41 @@ def test_landscape_stretch_rejects_bad_inputs():
         landscape_stretch_experiment((0.0, 0.0), (1.0, 1.0), dt=1e-3, T=1.0)
 
 
+def _iso_noisy():
+    return make_isotropic_quadratic(1.0, 1, sigma_star_sq=0.25)
+
+
+DT_EXPERIMENTS = {
+    "time-change": lambda dt: time_change_experiment(
+        _iso_noisy(), [1.0], h=0.05, T_w=0.5, n_paths=8, seed=seed, dt=dt),
+    "landscape": lambda dt: landscape_stretch_experiment(
+        (1.0, -0.5), (1.0, 1.0), dt=dt, T=3.0),
+    "ball": lambda dt: ball_experiment(
+        _iso_noisy(), h=0.05, b=1, dt=dt, T_long=20.0, n_paths=8, seed=seed,
+        mode="continuous"),
+    "pl-probe": lambda dt: pl_supermartingale_probe(
+        noisy_problem(), AdjustmentSchedule(h=0.1), BatchSchedule(), X0, dt=dt,
+        T=2.0, n_paths=8, seed=seed),
+}
+
+
+@pytest.mark.parametrize("dt", [0.0, float("nan")], ids=["zero", "nan"])
+@pytest.mark.parametrize("name", sorted(DT_EXPERIMENTS))
+def test_experiments_reject_a_step_that_is_not_positive(name, dt):
+    # a ValueError that names dt, before any division by it
+    with pytest.raises(ValueError, match="dt must be positive"):
+        DT_EXPERIMENTS[name](dt)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 20_001])
+def test_slope_is_the_least_squares_fit(n):
+    rng = np.random.default_rng(seed + n)
+    x = np.sort(rng.uniform(0.0, 5.0, n))
+    y = -0.5 * x + rng.normal(0.0, 0.1, n)
+    assert harness._slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0],
+                                                 rel=1e-12)
+
+
 def test_weak_error_deterministic_slope():
     # single-component quadratic: SGD is plain gradient descent, and the
     # weak error |(1-h)^{T/h} - e^{-T}| |x0| is first order in h

@@ -27,8 +27,9 @@ from one schedule call per step, and all stepsizes, coefficients and weights
 from one table of ``psi`` values (:func:`_psi_table`).
 
 :class:`_BlockRecorder` does the bookkeeping: the record grid, the
-divergence flags, the snapshots and the running ``psi``-weighted sums behind
-the randomized-output guarantees.  It also drives the SGD, PGD and
+divergence flags, the snapshots (or, for a caller that reads no state, their
+observables) and the running ``psi``-weighted sums behind the
+randomized-output guarantees.  It also drives the SGD, PGD and
 diffusion kernels (:meth:`_BlockRecorder.drive`) in segments from one
 recorded step to the next, with one divergence test per segment; a segment
 in which a path turns non-finite is replayed step by step, so the flags are
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -75,11 +77,16 @@ _CHUNK_DOUBLES = 5_000_000
 
 @dataclass
 class KernelResult:
-    """States (and optional weighted observable sums) at the recorded steps.
+    """States or observables (and optional weighted sums) at the recorded steps.
 
-    ``states`` is (n_paths, n_records, d); recorded entries of paths that
-    diverged are whatever non-finite values the recursion produced and must
-    be masked via ``diverged`` by the consumer.  ``wsum_f_gap`` and
+    A run that keeps its state block (the default) has ``states``, of shape
+    (n_paths, n_records, d), and ``observables`` None.  A run that keeps no
+    block (``keep_states=False``, for callers that read no state) has
+    ``states`` None and ``observables``, of shape (3, n_paths, n_records):
+    f - f*, |grad f|^2 and |x - x*|^2 of each recorded snapshot
+    (:func:`_observable_arrays`).  Recorded entries of paths that diverged
+    are whatever non-finite values the recursion produced and must be masked
+    via ``diverged`` by the consumer.  ``wsum_f_gap`` and
     ``wsum_grad_sq`` are (n_paths, n_records) running weighted sums of
     f(x)-f* and |grad f(x)|^2 (prefix sums for discrete kernels, trapezoid
     integrals for continuous ones), and ``denominators`` (n_records,) the
@@ -89,12 +96,18 @@ class KernelResult:
     """
 
     record_ks: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     diverged: np.ndarray
     divergence_step: np.ndarray
     wsum_f_gap: np.ndarray | None = None
     wsum_grad_sq: np.ndarray | None = None
     denominators: np.ndarray | None = None
+    observables: np.ndarray | None = None
+
+
+# The "exact" constant volatility of each problem, computed once; weak keys,
+# so the cache keeps no problem alive.
+_EXACT_SIGMA = weakref.WeakKeyDictionary()
 
 
 def _pgd_constant_sigma(problem: FiniteSumProblem,
@@ -102,7 +115,8 @@ def _pgd_constant_sigma(problem: FiniteSumProblem,
     """sigma for ``volatility_mode`` where it is constant, else None.
 
     "constant" is sqrt(sigma_star_sq) I; "exact" is the square root of the
-    one-sample covariance, constant for the constant-covariance families.
+    one-sample covariance, constant for the constant-covariance families and
+    then taken once per problem (read-only, shared by every call).
     """
     if volatility_mode == "constant":
         s2 = problem.constants.sigma_star_sq
@@ -111,9 +125,14 @@ def _pgd_constant_sigma(problem: FiniteSumProblem,
         return np.sqrt(s2) * np.eye(problem.d)
     if volatility_mode != "exact":
         raise ValueError(f"unknown volatility_mode {volatility_mode!r}")
-    if problem.has_constant_mb_covariance:
-        return sigma_mb(problem, problem.x_star).sqrt_matrix
-    return None
+    if not problem.has_constant_mb_covariance:
+        return None
+    sigma = _EXACT_SIGMA.get(problem)
+    if sigma is None:
+        sigma = sigma_mb(problem, problem.x_star).sqrt_matrix
+        sigma.flags.writeable = False
+        _EXACT_SIGMA[problem] = sigma
+    return sigma
 
 
 def _psi_table(adj: AdjustmentSchedule, n_steps: int,
@@ -373,9 +392,20 @@ class _BlockRecorder:
     sums over the iterates without ``dt``, trapezoid integrals over the
     grid with it.  A kernel starts its block with :meth:`start` and either
     calls :meth:`record` once after every step, or hands its step loop to
-    :meth:`drive`, which calls :meth:`record` at the recorded steps.  The
-    snapshots' observables are left to the consumer, which reduces them once
-    after the run, not once per step.
+    :meth:`drive`, which calls :meth:`record` at the recorded steps.
+
+    With ``keep_states`` (the default) a snapshot is a copy of the block,
+    and the consumer reduces the (n_paths, n_records, d) snapshots after the
+    run; without it no snapshot block is allocated, and :meth:`record`
+    reduces each snapshot to its three observables as it takes it, into a
+    (3, n_paths, n_records) array.  The observables of a row do not depend
+    on the block it sits in, so both give the same bits.  Only runs whose
+    caller reads no state drop the block.  The others keep reducing after
+    the run: running the bound and probe ensembles without the block left a
+    larger heap to the runs that follow in one process (the record-every-step
+    bound configs before a ball config), and a run that records each of many
+    steps, like the landscape's one path, would pay one observable call per
+    record (see the README's ensemble section for the measurements).
 
     :meth:`drive` tests for divergence once per segment, which is exact
     only where non-finite values are absorbing.  They are in
@@ -388,11 +418,15 @@ class _BlockRecorder:
     """
 
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
-                 record_ks, psi=None, dt: float | None = None):
+                 record_ks, psi=None, dt: float | None = None,
+                 keep_states: bool = True):
         self.record_ks = record_steps(n_steps, record_ks=record_ks)
         n_rec = self.record_ks.size
         self.problem = problem
-        self.states = np.empty((n_paths, n_rec, problem.d))
+        self.states = (np.empty((n_paths, n_rec, problem.d)) if keep_states
+                       else None)
+        self.observables = (None if keep_states
+                            else np.empty((3, n_paths, n_rec)))
         self.alive = np.ones(n_paths, dtype=bool)
         self.diverged = np.zeros(n_paths, dtype=bool)
         self.div_step = np.full(n_paths, -1)
@@ -414,7 +448,7 @@ class _BlockRecorder:
         return X
 
     def record(self, k: int, X: np.ndarray) -> None:
-        """Flag, accumulate and (on the grid) snapshot the block after step k."""
+        """Flag, accumulate and (on the grid) record the block after step k."""
         # a finite sum implies finite entries; a sum that overflows on finite
         # entries falls through to the exact per-row test, which flags nothing
         if k and not math.isfinite(X.sum()):
@@ -424,7 +458,10 @@ class _BlockRecorder:
         i = self._cursor
         if k != self._steps[i]:
             return
-        self.states[:, i, :] = X
+        if self.states is not None:
+            self.states[:, i, :] = X
+        else:
+            self.observables[:, :, i] = _observable_arrays(self.problem, X)
         if self.wsum_f is not None:
             self.wsum_f[:, i] = self.acc_f
             self.wsum_g[:, i] = self.acc_g
@@ -514,7 +551,8 @@ class _BlockRecorder:
                             diverged=self.diverged, divergence_step=self.div_step,
                             wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g,
                             denominators=None if w is None
-                            else np.where(w > 0, w, np.nan))
+                            else np.where(w > 0, w, np.nan),
+                            observables=self.observables)
 
 
 def _scalar_of(matrix: np.ndarray) -> float | None:
@@ -533,7 +571,8 @@ def _scalar_of(matrix: np.ndarray) -> float | None:
 
 def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, n_steps: int, gens,
-                  record_ks, weights: bool = False) -> KernelResult:
+                  record_ks, weights: bool = False,
+                  keep_states: bool = True) -> KernelResult:
     """Vectorised mini-batch SGD: X <- X - eta_k G_MB(X, b_k), path by path.
 
     G_MB averages D[i] (x - x*) + C[i] over each path's b_k indices for an
@@ -543,7 +582,7 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     sizes = _batch_sizes(batch, n_steps, adj.h)
     eta, psi = _step_tables(adj, n_steps)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
-                         psi if weights else None)
+                         psi if weights else None, keep_states=keep_states)
     X = rec.start(x0)
     affine, x_star = problem.affine, problem.x_star
 
@@ -570,7 +609,8 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
 def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                batch: BatchSchedule, x0, n_steps: int, gens, record_ks,
                volatility_mode: str = "exact",
-               weights: bool = False) -> KernelResult:
+               weights: bool = False,
+               keep_states: bool = True) -> KernelResult:
     """Vectorised Gaussian surrogate of mini-batch SGD.
 
     X <- (X - eta_k grad f(X)) - coef_k sigma(X) z_k with coef_k =
@@ -583,7 +623,7 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     eta, psi = _step_tables(adj, n_steps)
     coef = np.array(eta) / np.sqrt(_batch_sizes(batch, n_steps, adj.h))
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
-                         psi if weights else None)
+                         psi if weights else None, keep_states=keep_states)
     X = rec.start(x0)
     grad = _grad_block(problem)
     G = np.empty_like(X)
@@ -604,7 +644,8 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
 
 def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
                record_ks, drift_coef, vol_coef: np.ndarray,
-               volatility_mode: str, node_psi: list | None) -> KernelResult:
+               volatility_mode: str, node_psi: list | None,
+               keep_states: bool = True) -> KernelResult:
     """Euler-Maruyama for dX = -c(t) grad f(X) dt + v(t) sigma(X) dB.
 
     ``drift_coef``/``vol_coef`` are the per-step scalars c(t_k), v(t_k);
@@ -618,7 +659,8 @@ def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
     :meth:`_BlockRecorder.drive`.
     """
     sigma_matrix = _pgd_constant_sigma(problem, volatility_mode)
-    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt)
+    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt,
+                         keep_states)
     X = rec.start(x0)
     sqrt_dt = np.sqrt(dt)
     grad = _grad_block(problem)
@@ -649,7 +691,8 @@ def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
 def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, dt: float, n_steps: int, gens,
                   record_ks, volatility_mode: str = "exact",
-                  weights: bool = False) -> KernelResult:
+                  weights: bool = False,
+                  keep_states: bool = True) -> KernelResult:
     """Vectorised annealed gradient flow with mini-batch noise.
 
     The drift rate psi(t_k), the volatility psi(t_k) sqrt(h / b(t_k)) and
@@ -661,13 +704,14 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                          for k in range(n_steps)])
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       psi[:n_steps], vol_coef, volatility_mode,
-                      psi if weights else None)
+                      psi if weights else None, keep_states)
 
 
 def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                         batch: BatchSchedule, x0, dt: float, n_steps: int,
                         gens, record_ks,
-                        volatility_mode: str = "constant") -> KernelResult:
+                        volatility_mode: str = "constant",
+                        keep_states: bool = True) -> KernelResult:
     """Vectorised unwarped process: unit drift rate, decaying noise amplitude."""
     h = adj.h
     vol_coef = np.empty(n_steps)
@@ -676,11 +720,12 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
         vol_coef[k] = np.sqrt(h * adj.psi(warped) / batch.value(warped))
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       np.ones(n_steps), vol_coef, volatility_mode,
-                      node_psi=None)
+                      node_psi=None, keep_states=keep_states)
 
 
 def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
-                n_epochs: int, x0, gens, record_ks) -> KernelResult:
+                n_epochs: int, x0, gens, record_ks,
+                keep_states: bool = True) -> KernelResult:
     """Vectorised SVRG with uniform epoch-end resampling (b = 1, psi = 1).
 
     Within an epoch X <- X - h G_VR(X, pivot), with the pivot frozen at the
@@ -692,7 +737,8 @@ def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
         raise ValueError("epoch_steps must be >= 1")
     m = epoch_steps
     n_paths = len(gens)
-    rec = _BlockRecorder(problem, m * n_epochs, n_paths, record_ks)
+    rec = _BlockRecorder(problem, m * n_epochs, n_paths, record_ks,
+                         keep_states=keep_states)
     X = rec.start(x0)
     window = np.empty((n_paths, m, problem.d))
     rows = np.arange(n_paths)
@@ -766,7 +812,8 @@ def _vr_increment(problem: FiniteSumProblem, dt: float, h: float):
 
 def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
                   x0, dt: float, n_steps: int, gens, record_ks,
-                  with_jumps: bool = True) -> KernelResult:
+                  with_jumps: bool = True,
+                  keep_states: bool = True) -> KernelResult:
     """Vectorised variance-reduced delay diffusion.
 
     dX = -grad f(X) dt + sqrt(h) sigma_VR(X, X_del) dB, where X_del is the
@@ -777,7 +824,8 @@ def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     """
     q = staleness.grid_steps(dt)
     n_paths = len(gens)
-    rec = _BlockRecorder(problem, n_steps, n_paths, record_ks)
+    rec = _BlockRecorder(problem, n_steps, n_paths, record_ks,
+                         keep_states=keep_states)
     X = rec.start(x0)
     increment = _vr_increment(problem, dt, staleness.h)
     window = np.empty((n_paths, q, problem.d))

@@ -80,7 +80,9 @@ class EnsembleStats:
 
     ``mean``/``variance`` map observable names to arrays over the grid:
     scalar observables ``f_gap``, ``grad_norm_sq``, ``dist_sq`` (shape
-    (n_records,)), the per-coordinate ``state`` (shape (n_records, d)), and —
+    (n_records,)), the per-coordinate ``state`` (shape (n_records, d)) unless
+    the caller ran with ``keep_states=False`` (the ball experiment, which
+    reads only ``f_gap``; see :func:`ensemble_run`), and —
     when the run requested weight tracking — ``f_gap_wavg`` and
     ``grad_norm_sq_wavg``, the running psi-weighted averages that the
     randomized-output guarantees bound.  ``n_paths`` counts the paths that
@@ -207,36 +209,48 @@ def _run_one_path(spec: RunSpec, rng: np.random.Generator,
     return _trajectory(spec.problem, res, spec.grid_spacing, jump_every=jump_every)
 
 
-def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray) -> _kernels.KernelResult:
-    """The spec's run on its mode's kernel, one path per generator."""
+def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray, *,
+                     keep_states: bool = True) -> _kernels.KernelResult:
+    """The spec's run on its mode's kernel, one path per generator.
+
+    ``keep_states=False`` runs it without a state block: the result holds
+    the recorded observables instead of the states.
+    """
     if spec.mode == "sgd":
         return _kernels.kernel_mb_sgd(spec.problem, spec.adj, spec.batch,
                                       spec.x0, spec.n_steps, gens, ks,
-                                      weights=spec.weights)
+                                      weights=spec.weights,
+                                      keep_states=keep_states)
     if spec.mode == "pgd":
         return _kernels.kernel_pgd(spec.problem, spec.adj, spec.batch,
                                    spec.x0, spec.n_steps, gens, ks,
                                    volatility_mode=spec.volatility_mode,
-                                   weights=spec.weights)
+                                   weights=spec.weights,
+                                   keep_states=keep_states)
     if spec.mode == "mb-pgf":
         return _kernels.kernel_mb_pgf(spec.problem, spec.adj, spec.batch,
                                       spec.x0, spec.dt, spec.total_steps,
                                       gens, ks,
                                       volatility_mode=spec.volatility_mode,
-                                      weights=spec.weights)
+                                      weights=spec.weights,
+                                      keep_states=keep_states)
     if spec.mode == "time-changed":
         return _kernels.kernel_time_changed(spec.problem, spec.adj,
                                             spec.batch, spec.x0, spec.dt,
                                             spec.total_steps, gens, ks,
-                                            volatility_mode=spec.volatility_mode)
+                                            volatility_mode=spec.volatility_mode,
+                                            keep_states=keep_states)
     if spec.mode == "svrg":
         return _kernels.kernel_svrg(spec.problem, spec.h, spec.epoch_steps,
-                                    spec.n_epochs, spec.x0, gens, ks)
+                                    spec.n_epochs, spec.x0, gens, ks,
+                                    keep_states=keep_states)
     return _kernels.kernel_vr_pgf(spec.problem, spec.staleness, spec.x0,
-                                  spec.dt, spec.total_steps, gens, ks)
+                                  spec.dt, spec.total_steps, gens, ks,
+                                  keep_states=keep_states)
 
 
-def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
+def ensemble_run(spec: RunSpec, n_paths: int, master_seed, *,
+                 keep_states: bool = True) -> EnsembleStats:
     """Simulate n_paths independent paths and aggregate their observables.
 
     Per-path generators are spawned from ``master_seed`` (an int or a
@@ -244,7 +258,14 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
     the work is batched.  The mode's kernel runs every path
     (:func:`_kernel_dispatch`).  Paths that diverge are masked out of the statistics and
     counted; more than 50% divergence raises :class:`EnsembleDivergenceError`.
-    The observables are computed once, in chunks of whole paths.
+
+    With ``keep_states`` (the default) the kernel keeps the (n_paths,
+    n_records, d) state block, the observables are computed once after the
+    run, in chunks of whole paths, and the stats include the "state"
+    moments.  A caller that reads no ``mean["state"]``/``variance["state"]``
+    passes ``keep_states=False``: the kernel then reduces each snapshot to
+    its observables as it records it, keeps no block, and the stats have no
+    "state" key.  Every other statistic has the same bits either way.
     """
     if n_paths < 2:
         raise ValueError("an ensemble needs n_paths >= 2")
@@ -252,7 +273,7 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
     seq = (master_seed if isinstance(master_seed, np.random.SeedSequence)
            else np.random.SeedSequence(master_seed))
     gens = [np.random.default_rng(child) for child in seq.spawn(n_paths)]
-    result = _kernel_dispatch(spec, gens, ks)
+    result = _kernel_dispatch(spec, gens, ks, keep_states=keep_states)
 
     div_count = int(result.diverged.sum())
     if div_count * 2 > n_paths:
@@ -262,29 +283,31 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed) -> EnsembleStats:
     n_alive = n_paths - div_count
     if n_alive < 2:
         raise EnsembleDivergenceError("fewer than two non-divergent paths")
-    states, wsum_f, wsum_g = result.states, result.wsum_f_gap, result.wsum_grad_sq
-    if div_count:  # masking copies the whole block; skip it when all are alive
-        alive = ~result.diverged
-        states = states[alive]
-        if spec.weights:
-            wsum_f, wsum_g = wsum_f[alive], wsum_g[alive]
+    # a mask copies the whole block; all alive takes a view instead
+    alive = ~result.diverged if div_count else slice(None)
 
-    n_rec, d = ks.size, spec.problem.d
-    obs = np.empty((3, n_alive, n_rec))
-    rows = max(1, _kernels._CHUNK_DOUBLES // 8 // (n_rec * d))
-    for p0 in range(0, n_alive, rows):  # whole paths: each chunk is a view
-        obs[:, p0:p0 + rows] = np.reshape(_observable_arrays(
-            spec.problem, states[p0:p0 + rows].reshape(-1, d)), (3, -1, n_rec))
+    if keep_states:
+        states = result.states[alive]
+        n_rec, d = ks.size, spec.problem.d
+        obs = np.empty((3, n_alive, n_rec))
+        rows = max(1, _kernels._CHUNK_DOUBLES // 8 // (n_rec * d))
+        for p0 in range(0, n_alive, rows):  # whole paths: each chunk is a view
+            obs[:, p0:p0 + rows] = np.reshape(_observable_arrays(
+                spec.problem, states[p0:p0 + rows].reshape(-1, d)), (3, -1, n_rec))
+    else:
+        obs = result.observables[:, alive]
     stats = EnsembleStats(grid=ks * spec.grid_spacing, record_ks=ks,
                           n_paths=n_alive, divergence_count=div_count)
     for key, block in zip(("f_gap", "grad_norm_sq", "dist_sq"), obs):
         stats.mean[key] = block.mean(axis=0)
         stats.variance[key] = block.var(axis=0, ddof=1)
-    stats.mean["state"] = states.mean(axis=0)
-    stats.variance["state"] = states.var(axis=0, ddof=1)
+    if keep_states:
+        stats.mean["state"] = states.mean(axis=0)
+        stats.variance["state"] = states.var(axis=0, ddof=1)
     if spec.weights:
-        for key, wsum in (("f_gap_wavg", wsum_f), ("grad_norm_sq_wavg", wsum_g)):
-            wavg = wsum / result.denominators
+        for key, wsum in (("f_gap_wavg", result.wsum_f_gap),
+                          ("grad_norm_sq_wavg", result.wsum_grad_sq)):
+            wavg = wsum[alive] / result.denominators
             stats.mean[key] = wavg.mean(axis=0)
             stats.variance[key] = wavg.var(axis=0, ddof=1)
     return stats
@@ -805,7 +828,7 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
     stride = max(1, n_steps // 512)
     spec.record_every = stride
     spec.record_ks = None
-    stats = ensemble_run(spec, n_paths, seed)
+    stats = ensemble_run(spec, n_paths, seed, keep_states=False)
 
     tail_mask = stats.grid >= (1.0 - tail_fraction) * n_steps * spacing
     if tail_mask.sum() < 2:

@@ -102,7 +102,7 @@ class AdjustmentSchedule:
             raise ValueError("psi is only defined for t >= 0")
         if self.family == "constant":
             return 1.0
-        return (1.0 + np.float64(t)) ** (-self.a)
+        return np.float64(math.pow(1.0 + t, -self.a))
 
     def psi_k(self, k):
         """Discrete weight psi_k = psi(h*k) for step index k >= 0."""
@@ -155,15 +155,18 @@ class BatchSchedule:
         return self.b0 + self.rate * np.float64(t)
 
     def size_at_step(self, k, h: float):
-        """Integer batch size b_k = round-half-up(b(h*k)), clamped to >= 1."""
+        """Integer batch size b_k = round-half-up(b(h*k)), clamped to >= 1.
+
+        Raises ValueError where b(h*k) is 2**63 or more, infinite or NaN:
+        no int64 holds that batch size.
+        """
         if type(k) not in _SCALARS:
             return _each(partial(self.size_at_step, h=h), k, dtype=int)
         v = self.value(float(k) * h)
-        # below 2**63 floor agrees with the int64 cast; inf and nan fail the
-        # test and take the cast
-        if v < 2.0 ** 63:
-            return max(math.floor(v + 0.5), 1)
-        return max(int(np.floor(v + 0.5).astype(int)), 1)
+        if not v < 2.0 ** 63:
+            raise ValueError(f"batch size b(h k) at step k={k:g} is {v}, "
+                             "not below 2**63")
+        return max(math.floor(v + 0.5), 1)
 
 
 @dataclass(frozen=True)

@@ -205,11 +205,16 @@ def one_path_at_a_time(dispatch):
     Every path runs alone, as the per-path simulators run it, and the
     one-path results are stacked into the result of the whole ensemble.
     """
-    def run(spec, gens, ks):
-        parts = [dispatch(spec, [g], ks) for g in gens]
+    def run(spec, gens, ks, **kwargs):
+        parts = [dispatch(spec, [g], ks, **kwargs) for g in gens]
+
+        def stacked(name, axis=0):
+            if getattr(parts[0], name) is None:
+                return None
+            return np.concatenate([getattr(part, name) for part in parts], axis)
         return KernelResult(ks, *(
-            None if getattr(parts[0], name) is None
-            else np.concatenate([getattr(part, name) for part in parts])
-            for name in ("states", "diverged", "divergence_step", "wsum_f_gap",
-                         "wsum_grad_sq")), denominators=parts[0].denominators)
+            stacked(name) for name in ("states", "diverged", "divergence_step",
+                                       "wsum_f_gap", "wsum_grad_sq")),
+            denominators=parts[0].denominators,
+            observables=stacked("observables", axis=1))
     return run

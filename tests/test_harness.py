@@ -9,6 +9,7 @@ is pinned with hand-built ensembles whose moments are known exactly.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,67 @@ def _callable_problem():
              for i in range(p.n_components)]
     return FiniteSumProblem(d=2, x_star=X_STAR, constants=p.constants,
                             components=comps)
+
+
+NO_BLOCK_SPECS = [pytest.param(row[1], id=row[0]) for row in parity_specs()] + [
+    pytest.param(RunSpec(mode="sgd", problem=stiff_problem(), x0=[10.0],
+                         adj=AdjustmentSchedule(h=1.0), n_steps=2),
+                 id="sgd-diverging"),
+    pytest.param(RunSpec(mode="pgd", problem=_callable_problem(), x0=X0,
+                         adj=AdjustmentSchedule(h=0.2), n_steps=12,
+                         record_every=5), id="pgd-callable"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", NO_BLOCK_SPECS)
+def test_ensemble_without_state_block_has_the_same_statistics(spec):
+    # keep_states=False reduces each snapshot as it is recorded; every
+    # statistic but the state moments keeps its bits, diverged paths included
+    full = ensemble_run(spec, 40, seed)
+    lean = ensemble_run(spec, 40, seed, keep_states=False)
+    assert set(full.mean) - set(lean.mean) == {"state"}
+    assert set(lean.variance) == set(lean.mean)
+    assert lean.divergence_count == full.divergence_count
+    for key in lean.mean:
+        assert np.array_equal(lean.mean[key], full.mean[key], equal_nan=True), key
+        assert np.array_equal(lean.variance[key], full.variance[key],
+                              equal_nan=True), key
+
+
+def test_ensemble_without_state_block_allocates_none(monkeypatch):
+    # small noise buffers, so that the (paths x records x d) block is the
+    # largest allocation a run with it makes
+    monkeypatch.setattr(_kernels, "_CHUNK_DOUBLES", 20_000)
+    problem = make_isotropic_quadratic(2.0, 100, sigma_star_sq=0.1)
+    spec = RunSpec(mode="mb-pgf", problem=problem, x0=problem.x_star,
+                   adj=AdjustmentSchedule(h=1e-3), dt=1e-3, T=0.2)
+    n = 20
+    ks = spec.resolved_record_ks()
+    block_bytes = n * ks.size * problem.d * 8
+
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n)]
+    res = _kernel_dispatch(spec, gens, ks, keep_states=False)
+    assert res.states is None
+    assert res.observables.shape == (3, n, ks.size)
+
+    def traced(**kwargs):
+        tracemalloc.start()
+        try:
+            stats = ensemble_run(spec, n, seed, **kwargs)
+            return stats, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full, full_peak = traced()
+    lean, lean_peak = traced(keep_states=False)
+    assert full_peak > block_bytes  # the measurement sees the block
+    assert lean_peak < block_bytes
+    assert "state" not in lean.mean and "state" not in lean.variance
+    for key in ("f_gap", "grad_norm_sq", "dist_sq"):
+        assert np.array_equal(lean.mean[key], full.mean[key]), key
+        assert np.array_equal(lean.variance[key], full.variance[key]), key
 
 
 SELECTION_PROBLEMS = {

@@ -10,11 +10,13 @@ variance-reduced delay kernel recomputes its volatility in closed form, so
 those two are pinned to a tight relative tolerance instead.
 """
 
+import gc
 import math
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from reference import (
     simulate_time_changed,
     simulate_vr_pgf,
 )
+from sgflow.estimators import sigma_mb
 from sgflow.problems import (
     FiniteSumProblem,
     ProblemConstants,
@@ -85,6 +88,59 @@ def test_scalar_of():
     assert knl._scalar_of(np.zeros((2, 2))) == 0.0
     assert knl._scalar_of(np.diag([1.0, 2.0])) is None
     assert knl._scalar_of(np.array([[1.0, 0.1], [0.1, 1.0]])) is None
+
+
+def test_exact_constant_volatility_is_taken_once_per_problem(monkeypatch):
+    calls = []
+
+    def counted(problem, x):
+        calls.append(problem)
+        return sigma_mb(problem, x)
+
+    monkeypatch.setattr(knl, "sigma_mb", counted)
+    p = noisy_problem()
+    first = knl._pgd_constant_sigma(p, "exact")
+    assert np.array_equal(first, sigma_mb(p, p.x_star).sqrt_matrix)
+    assert knl._pgd_constant_sigma(p, "exact") is first
+    assert not first.flags.writeable  # shared by every call
+    assert len(calls) == 1
+    knl._pgd_constant_sigma(noisy_problem(), "exact")  # an equal, new problem
+    assert len(calls) == 2
+    # the cache keeps no problem alive
+    alive = weakref.ref(p)
+    del p, calls[:]
+    gc.collect()
+    assert alive() is None
+
+
+def _observable_problems(d):
+    rng = np.random.default_rng(seed + d)
+    c = rng.normal(size=d)
+    affine = make_perturbed_quadratic(rng.uniform(0.5, 2.0, d),
+                                      rng.normal(size=d), [c, -c])
+    comps = [(lambda x, i=i: affine.component_value(i, x),
+              lambda x, i=i: affine.component_grad(i, x)) for i in range(2)]
+    return {"affine": affine,
+            "callable": FiniteSumProblem(d, affine.x_star, affine.constants,
+                                         components=comps)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 100])
+@pytest.mark.parametrize("kind", ["affine", "callable"])
+def test_observable_rows_do_not_depend_on_the_block(kind, d):
+    # a run without a state block reduces one record (n_paths rows) at a
+    # time, the others whole (paths x records) blocks: the rows must agree
+    problem = _observable_problems(d)[kind]
+    n, n_rec = 4, 5
+    states = 3.0 * np.random.default_rng(seed).normal(size=(n, n_rec, d))
+    whole = np.reshape(knl._observable_arrays(problem, states.reshape(-1, d)),
+                       (3, n, n_rec))
+    per_record = np.stack([knl._observable_arrays(problem, states[:, i])
+                           for i in range(n_rec)], axis=-1)
+    per_row = np.array([[knl._observable_arrays(problem, states[p, i][None])
+                         for i in range(n_rec)] for p in range(n)])
+    assert np.array_equal(whole, per_record)
+    assert np.array_equal(whole, np.moveaxis(per_row[..., 0], 2, 0))
 
 
 # -- discrete kernels --------------------------------------------------------

@@ -131,6 +131,29 @@ def test_batch_linear_growth_rounds_half_up():
     assert shrink.size_at_step(10_000, 1.0) == 1  # never below one sample
 
 
+@pytest.mark.parametrize("rate,k,h", [
+    (1e300, 10, 1e10),       # b(h k) = 1e311 overflows to inf
+    (1e300, 10, 1.0),        # 1e301: finite, far beyond any int64
+    (2.0 ** 63, 1, 1.0),     # 2**63 + 1 rounds to 2**63, one past int64
+    (math.inf, 1, 0.5),      # an infinite rate
+    (math.inf, 0, 0.5),      # inf * 0 is NaN
+])
+def test_batch_size_beyond_int64_raises(rate, k, h):
+    # no int64 holds b_k here: a cast would wrap to INT64_MIN, clamped to 1
+    batch = BatchSchedule(family="linear-growth", b0=1.0, rate=rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # b(h k) itself
+        for arg in (k, np.array([k])):
+            with pytest.raises(ValueError,
+                               match=f"step k={k} is (inf|nan|[0-9.e+]+),"):
+                batch.size_at_step(arg, h)
+
+
+def test_batch_size_below_int64_is_exact():
+    # b(1.5) = 1 + 3 * 2**61 rounds to 3 * 2**61, below 2**63
+    batch = BatchSchedule(family="linear-growth", b0=1.0, rate=2.0 ** 62)
+    assert batch.size_at_step(1, 1.5) == 3 * 2 ** 61
+
+
 def test_staleness_sawtooth():
     st = StalenessSchedule(m=4, h=0.25)
     assert st.epoch_time == 1.0

@@ -491,6 +491,8 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
                           f"{experiment!r} was requested")
     slack = _get(vsec, "slack_se", _as_float, default=3.0, where="verify")
     n_cp = _get(vsec, "n_checkpoints", _as_int, default=30, where="verify")
+    if n_cp < 1:
+        raise ConfigError(f"n_checkpoints must be >= 1, got {n_cp}")
     n_paths, seed = _ensemble_params(cfg, overrides)
     if n_paths < 2 and experiment != "landscape":
         raise ConfigError(f"experiment {experiment!r} needs n_paths >= 2")
@@ -498,112 +500,98 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
 
     problem = build_problem(cfg)
     sim = cfg.get("simulation", {})
+    stem = name or f"report_{experiment}"
 
-    if experiment == "bound":
-        kind = _get(vsec, "kind", _as_str, required=True, where="verify")
-        adj, batch, m = build_schedules(cfg)
-        if adj is None:
-            raise ConfigError("bound verification needs key 'h' in [schedule]")
-        x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        inputs = BoundInputs.from_problem(problem, x0, adj, batch, m=m)
-        try:
+    # a ValueError from the library, in setting up or in running the
+    # experiment, is a problem with the config (exit 2)
+    try:
+        if experiment == "bound":
+            kind = _get(vsec, "kind", _as_str, required=True, where="verify")
+            adj, batch, m = build_schedules(cfg)
+            if adj is None:
+                raise ConfigError("bound verification needs key 'h' in [schedule]")
+            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
+            inputs = BoundInputs.from_problem(problem, x0, adj, batch, m=m)
             bound = RateBound(kind=kind, inputs=inputs)
             bound.evaluate(0 if not bound.is_continuous else
                            _get(sim, "t", _as_float, default=1.0,
                                 where="simulation"))
-        except (AdmissibilityError, ValueError) as e:
-            raise ConfigError(str(e)) from e
-        spec = build_run_spec(cfg, problem, overrides,
-                              weights=kind in _WEIGHTED_KINDS)
-        t0 = time.perf_counter()
-        stats = ensemble_run(spec, n_paths, seed)
-        report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=n_cp)
-        report.runtime_seconds = time.perf_counter() - t0  # the run, not just the check
-        stem = name or f"report_bound_{kind}"
-        curve_stem = f"{name}_curve" if name else f"curve_{kind}"
-        _write_csv(out / f"{curve_stem}.csv",
-                   ["t", "empirical_mean", "se", "bound"],
-                   [report.checkpoints.astype(float), report.empirical,
-                    report.se, report.reference])
-    elif experiment == "time-change":
-        adj, _, _ = build_schedules(cfg)
-        if adj is None:
-            raise ConfigError("the time-change experiment needs 'h' in [schedule]")
-        t_w = _get(vsec, "t_w", _as_float, required=True, where="verify")
-        frac = _get(vsec, "min_pass_fraction", _as_float, default=0.95,
-                    where="verify")
-        x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = _dt(sim, overrides)
-        try:
+            spec = build_run_spec(cfg, problem, overrides,
+                                  weights=kind in _WEIGHTED_KINDS)
+            t0 = time.perf_counter()
+            stats = ensemble_run(spec, n_paths, seed)
+            report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=n_cp)
+            # the run, not just the check
+            report.runtime_seconds = time.perf_counter() - t0
+            stem = name or f"report_bound_{kind}"
+            curve_stem = f"{name}_curve" if name else f"curve_{kind}"
+            _write_csv(out / f"{curve_stem}.csv",
+                       ["t", "empirical_mean", "se", "bound"],
+                       [report.checkpoints.astype(float), report.empirical,
+                        report.se, report.reference])
+        elif experiment == "time-change":
+            adj, _, _ = build_schedules(cfg)
+            if adj is None:
+                raise ConfigError("the time-change experiment needs 'h' in [schedule]")
+            t_w = _get(vsec, "t_w", _as_float, required=True, where="verify")
+            frac = _get(vsec, "min_pass_fraction", _as_float, default=0.95,
+                        where="verify")
+            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
+            dt = _dt(sim, overrides)
             report = time_change_experiment(problem, x0, adj.h, t_w, n_paths,
                                             seed, dt=dt, n_checkpoints=n_cp,
                                             slack_se=slack,
                                             min_pass_fraction=frac)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        stem = name or "report_time-change"
-    elif experiment == "landscape":
-        lam = _get(vsec, "lambda", _as_vector, required=True, where="verify")
-        sigma = _get(vsec, "sigma", _as_float, default=0.0, where="verify")
-        tol_mult = _get(vsec, "tol_mult", _as_float, default=5.0, where="verify")
-        slope_tol = _get(vsec, "slope_tol", _as_float, default=0.02,
-                         where="verify")
-        x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = _dt(sim, overrides, required=True)
-        T = _get(sim, "t", _as_float, required=True, where="simulation")
-        try:
+        elif experiment == "landscape":
+            lam = _get(vsec, "lambda", _as_vector, required=True, where="verify")
+            sigma = _get(vsec, "sigma", _as_float, default=0.0, where="verify")
+            tol_mult = _get(vsec, "tol_mult", _as_float, default=5.0,
+                            where="verify")
+            slope_tol = _get(vsec, "slope_tol", _as_float, default=0.02,
+                             where="verify")
+            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
+            dt = _dt(sim, overrides, required=True)
+            T = _get(sim, "t", _as_float, required=True, where="simulation")
             report = landscape_stretch_experiment(lam, x0, dt, T,
                                                   n_paths=n_paths, seed=seed,
                                                   sigma=sigma, slack_se=slack,
                                                   tol_mult=tol_mult,
                                                   slope_tol=slope_tol,
                                                   n_checkpoints=n_cp)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        stem = name or "report_landscape"
-    elif experiment == "weak-error":
-        h_list = _get(vsec, "h_list", _as_vector, required=True, where="verify")
-        x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        T = _get(sim, "t", _as_float, required=True, where="simulation")
-        try:
+        elif experiment == "weak-error":
+            h_list = _get(vsec, "h_list", _as_vector, required=True, where="verify")
+            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
+            T = _get(sim, "t", _as_float, required=True, where="simulation")
             report = weak_error_experiment(problem, h_list, T, n_paths, seed, x0)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        stem = name or "report_weak-error"
-    elif experiment == "ball":
-        adj, batch, _ = build_schedules(cfg)
-        if adj is None:
-            raise ConfigError("the ball experiment needs 'h' in [schedule]")
-        if batch.family != "constant":
-            raise ConfigError("the ball experiment needs a constant batch size")
-        mode = _get(vsec, "ball_mode", _as_str, required=True, where="verify")
-        t_long = _get(vsec, "t_long", _as_float, required=True, where="verify")
-        tail = _get(vsec, "tail_fraction", _as_float, default=0.5, where="verify")
-        rel_tol = _get(vsec, "rel_tol", _as_float, default=0.10, where="verify")
-        dt = _dt(sim, overrides, default=adj.h)
-        x0 = _get(sim, "x0", _as_vector, where="simulation")
-        try:
+        elif experiment == "ball":
+            adj, batch, _ = build_schedules(cfg)
+            if adj is None:
+                raise ConfigError("the ball experiment needs 'h' in [schedule]")
+            if batch.family != "constant":
+                raise ConfigError("the ball experiment needs a constant batch size")
+            mode = _get(vsec, "ball_mode", _as_str, required=True, where="verify")
+            t_long = _get(vsec, "t_long", _as_float, required=True, where="verify")
+            tail = _get(vsec, "tail_fraction", _as_float, default=0.5,
+                        where="verify")
+            rel_tol = _get(vsec, "rel_tol", _as_float, default=0.10, where="verify")
+            dt = _dt(sim, overrides, default=adj.h)
+            x0 = _get(sim, "x0", _as_vector, where="simulation")
             report = ball_experiment(problem, adj.h, batch.b, dt, t_long,
                                      n_paths, seed, mode, tail_fraction=tail,
                                      slack_se=slack,
                                      isotropic_rel_tol=rel_tol, x0=x0)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        stem = name or "report_ball"
-    else:  # pl-probe
-        adj, batch, _ = build_schedules(cfg)
-        if adj is None:
-            raise ConfigError("the supermartingale probe needs 'h' in [schedule]")
-        x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-        dt = _dt(sim, overrides, required=True)
-        T = _get(sim, "t", _as_float, required=True, where="simulation")
-        try:
+        else:  # pl-probe
+            adj, batch, _ = build_schedules(cfg)
+            if adj is None:
+                raise ConfigError("the supermartingale probe needs 'h' in [schedule]")
+            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
+            dt = _dt(sim, overrides, required=True)
+            T = _get(sim, "t", _as_float, required=True, where="simulation")
             report = pl_supermartingale_probe(problem, adj, batch, x0, dt, T,
                                               n_paths, seed, slack_se=slack,
                                               n_checkpoints=n_cp)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        stem = name or "report_pl-probe"
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
     payload = report.to_json_dict()
     payload["seed"] = seed

@@ -181,6 +181,12 @@ class RunSpec:
         return record_steps(self.total_steps, self.record_every, self.record_ks)
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` (an int or a SeedSequence) as a SeedSequence."""
+    return (seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed))
+
+
 def geometric_checkpoints(last: int, n_points: int = 30, start: int = 1) -> np.ndarray:
     """~n_points geometrically spaced integer checkpoints in [start, last]."""
     if last < start:
@@ -270,9 +276,8 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed, *,
     if n_paths < 2:
         raise ValueError("an ensemble needs n_paths >= 2")
     ks = spec.resolved_record_ks()
-    seq = (master_seed if isinstance(master_seed, np.random.SeedSequence)
-           else np.random.SeedSequence(master_seed))
-    gens = [np.random.default_rng(child) for child in seq.spawn(n_paths)]
+    gens = [np.random.default_rng(child)
+            for child in _seed_sequence(master_seed).spawn(n_paths)]
     result = _kernel_dispatch(spec, gens, ks, keep_states=keep_states)
 
     div_count = int(result.diverged.sum())
@@ -321,11 +326,15 @@ class VerificationReport:
     """Per-checkpoint outcome of one experiment.
 
     ``reference`` holds the bound (one-sided checks) or the target value
-    (two-sided checks); ``violation_se`` is (empirical - reference)/SE for
-    one-sided checks and |empirical - reference|/SE for two-sided ones, so
-    the experiment passes when enough checkpoints have violation_se <=
-    slack_se.  ``details`` carries experiment-specific extras (fitted
-    slopes, error ratios, sub-reports).
+    (two-sided checks).  ``max_violation_se`` is the largest checkpoint
+    violation: (empirical - reference)/SE for bound, pl-supermartingale and
+    ball, which pass at <= slack_se; for time-change the larger of the
+    mean and std violations, |Y - X|/SE; for landscape the error's ratio
+    to its allowance; for weak-error |slope - 1|, with slack_se = 0.  Every
+    report has at least one checkpoint, and passes when all of them do,
+    unless the experiment's own verdict differs (time-change's pass
+    fraction; landscape's ODE and slope conditions).  ``details`` carries
+    experiment-specific extras (fitted slopes, error ratios, sub-reports).
     """
 
     experiment: str
@@ -385,6 +394,8 @@ def _json_clean(v):
 
 
 def _violations(empirical, reference, se, slack_se, two_sided=False):
+    """Each checkpoint's (empirical - reference)/se, or its absolute value
+    when two-sided, and whether it is at most slack_se."""
     emp = np.asarray(empirical, dtype=float)
     ref = np.asarray(reference, dtype=float)
     se = np.asarray(se, dtype=float)
@@ -396,20 +407,19 @@ def _violations(empirical, reference, se, slack_se, two_sided=False):
     return v, ok
 
 
-def _finish_report(experiment, checkpoints, empirical, reference, se, slack_se,
-                   n_paths, t0, details=None, two_sided=False,
-                   min_pass_fraction=1.0) -> VerificationReport:
-    v, ok = _violations(empirical, reference, se, slack_se, two_sided)
-    frac = float(ok.mean()) if ok.size else 1.0
-    passed = frac >= min_pass_fraction
-    details = dict(details or {})
-    details.setdefault("pass_fraction", frac)
+def _finish_report(experiment, checkpoints, empirical, reference, se,
+                   violation, ok, slack_se, n_paths, t0, details,
+                   passed=None) -> VerificationReport:
+    """The report from each checkpoint's violation and flag, timed from t0;
+    it passes when every flag is set, unless ``passed`` says otherwise."""
+    if np.size(checkpoints) == 0:
+        raise ValueError(f"the {experiment} check has no checkpoints")
     return VerificationReport(
-        experiment=experiment, passed=bool(passed),
+        experiment=experiment, passed=bool(ok.all() if passed is None else passed),
         checkpoints=np.asarray(checkpoints), empirical=np.asarray(empirical, dtype=float),
         reference=np.asarray(reference, dtype=float), se=np.asarray(se, dtype=float),
         checkpoint_pass=ok, slack_se=slack_se,
-        max_violation_se=float(np.max(v, initial=-np.inf)),
+        max_violation_se=float(np.max(violation)),
         n_paths=n_paths, runtime_seconds=time.perf_counter() - t0,
         details=details)
 
@@ -503,9 +513,12 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
 
     empirical = stats.mean[key][pos]
     se = stats.se(key)[pos]
-    return _finish_report(f"bound:{bound.kind}", where, empirical, reference,
-                          se, slack_se, stats.n_paths, t0,
-                          details={"observable": key})
+    v, ok = _violations(empirical, reference, se, slack_se)
+    report = _finish_report(f"bound:{bound.kind}", where, empirical, reference,
+                            se, v, ok, slack_se, stats.n_paths, t0,
+                            {"observable": key})
+    report.details["pass_fraction"] = float(ok.mean())
+    return report
 
 
 def _slope(x, y) -> float:
@@ -556,9 +569,7 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
     x_ks = np.unique(x_pos)
     y_ks = warped_pos
 
-    seq = (seed if isinstance(seed, np.random.SeedSequence)
-           else np.random.SeedSequence(seed))
-    seed_x, seed_y = seq.spawn(2)
+    seed_x, seed_y = _seed_sequence(seed).spawn(2)
     spec_x = RunSpec(mode="mb-pgf", problem=problem, x0=x0, adj=adj, dt=dt,
                      T=n_x * dt, record_ks=x_ks, volatility_mode="constant")
     spec_y = RunSpec(mode="time-changed", problem=problem, x0=x0, adj=adj,
@@ -593,13 +604,10 @@ def time_change_experiment(problem: FiniteSumProblem, x0, h: float, T_w: float,
         "std_x": std_x, "std_y": std_y,
         "std_violation_se": v_std,
     }
-    return VerificationReport(
-        experiment="time-change", passed=frac >= min_pass_fraction,
-        checkpoints=s_times, empirical=mean_y[:, 0], reference=mean_x[:, 0],
-        se=se_mean[:, 0], checkpoint_pass=ok, slack_se=slack_se,
-        max_violation_se=float(np.max(np.maximum(v_mean, v_std), initial=-np.inf)),
-        n_paths=min(n_x_paths, n_y_paths),
-        runtime_seconds=time.perf_counter() - t0, details=details)
+    return _finish_report("time-change", s_times, mean_y[:, 0], mean_x[:, 0],
+                          se_mean[:, 0], np.maximum(v_mean, v_std), ok,
+                          slack_se, min(n_x_paths, n_y_paths), t0, details,
+                          passed=frac >= min_pass_fraction)
 
 
 # -- landscape stretching ----------------------------------------------------
@@ -696,8 +704,7 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
             if abs(slope + lam[i]) > slope_tol:
                 slope_ok = False
 
-    ok = emp <= allowance
-    passed = bool(ok.all() and ode_err <= tol and slope_ok)
+    v, ok = _violations(emp, 0.0, allowance, 1.0)
     details = {
         "max_error_vs_closed_form": float(np.abs(mean_states - ref).max()),
         "max_error_ode_vs_closed_form": ode_err,
@@ -707,14 +714,10 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
         "slope_ok": slope_ok,
         "sigma": sigma,
     }
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(allowance > 0, emp / allowance, np.where(emp == 0, 0.0, np.inf))
-    return VerificationReport(
-        experiment="landscape", passed=passed, checkpoints=times[cp],
-        empirical=emp, reference=allowance, se=np.abs(se_states).max(axis=1)[cp],
-        checkpoint_pass=ok, slack_se=slack_se,
-        max_violation_se=float(np.max(v, initial=-np.inf)), n_paths=n_used,
-        runtime_seconds=time.perf_counter() - t0_clock, details=details)
+    return _finish_report("landscape", times[cp], emp, allowance,
+                          np.abs(se_states).max(axis=1)[cp], v, ok, slack_se,
+                          n_used, t0_clock, details,
+                          passed=ok.all() and ode_err <= tol and slope_ok)
 
 
 # -- weak error --------------------------------------------------------------
@@ -742,10 +745,8 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
     d_mean = problem.affine.d_mean
     analytic = problem.x_star + np.exp(-d_mean * T) * (x0 - problem.x_star)
 
-    seq = (seed if isinstance(seed, np.random.SeedSequence)
-           else np.random.SeedSequence(seed))
-    children = seq.spawn(len(h_list))
-    errors, ses = [], []
+    children = _seed_sequence(seed).spawn(len(h_list))
+    errors, ses, n_used = [], [], n_paths
     for h, child in zip(h_list, children):
         K = round(T / h)
         if abs(K * h - T) > 1e-9 * T:
@@ -754,6 +755,7 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
         spec = RunSpec(mode="sgd", problem=problem, x0=x0, adj=adj,
                        n_steps=K, record_ks=np.array([0, K]))
         stats = ensemble_run(spec, n_paths, child)
+        n_used = min(n_used, stats.n_paths)
         diff = stats.mean["state"][-1] - analytic
         errors.append(float(np.linalg.norm(diff)))
         ses.append(float(np.sqrt(np.sum(stats.variance["state"][-1]
@@ -775,13 +777,9 @@ def weak_error_experiment(problem: FiniteSumProblem, h_list, T: float,
         "error_ratios": ratios,
         "analytic_mean": analytic,
     }
-    ok = np.full(len(h_list), passed)
-    return VerificationReport(
-        experiment="weak-error", passed=bool(passed),
-        checkpoints=np.asarray(h_list), empirical=errors, reference=errors,
-        se=ses, checkpoint_pass=ok, slack_se=0.0,
-        max_violation_se=float(abs(slope - 1.0)), n_paths=n_paths,
-        runtime_seconds=time.perf_counter() - t0, details=details)
+    return _finish_report("weak-error", h_list, errors, errors, ses,
+                          [abs(slope - 1.0)], np.full(len(h_list), passed),
+                          0.0, n_used, t0, details)
 
 
 # -- convergence ball --------------------------------------------------------
@@ -827,7 +825,6 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
                        batch=batch, n_steps=n_steps)
     stride = max(1, n_steps // 512)
     spec.record_every = stride
-    spec.record_ks = None
     stats = ensemble_run(spec, n_paths, seed, keep_states=False)
 
     tail_mask = stats.grid >= (1.0 - tail_fraction) * n_steps * spacing
@@ -841,7 +838,6 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
     # versus assuming independence across tail times).
     tail_se = float(np.sqrt(stats.variance["f_gap"][tail_mask].mean()
                             / stats.n_paths))
-    one_sided_ok = tail_mean <= bound + slack_se * tail_se
 
     details = {"tail_mean": tail_mean, "ball_bound": bound,
                "tail_window_start": float((1.0 - tail_fraction) * n_steps * spacing),
@@ -855,15 +851,10 @@ def ball_experiment(problem: FiniteSumProblem, h: float, b: int, dt: float,
         details.update({"exact_level": exact_level, "relative_error": rel_err,
                         "relative_tolerance": isotropic_rel_tol})
 
-    v = (tail_mean - bound) / tail_se if tail_se > 0 else (
-        0.0 if tail_mean <= bound else float("inf"))
-    return VerificationReport(
-        experiment="ball", passed=bool(one_sided_ok and exact_ok),
-        checkpoints=np.array([n_steps * spacing]),
-        empirical=np.array([tail_mean]), reference=np.array([bound]),
-        se=np.array([tail_se]), checkpoint_pass=np.array([one_sided_ok and exact_ok]),
-        slack_se=slack_se, max_violation_se=float(v), n_paths=stats.n_paths,
-        runtime_seconds=time.perf_counter() - t0, details=details)
+    v, ok = _violations([tail_mean], [bound], [tail_se], slack_se)
+    return _finish_report("ball", [n_steps * spacing], [tail_mean], [bound],
+                          [tail_se], v, ok & exact_ok, slack_se, stats.n_paths,
+                          t0, details)
 
 
 # -- Lyapunov probe ----------------------------------------------------------
@@ -895,7 +886,8 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                    dt=dt, T=n_steps * dt, record_ks=cp)
     stats = ensemble_run(spec, n_paths, seed)
     times = stats.grid
-    factor = np.exp(2.0 * mu * phi(adj, times))
+    # the scalar exp, as in schedules: NumPy's array exp may round by SIMD level
+    factor = np.array([math.exp(2.0 * mu * p) for p in phi(adj, times)])
     energy = factor * stats.mean["f_gap"]
     energy_se = factor * stats.se("f_gap")
 
@@ -913,6 +905,9 @@ def pl_supermartingale_probe(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                                 epsrel=1e-10, limit=200)
         allowance[i] = coef * val
     se_inc = energy_se[:-1] + energy_se[1:]  # triangle inequality, conservative
-    return _finish_report("pl-supermartingale", times[1:], increments,
-                          allowance, se_inc, slack_se, stats.n_paths, t0,
-                          details={"mu": mu, "coef": coef})
+    v, ok = _violations(increments, allowance, se_inc, slack_se)
+    report = _finish_report("pl-supermartingale", times[1:], increments,
+                            allowance, se_inc, v, ok, slack_se, stats.n_paths,
+                            t0, {"mu": mu, "coef": coef})
+    report.details["pass_fraction"] = float(ok.mean())
+    return report

@@ -8,6 +8,7 @@ are pinned bitwise, not just approximately.
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -608,6 +609,26 @@ def test_verify_landscape_single_deterministic_path(tmp_path, capsys):
     assert report["details"]["slopes"]["coord_1"] == pytest.approx(0.5, abs=0.02)
 
 
+def with_checkpoints(config, n):
+    text = (CONFIGS_DIR / config).read_text()
+    return text.replace("[verify]\n", f"[verify]\nn_checkpoints = {n}\n")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("config, experiment", [
+    ("09_pl_ct.ini", "bound"), ("12_pl_probe.ini", "pl-probe"),
+    ("10_landscape.ini", "landscape")])
+def test_verify_without_checkpoints_exits_2(tmp_path, capsys, config,
+                                            experiment, n):
+    cfg = write(tmp_path, config, with_checkpoints(config, n))
+    out = tmp_path / "out"
+    assert main(["verify", experiment, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert (f"config error: n_checkpoints must be >= 1, got {n}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_verify_experiment_mismatch_and_unknown(tmp_path, capsys):
     cfg = write(tmp_path, "v.ini", VERIFY_PL_INI)
     assert main(["verify", "ball", "--config", str(cfg),
@@ -814,6 +835,24 @@ def test_suite_carries_on_past_a_bad_config(tmp_path, capsys):
                     "passed": True}
 
 
+def test_suite_carries_on_past_a_bound_without_checkpoints(tmp_path, capsys):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    write(suite_dir, "01_bad_bound.ini", with_checkpoints("09_pl_ct.ini", -1))
+    write(suite_dir, "02_ball.ini", (CONFIGS_DIR / "01_ou_ball_ct.ini").read_text())
+    out = tmp_path / "summary"
+    assert main(["suite", str(suite_dir), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error in 01_bad_bound.ini: n_checkpoints" in captured.err
+    assert "PASS  ball" in captured.out
+    bad, good = json.loads((out / "suite_report.json").read_text())["results"]
+    assert bad == {"config": "01_bad_bound.ini", "experiment": "bound",
+                   "passed": False,
+                   "error": "n_checkpoints must be >= 1, got -1"}
+    assert good == {"config": "02_ball.ini", "experiment": "ball",
+                    "passed": True}
+
+
 def test_suite_divergence_is_recorded_and_exits_1(tmp_path, capsys,
                                                   monkeypatch):
     real_verify = cli.cmd_verify
@@ -835,3 +874,40 @@ def test_suite_divergence_is_recorded_and_exits_1(tmp_path, capsys,
     results = json.loads((out / "suite_report.json").read_text())["results"]
     assert results[0]["error"] == "3/4 paths diverged"
     assert [r["passed"] for r in results] == [False, True]
+
+
+# sha256 of each file `sgflow suite configs --seed 4242` writes, with every
+# "runtime_seconds" value replaced by a fixed token (wall time is the one
+# value in these files that is not a function of (config, seed))
+SUITE_4242_DIGESTS = {
+    "curve_pl_ct.csv": "455e910c36ac637ac9f1534315b6a7a2de66ec5fa9ee751bc386b714d4b325b1",
+    "curve_smooth_ct.csv": "9fce56daa7f793cee643c62091509d7c7a00966a4eb784868f86699b7cf92350",
+    "report_ball_ct.json": "96aae8bf0c119bf6bc5b579f498a56eea276f2be9bc4f99226af3ec7e12fd28c",
+    "report_ball_dt.json": "08cf95adffff2b55f52bb22c0a47e7123d325002c4fbb50bfd04e13c3828d7e7",
+    "report_bound_pl_ct.json": "cd22bc580b246290afcf561f2ffa2b8f99c3accc763f07db069b5b83d92c292c",
+    "report_bound_smooth_ct.json": "dae713df139c79457a2390a0002a0ff5257fed489715bde67754fb0279214139",
+    "report_landscape.json": "b0debb570b5e7f9bf896798d89423266815790d2c8b2308e2142b8d8a2bae027",
+    "report_pl-probe.json": "09bc72b05937da4eb977928ba87c0c43f91a53ae9ac7dac2d61e932c53e3aaa3",
+    "report_pl_dt_constant.json": "cce70297c37f3eb9f8d29131137d76afa12ebe708c4298d646277e67150fd4bc",
+    "report_pl_dt_constant_curve.csv": "c0fa2f4f8954166fe784bc6dd6a726e8f7c99dba269761b9b0c2d6693ffd4c8a",
+    "report_pl_dt_power.json": "31605fc986cc1c4e20ae939baaf8194f6a3c7bc5170338ec5ec170b7aab7a2c9",
+    "report_pl_dt_power_curve.csv": "6846795e2269edcf2eac70163ee78ef08b089931ce41a6297230284e0050ff76",
+    "report_svrg_contraction.json": "0ef0b920c09b61e1133607cf3a7a3d3e425e6a9869b9042355dd22032eab9a19",
+    "report_svrg_contraction_curve.csv": "7b539977049f39342bd6b12f17076479ec3899c4a02952cc183d4272e9e7428f",
+    "report_time-change.json": "c7d5717706b128e57ec7fb43d5b026e85c2a56b3fdc80eb7711639e31e76d56d",
+    "report_vr_sdde_contraction.json": "5d5f4a345e707c7f3e499ab751a678f93b222dcc2df5de6bb01760896f9c2aba",
+    "report_vr_sdde_contraction_curve.csv": "dfddf42d2f91aefb62944ae0ba121a877b24cb2fcfef4809cdb8b7270418b367",
+    "report_weak-error.json": "f6875a73361beb208a89c7df5f4db479e491cfaf76bb8418e8b0b03d4e46651c",
+    "suite_report.json": "63f539fb570da496c456e28699cac29fac8df74d2fbe8b8a9a0b7173ac6f0951",
+}
+
+
+def test_shipped_suite_outputs_keep_their_bytes(tmp_path, capsys):
+    out = tmp_path / "suite"
+    assert main(["suite", str(CONFIGS_DIR), "--seed", "4242",
+                 "--out", str(out)]) == 0
+    runtime = re.compile(rb'"runtime_seconds": [^,\n}]+')
+    digests = {p.name: hashlib.sha256(runtime.sub(
+        b'"runtime_seconds": "masked"', p.read_bytes())).hexdigest()
+        for p in sorted(out.iterdir())}
+    assert digests == SUITE_4242_DIGESTS

@@ -767,6 +767,22 @@ def test_verify_bound_checkpoint_validation():
         verify_bound(stats, bound, checkpoints=np.array([1, 9]))
 
 
+@pytest.mark.parametrize("picks", [{"checkpoints": np.array([], dtype=int)},
+                                   {"n_checkpoints": 0}])
+def test_verify_bound_with_no_checkpoints_is_an_error(picks):
+    ks = np.arange(4)
+    stats = manual_stats(ks, ks * 0.1, {"f_gap": np.zeros(4)},
+                         {"f_gap": np.zeros(4)})
+    with pytest.raises(ValueError, match="bound:pl_dt check has no checkpoints"):
+        verify_bound(stats, RateBound("pl_dt", pl_inputs()), **picks)
+
+
+def test_landscape_with_no_checkpoints_is_an_error():
+    with pytest.raises(ValueError, match="landscape check has no checkpoints"):
+        landscape_stretch_experiment([1.0], [1.0], dt=0.01, T=1.0,
+                                     n_checkpoints=0)
+
+
 def vr_inputs(m=3):
     return BoundInputs(d=1, L=1.0, f0_gap=1.0, dist0_sq=4.0,
                        adj=AdjustmentSchedule(h=0.01), batch=BatchSchedule(),
@@ -901,6 +917,23 @@ def test_weak_error_zero_error_short_circuit():
     assert report.passed
     assert report.details["slope"] == 1.0
     assert np.all(report.details["error_ratios"] == 2.0)
+
+
+def test_weak_error_reports_the_paths_it_used(monkeypatch):
+    # the smallest surviving path count over its ensembles, as every other
+    # experiment reports, not the requested count
+    real_run, lost = harness.ensemble_run, iter([1, 3])
+
+    def losing_paths(*args, **kwargs):
+        stats = real_run(*args, **kwargs)
+        stats.n_paths -= next(lost)
+        return stats
+
+    monkeypatch.setattr(harness, "ensemble_run", losing_paths)
+    report = weak_error_experiment(make_isotropic_quadratic(1.0, 1),
+                                   h_list=(0.1, 0.05), T=1.0, n_paths=8,
+                                   seed=seed, x0=[5.0])
+    assert report.n_paths == 5
 
 
 def test_weak_error_argument_validation():

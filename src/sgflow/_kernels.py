@@ -22,21 +22,29 @@ kernel loops over the rows (:func:`_rows`) with the functions one path
 calls: ``problem.grad``, the component gradients of the mini-batch and
 variance-reduced estimates, and the square roots of ``sigma_mb`` and
 ``sigma_vr``.  The loop evaluates finite rows only and gives a non-finite
-row NaN, so a user's callable never sees a diverged point.  Batch sizes come
-from one schedule call per step, and all stepsizes, coefficients and weights
-from one table of ``psi`` values (:func:`_psi_table`).
+row NaN, so a user's callable never sees a diverged point.  Every per-run
+table -- batch sizes, the ``psi`` values (:func:`_psi_table`) and the
+stepsizes, coefficients and weights built on them -- comes from one array
+call per schedule value, which maps the schedule's scalar formula over the
+steps; the products, quotients and square roots that combine them are
+array operations, correctly rounded like their scalar forms, so every entry
+is the per-step scalar expression's value.
 
 :class:`_BlockRecorder` does the bookkeeping: the record grid, the
 divergence flags, the snapshots (or, for a caller that reads no state, their
-observables) and the running ``psi``-weighted sums behind the
-randomized-output guarantees.  It also drives the SGD, PGD and
-diffusion kernels (:meth:`_BlockRecorder.drive`) in segments from one
-recorded step to the next, with one divergence test per segment; a segment
-in which a path turns non-finite is replayed step by step, so the flags are
-those of a per-step test.  Their affine drift (:func:`_grad_ops`) leaves out
-operations that are exact identities; the only value that can differ from
-the full operation sequence is the sign of an exact zero (adding +0.0 turns
--0.0 into +0.0).
+observables, reduced a buffer of snapshots at a time) and the running
+``psi``-weighted sums behind the randomized-output guarantees.  It also
+drives the SGD, PGD and diffusion kernels (:meth:`_BlockRecorder.drive`) in
+segments from one recorded step to the next, with one divergence test per
+segment; a segment in which a path turns non-finite is replayed step by
+step, so the flags are those of a per-step test.  A run of consecutive
+recorded steps is one dense segment whose flags are read from its
+snapshots.  The step loops leave out operations that are exact identities:
+those of the affine drift (:func:`_grad_ops`, and no gradient call at all
+where grad f(X) = X), fill scales equal to 1.0, and the noise call where the
+scaled draws are the noise.  The only value that can differ from the full
+operation sequence is the sign of an exact zero (adding +0.0 turns -0.0
+into +0.0).
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ __all__ = [
 # buffers, ~80 MB together); chunking only affects how many values are drawn
 # per generator call, never the values themselves.
 _CHUNK_DOUBLES = 5_000_000
+
+# Snapshot values (~0.5 MB) a run without a state block collects before it
+# reduces them to observables in one call; at least one record is collected.
+_REDUCE_DOUBLES = 65_536
 
 
 @dataclass
@@ -136,16 +148,15 @@ def _pgd_constant_sigma(problem: FiniteSumProblem,
 
 
 def _psi_table(adj: AdjustmentSchedule, n_steps: int,
-               dt: float | None = None) -> list:
+               dt: float | None = None) -> np.ndarray:
     """psi_k at every step index k <= n_steps, or psi(k dt) at every grid node.
 
-    Python floats, one schedule call per entry; an index-array argument
-    gives the same values (:mod:`sgflow.schedules` has one scalar formula
-    per value).
+    One array call: :mod:`sgflow.schedules` maps its one scalar formula over
+    the indices, or over the nodes k dt, products rounded as a scalar k * dt
+    is, so every entry is the per-step scalar call's value.
     """
-    if dt is None:
-        return [float(adj.psi_k(k)) for k in range(n_steps + 1)]
-    return [float(adj.psi(k * dt)) for k in range(n_steps + 1)]
+    k = np.arange(n_steps + 1)
+    return adj.psi_k(k) if dt is None else adj.psi(k * dt)
 
 
 def _step_tables(adj: AdjustmentSchedule, n_steps: int):
@@ -155,14 +166,14 @@ def _step_tables(adj: AdjustmentSchedule, n_steps: int):
     :meth:`AdjustmentSchedule.eta_k` takes, so the values are its own.
     """
     psi = _psi_table(adj, n_steps)
-    return [adj.h * p for p in psi[:n_steps]], psi
+    return (adj.h * psi[:n_steps]).tolist(), psi.tolist()
 
 
 def _batch_sizes(batch: BatchSchedule, n_steps: int, h: float) -> list:
-    """b_k for k < n_steps: one scalar call per step, one for a constant batch."""
+    """b_k for k < n_steps: one array call, one scalar call for a constant batch."""
     if batch.family == "constant":
         return [batch.size_at_step(0, h)] * n_steps
-    return [batch.size_at_step(k, h) for k in range(n_steps)]
+    return batch.size_at_step(np.arange(n_steps), h).tolist()
 
 
 def _rows(fn, shape: tuple, X: np.ndarray, *per_row) -> np.ndarray:
@@ -202,10 +213,16 @@ def _grad_ops(problem: FiniteSumProblem) -> tuple:
 
 
 def _grad_block(problem: FiniteSumProblem):
-    """grad f row-wise: (X, out) -> :func:`_grad_ops` into out, or the rows."""
+    """grad f row-wise: (X, out) -> :func:`_grad_ops` into out, or the rows.
+
+    None where grad f(X) = X (no operation is left), so that a step loop
+    reads X itself instead of calling an identity.
+    """
     if problem.affine is None:
         return lambda X, out: _rows(problem.grad, (problem.d,), X)
     ops = _grad_ops(problem)
+    if not ops:
+        return None
 
     def grad(X, out):
         A = X
@@ -238,8 +255,9 @@ def _noise(problem: FiniteSumProblem, sigma, X: np.ndarray, inner, outer):
     """(noise(Z, k), scales): step k's noise (inner_k sigma(X)) z_k outer_k.
 
     ``inner`` is a per-step table or None, ``outer`` a table or a scalar.
-    For sigma = s I the factors are the scales of :func:`_normal_chunks`;
-    sigma None is the square root of ``sigma_mb`` row by row.
+    For sigma = s I the factors are the scales of :func:`_normal_chunks`,
+    and noise is None: the scaled draws are the noise.  sigma None is the
+    square root of ``sigma_mb`` row by row.
     """
     def post(k):
         return outer[k] if np.ndim(outer) else outer
@@ -256,7 +274,7 @@ def _noise(problem: FiniteSumProblem, sigma, X: np.ndarray, inner, outer):
         return noise, ()
     s = _scalar_of(sigma)
     if s is not None:
-        return (lambda Z, k: Z), (s if inner is None else inner * s, outer)
+        return None, (s if inner is None else inner * s, outer)
 
     def noise(Z, k):
         out = Z @ (sigma if inner is None else inner[k] * sigma).T
@@ -353,8 +371,11 @@ def _normal_chunks(gens, n_steps: int, d: int, scales=()):
     Each factor of ``scales``, a scalar or a per-step array, multiplies the
     draws in order, as ``row *= s`` or ``row *= s[k0:k0 + n, None]``, while
     the row is still in cache.  These are the products a kernel would take
-    on the whole chunk, one value at a time, so they give the same bits.
+    on the whole chunk, one value at a time, so they give the same bits.  A
+    factor equal to 1.0 everywhere is left out: multiplying by it is exact.
     """
+    scales = [s for s in scales if not np.all(s == 1.0)]
+
     def fill_row(g, row, k0):
         g.standard_normal(out=row)  # straight into the C-contiguous row
         for s in scales:
@@ -392,20 +413,21 @@ class _BlockRecorder:
     sums over the iterates without ``dt``, trapezoid integrals over the
     grid with it.  A kernel starts its block with :meth:`start` and either
     calls :meth:`record` once after every step, or hands its step loop to
-    :meth:`drive`, which calls :meth:`record` at the recorded steps.
+    :meth:`drive`, which books the recorded steps itself.
 
-    With ``keep_states`` (the default) a snapshot is a copy of the block,
-    and the consumer reduces the (n_paths, n_records, d) snapshots after the
-    run; without it no snapshot block is allocated, and :meth:`record`
-    reduces each snapshot to its three observables as it takes it, into a
-    (3, n_paths, n_records) array.  The observables of a row do not depend
-    on the block it sits in, so both give the same bits.  Only runs whose
-    caller reads no state drop the block.  The others keep reducing after
-    the run: running the bound and probe ensembles without the block left a
-    larger heap to the runs that follow in one process (the record-every-step
-    bound configs before a ball config), and a run that records each of many
-    steps, like the landscape's one path, would pay one observable call per
-    record (see the README's ensemble section for the measurements).
+    With ``keep_states`` (the default) a snapshot is a copy of the block
+    into the (n_paths, n_records, d) snapshot array, which the consumer
+    reduces after the run.  Without it no such array is allocated: the
+    snapshots go to a buffer of at most ``_REDUCE_DOUBLES`` values (at least
+    one record), and each full buffer is reduced to the three observables
+    of its rows by one :func:`_observable_arrays` call, into a (3, n_paths,
+    n_records) array.  The observables of a row do not depend on the block
+    it sits in, so both give the same bits.  Only runs whose caller reads no
+    state drop the block.  The others keep reducing after the run: running
+    the bound and probe ensembles without the block left a larger heap to
+    the runs that follow in one process (the record-every-step bound configs
+    before a ball config; see the README's ensemble section for the
+    measurements).
 
     :meth:`drive` tests for divergence once per segment, which is exact
     only where non-finite values are absorbing.  They are in
@@ -421,16 +443,19 @@ class _BlockRecorder:
                  record_ks, psi=None, dt: float | None = None,
                  keep_states: bool = True):
         self.record_ks = record_steps(n_steps, record_ks=record_ks)
-        n_rec = self.record_ks.size
+        n_rec, d = self.record_ks.size, problem.d
         self.problem = problem
-        self.states = (np.empty((n_paths, n_rec, problem.d)) if keep_states
-                       else None)
-        self.observables = (None if keep_states
-                            else np.empty((3, n_paths, n_rec)))
+        self.states = np.empty((n_paths, n_rec, d)) if keep_states else None
+        self.observables = None if keep_states else np.empty((3, n_paths, n_rec))
+        # (slots, n_paths, d) snapshots not yet reduced, from record _reduced on
+        self._buffer = None if keep_states else np.empty(
+            (max(1, min(n_rec, _REDUCE_DOUBLES // (n_paths * d))), n_paths, d))
+        self._reduced = 0
         self.alive = np.ones(n_paths, dtype=bool)
         self.diverged = np.zeros(n_paths, dtype=bool)
         self.div_step = np.full(n_paths, -1)
-        self.psi, self.dt = psi, dt
+        self.psi = None if psi is None else np.asarray(psi, dtype=float).tolist()
+        self.dt = dt
         self.acc_f = np.zeros(n_paths)
         self.acc_g = np.zeros(n_paths)
         self.acc_w = 0.0
@@ -438,6 +463,11 @@ class _BlockRecorder:
         self.wsum_g = np.zeros((n_paths, n_rec)) if psi is not None else None
         self.wsum_w = np.zeros(n_rec) if psi is not None else None
         self._steps = self.record_ks.tolist() + [n_steps + 1]  # past the grid
+        # _following[i]: the records after record i that are one step apart
+        ks = self.record_ks
+        ends = np.append(np.flatnonzero(np.diff(ks) != 1), n_rec - 1)
+        self._following = (ends[np.searchsorted(ends, np.arange(n_rec))]
+                           - np.arange(n_rec)).tolist()
         self._cursor = 0
 
     def start(self, x0) -> np.ndarray:
@@ -461,7 +491,7 @@ class _BlockRecorder:
         if self.states is not None:
             self.states[:, i, :] = X
         else:
-            self.observables[:, :, i] = _observable_arrays(self.problem, X)
+            self._slots(1)[:, 0] = X
         if self.wsum_f is not None:
             self.wsum_f[:, i] = self.acc_f
             self.wsum_g[:, i] = self.acc_g
@@ -489,6 +519,13 @@ class _BlockRecorder:
         entries are absorbing in the recursions driven here (see the class
         docstring), so a segment with no new non-finite row at its end had
         none at any of its steps.
+
+        Recorded steps that follow a recorded step are one dense segment (up
+        to the chunk's end, or a full snapshot buffer): each step copies the
+        block straight into its snapshot slot, and the flags are read once,
+        from the snapshots -- a path is new to non-finite values in the
+        segment if its last snapshot is, and then it first was at its first
+        non-finite snapshot.
         """
         weighted = self.psi is not None
         saved = np.empty_like(X)
@@ -510,13 +547,65 @@ class _BlockRecorder:
                     else:
                         advance(B, k0, i0, i1)
                     k = k0 + i1
-                    if weighted or k == due:
+                    if weighted:
                         self.record(k, X)
+                    elif k == due:
+                        self.record(k, X)
+                        i1 += self._dense(X, B, k0, i1, advance)
                     else:
                         self.check(k, X)
                     i0 = i1
         finally:
             chunks.close()  # its fills end here, also when a step raised
+
+    def _dense(self, X: np.ndarray, B, k0: int, i0: int, advance) -> int:
+        """Step and record the run of recorded steps from k0 + i0 + 1 on.
+
+        The run ends at the chunk's end or a full buffer; returns its length.
+        """
+        m = min(B.shape[1] - i0, self._following[self._cursor - 1])
+        if m == 0:
+            return 0
+        snaps = self._slots(m)
+        m = snaps.shape[1]
+        for j in range(m):
+            advance(B, k0, i0 + j, i0 + j + 1)
+            snaps[:, j] = X
+        self._cursor += m
+        last = snaps[:, m - 1]
+        if not math.isfinite(last.sum()):
+            bad = self._newly_non_finite(last)
+            if np.any(bad):
+                first = np.argmin(np.isfinite(snaps[bad]).all(axis=2), axis=1)
+                self.diverged[bad] = True
+                self.div_step[bad] = k0 + i0 + 1 + first
+                self.alive &= ~bad
+        return m
+
+    def _slots(self, m: int) -> np.ndarray:
+        """(n_paths, <= m, d) views of the snapshot slots from the cursor on.
+
+        Without a state block a full buffer is reduced first, and the views
+        end at the buffer's end.
+        """
+        i = self._cursor
+        if self.states is not None:
+            return self.states[:, i:i + m]
+        j = i - self._reduced
+        if j == len(self._buffer):
+            self._reduce()
+            j = 0
+        return self._buffer[j:j + m].transpose(1, 0, 2)
+
+    def _reduce(self) -> None:
+        """Reduce the buffered snapshots to their observables, in one call."""
+        i0, i1 = self._reduced, self._cursor
+        if i1 > i0:
+            buf = self._buffer[:i1 - i0]
+            obs = _observable_arrays(self.problem, buf.reshape(-1, buf.shape[2]))
+            self.observables[:, :, i0:i1] = np.reshape(
+                obs, (3, i1 - i0, buf.shape[1])).transpose(0, 2, 1)
+        self._reduced = i1
 
     def _newly_non_finite(self, X: np.ndarray) -> np.ndarray:
         """The paths still alive whose state has a non-finite entry."""
@@ -546,6 +635,8 @@ class _BlockRecorder:
 
     def finish(self) -> KernelResult:
         assert self._cursor == self.record_ks.size, "missed a recording step"
+        if self._buffer is not None:
+            self._reduce()
         w = self.wsum_w
         return KernelResult(record_ks=self.record_ks, states=self.states,
                             diverged=self.diverged, divergence_step=self.div_step,
@@ -632,8 +723,10 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     def advance(Z, k0, i0, i1):
         for i in range(i0, i1):
             k = k0 + i
-            N = noise(Z[:, i, :], k)  # of the state before the step
-            np.multiply(grad(X, G), eta[k], out=G)
+            N = Z[:, i, :]
+            if noise is not None:
+                N = noise(N, k)  # of the state before the step
+            np.multiply(X if grad is None else grad(X, G), eta[k], out=G)
             np.subtract(X, G, out=X)
             np.subtract(X, N, out=X)
 
@@ -668,19 +761,18 @@ def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
     # G <- (-c_k G) dt as one factor -dt when every c_k is 1.0, else as the
     # factor -c_k followed by dt
     drift = np.asarray(drift_coef, dtype=float)
-    if np.all(drift == 1.0):
-        rate, after_rate = [-dt] * n_steps, ()
-    else:
-        rate, after_rate = (-drift).tolist(), ((np.multiply, dt),)
+    folded = bool(np.all(drift == 1.0))
+    rate = [-dt] * n_steps if folded else (-drift).tolist()
     noise, scales = _noise(problem, sigma_matrix, X, vol_coef, sqrt_dt)
 
     def advance(Z, k0, i0, i1):
         for i in range(i0, i1):
             k = k0 + i
-            np.multiply(grad(X, G), rate[k], out=G)
-            for op, operand in after_rate:
-                op(G, operand, out=G)
-            np.add(G, noise(Z[:, i, :], k), out=G)
+            np.multiply(X if grad is None else grad(X, G), rate[k], out=G)
+            if not folded:
+                np.multiply(G, dt, out=G)
+            N = Z[:, i, :]
+            np.add(G, N if noise is None else noise(N, k), out=G)
             np.add(X, G, out=X)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -698,10 +790,9 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     The drift rate psi(t_k), the volatility psi(t_k) sqrt(h / b(t_k)) and
     the node weights all come from one table of psi on the grid.
     """
-    h = adj.h
     psi = _psi_table(adj, n_steps, dt)
-    vol_coef = np.array([psi[k] * np.sqrt(h / batch.value(k * dt))
-                         for k in range(n_steps)])
+    vol_coef = psi[:n_steps] * np.sqrt(
+        adj.h / batch.value(np.arange(n_steps) * dt))
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       psi[:n_steps], vol_coef, volatility_mode,
                       psi if weights else None, keep_states)
@@ -712,12 +803,13 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                         gens, record_ks,
                         volatility_mode: str = "constant",
                         keep_states: bool = True) -> KernelResult:
-    """Vectorised unwarped process: unit drift rate, decaying noise amplitude."""
-    h = adj.h
-    vol_coef = np.empty(n_steps)
-    for k in range(n_steps):
-        warped = phi_inverse(adj, k * dt)
-        vol_coef[k] = np.sqrt(h * adj.psi(warped) / batch.value(warped))
+    """Vectorised unwarped process: unit drift rate, decaying noise amplitude.
+
+    The volatility sqrt(h psi(tau) / b(tau)) at tau = phi_inverse(k dt)
+    takes one array call per schedule value.
+    """
+    warped = phi_inverse(adj, np.arange(n_steps) * dt)
+    vol_coef = np.sqrt(adj.h * adj.psi(warped) / batch.value(warped))
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       np.ones(n_steps), vol_coef, volatility_mode,
                       node_psi=None, keep_states=keep_states)
@@ -786,7 +878,7 @@ def _vr_increment(problem: FiniteSumProblem, dt: float, h: float):
         grad = _grad_block(problem)
 
         def increment(X, X_del, Z):
-            step = grad(X, np.empty_like(X)) * -dt
+            step = (X if grad is None else grad(X, np.empty_like(X))) * -dt
             noise = _rows(lambda x, x_del, z:
                           (sqrt_h * sigma_vr(problem, x, x_del).sqrt_matrix) @ z,
                           (problem.d,), X, X_del, Z)

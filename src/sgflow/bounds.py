@@ -428,6 +428,11 @@ def equivalent_gradient_rhs(lam: float, u0: float, u: float) -> float:
         raise ValueError("lam must be nonzero")
     if u0 == 0.0:
         raise ValueError("u0 must be nonzero for the feedback form")
+    return _equivalent_gradient_formula(lam, u0, u)
+
+
+def _equivalent_gradient_formula(lam: float, u0: float, u: float) -> float:
+    """:func:`equivalent_gradient_rhs` for a lam and u0 already checked nonzero."""
     ratio = u / u0
     if ratio <= 0.0:
         raise ValueError("feedback form is defined only while u/u0 > 0")

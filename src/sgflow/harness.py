@@ -34,6 +34,7 @@ from ._kernels import _observable_arrays
 from .bounds import (
     BoundInputs,
     RateBound,
+    _equivalent_gradient_formula,
     ball_bound,
     equivalent_gradient_rhs,
     landscape_stretch_reference,
@@ -189,6 +190,8 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 def geometric_checkpoints(last: int, n_points: int = 30, start: int = 1) -> np.ndarray:
     """~n_points geometrically spaced integer checkpoints in [start, last]."""
+    if n_points < 1:
+        raise ValueError(f"n_checkpoints must be >= 1, got {n_points}")
     if last < start:
         raise ValueError(f"need last >= start, got [{start}, {last}]")
     raw = np.geomspace(start, last, n_points)
@@ -651,9 +654,8 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
                    T=n_steps * dt, volatility_mode="constant")
     if sigma == 0.0:  # one deterministic path
         ks = spec.resolved_record_ks()
-        mean_states = _kernels.kernel_mb_pgf(
-            problem, adj, spec.batch, x0, dt, n_steps, [np.random.default_rng(0)],
-            ks, volatility_mode="constant").states[0]
+        mean_states = _kernel_dispatch(spec, [np.random.default_rng(0)],
+                                       ks).states[0]
         se_states = np.zeros_like(mean_states)
         times = ks * dt
         n_used = 1
@@ -669,18 +671,22 @@ def landscape_stretch_experiment(lambda_vec, x0, dt: float, T: float,
     tol = tol_mult * dt * float(np.linalg.norm(x0))
 
     # autonomous equivalent-gradient ODE, Euler on the same grid, stepped on
-    # Python floats; every coordinate takes u + dt du, also where du = 0, so
-    # a -0.0 start turns +0.0 as it would in an array update
+    # Python floats one coordinate at a time; every coordinate takes
+    # u + dt du, also where du = 0, so a -0.0 start turns +0.0 as it would
+    # in an array update
     ode = np.empty((n_steps + 1, d))
     ode[0] = x0
-    lam_f, u0_f = lam.tolist(), x0.tolist()
-    moving = [lam_f[i] != 0.0 and u0_f[i] != 0.0 for i in range(d)]
-    u = list(u0_f)
-    for k in range(n_steps):
-        u = [u_i + dt * (equivalent_gradient_rhs(lam_f[i], u0_f[i], u_i)
-                         if moving[i] else 0.0)
-             for i, u_i in enumerate(u)]
-        ode[k + 1] = u
+    for i, (lam_i, u0_i) in enumerate(zip(lam.tolist(), x0.tolist())):
+        if lam_i == 0.0 or u0_i == 0.0:
+            ode[1:, i] = u0_i + dt * 0.0
+            continue
+        # the first step checks lam and u0; the others take the formula
+        u = u0_i + dt * equivalent_gradient_rhs(lam_i, u0_i, u0_i)
+        column = [u]
+        for _ in range(n_steps - 1):
+            u = u + dt * _equivalent_gradient_formula(lam_i, u0_i, u)
+            column.append(u)
+        ode[1:, i] = column
     ode_err = float(np.abs(ode - np.stack(
         [landscape_stretch_reference(lam[i], x0[i], np.arange(n_steps + 1) * dt)
          for i in range(d)], axis=1)).max())

@@ -8,9 +8,13 @@ where ``h`` is a fixed discretization stepsize and ``psi`` is a nonincreasing
 * ``power(a)`` —  psi(t) = (1 + t)^(-a)  with  a in (0, 1].
 
 The discrete weights are read off the continuous function on the step grid,
-``psi_k = psi(h*k)``.  Each schedule value has one scalar formula, whatever
-the argument's shape: ``int``, ``float`` and ``np.float64`` arguments run it
-directly, and any other argument is mapped over its elements through it.
+``psi_k = psi(h*k)``.  Each schedule value has one scalar formula per
+family, a function of one Python float, whatever the argument's shape:
+``int``, ``float`` and ``np.float64`` arguments are checked and run it
+directly; any other argument is checked once, as a whole, and the formula is
+mapped over its elements (``tolist()``), with no per-element method call
+or ``np.float64`` result in between, so an array of n values costs n formula
+evaluations and a 0-d array gives the scalar result.
 The formulas take the C library's scalar functions, never NumPy's array
 ``power``, ``log1p`` or ``expm1``, whose vector loops (and the ``sqrt``,
 ``square`` and ``reciprocal`` that array ``power`` takes for the exponents
@@ -52,16 +56,36 @@ __all__ = [
 _SCALARS = (int, float, np.float64)
 
 
-def _each(f, x, dtype=float):
-    """``f`` over the elements of array-like ``x``, as floats, in x's shape.
+def _each(scalar, formula, x, message: str, dtype=float):
+    """``formula`` over the elements of array-like ``x``, in x's shape.
 
-    A 0-d argument gives ``f``'s own result.
+    ``x`` is checked once: an element below 0 raises ValueError(message)
+    (NaN passes, as it does the scalar check).  ``formula`` takes each
+    element as a Python float.  A 0-d argument gives ``scalar``'s own result.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
-        return f(float(x))
-    return np.array([f(v) for v in x.ravel().tolist()],
+        return scalar(float(x))
+    if np.any(x < 0):
+        raise ValueError(message)
+    return np.array([formula(v) for v in x.ravel().tolist()],
                     dtype=dtype).reshape(x.shape)
+
+
+def _pow(x: float, y: float) -> float:
+    """The C library's pow; overflow gives inf, as NumPy scalar arithmetic does."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _expm1(x: float) -> float:
+    """The C library's expm1; overflow gives inf."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -94,20 +118,29 @@ class AdjustmentSchedule:
         elif self.a is not None:
             raise ValueError("exponent a is only meaningful for the power family")
 
+    def _psi_formula(self):
+        """psi as a function of a float t >= 0: the family's one formula."""
+        if self.family == "constant":
+            return lambda t: 1.0
+        e = -self.a
+        return lambda t: math.pow(1.0 + t, e)
+
     def psi(self, t):
         """Adjustment value psi(t); accepts scalars or arrays, requires t >= 0."""
         if type(t) not in _SCALARS:
-            return _each(self.psi, t)
+            return _each(self.psi, self._psi_formula(), t,
+                         "psi is only defined for t >= 0")
         if t < 0:
             raise ValueError("psi is only defined for t >= 0")
-        if self.family == "constant":
-            return 1.0
-        return np.float64(math.pow(1.0 + t, -self.a))
+        psi = self._psi_formula()(t)
+        return psi if self.family == "constant" else np.float64(psi)
 
     def psi_k(self, k):
         """Discrete weight psi_k = psi(h*k) for step index k >= 0."""
         if type(k) not in _SCALARS:
-            return _each(self.psi_k, k)
+            psi, h = self._psi_formula(), self.h
+            return _each(self.psi_k, lambda k: psi(h * k), k,
+                         "step index must be >= 0")
         if k < 0:
             raise ValueError("step index must be >= 0")
         return self.psi(self.h * float(k))
@@ -144,15 +177,37 @@ class BatchSchedule:
             if self.rate < 0.0:
                 raise ValueError("linear-growth batch requires rate >= 0")
 
+    def _value_formula(self):
+        """b as a function of a float t >= 0: the family's one formula."""
+        if self.family == "constant":
+            b = float(self.b)
+            return lambda t: b
+        b0, rate = self.b0, self.rate
+        return lambda t: b0 + rate * t
+
+    def _size_formula(self, h: float):
+        """b_k as a function of a float step index k >= 0."""
+        value = self._value_formula()
+
+        def size(k):
+            t = k * h
+            if t < 0:
+                raise ValueError("batch schedule is only defined for t >= 0")
+            v = value(t)
+            if not v < 2.0 ** 63:
+                raise ValueError(f"batch size b(h k) at step k={k:g} is {v}, "
+                                 "not below 2**63")
+            return max(math.floor(v + 0.5), 1)
+        return size
+
     def value(self, t):
         """Unrounded b(t) >= 1 (used by the SDE integrators)."""
         if type(t) not in _SCALARS:
-            return _each(self.value, t)
+            return _each(self.value, self._value_formula(), t,
+                         "batch schedule is only defined for t >= 0")
         if t < 0:
             raise ValueError("batch schedule is only defined for t >= 0")
-        if self.family == "constant":
-            return np.float64(self.b)
-        return self.b0 + self.rate * np.float64(t)
+        return np.float64(self._value_formula()(float(t)))
 
     def size_at_step(self, k, h: float):
         """Integer batch size b_k = round-half-up(b(h*k)), clamped to >= 1.
@@ -161,12 +216,10 @@ class BatchSchedule:
         no int64 holds that batch size.
         """
         if type(k) not in _SCALARS:
-            return _each(partial(self.size_at_step, h=h), k, dtype=int)
-        v = self.value(float(k) * h)
-        if not v < 2.0 ** 63:
-            raise ValueError(f"batch size b(h k) at step k={k:g} is {v}, "
-                             "not below 2**63")
-        return max(math.floor(v + 0.5), 1)
+            return _each(partial(self.size_at_step, h=h), self._size_formula(h),
+                         k, "batch schedule is only defined for t >= 0",
+                         dtype=int)
+        return self._size_formula(h)(float(k))
 
 
 @dataclass(frozen=True)
@@ -239,16 +292,21 @@ def phi(schedule: AdjustmentSchedule, t):
     Strictly increasing with phi(0) = 0.
     """
     if type(t) not in _SCALARS:
-        return _each(partial(phi, schedule), t)
+        return _each(partial(phi, schedule), _phi_formula(schedule), t,
+                     "phi is only defined for t >= 0")
     if t < 0:
         raise ValueError("phi is only defined for t >= 0")
-    t = np.float64(t)
+    return np.float64(_phi_formula(schedule)(float(t)))
+
+
+def _phi_formula(schedule: AdjustmentSchedule):
+    """phi as a function of a float t >= 0: the family's one formula."""
     if schedule.family == "constant":
-        return t
+        return lambda t: t
     if schedule.a == 1.0:
-        return np.float64(math.log1p(t))
-    a = schedule.a
-    return ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a)
+        return math.log1p
+    e = 1.0 - schedule.a
+    return lambda t: (math.pow(1.0 + t, e) - 1.0) / e
 
 
 def phi_inverse(schedule: AdjustmentSchedule, s):
@@ -258,19 +316,22 @@ def phi_inverse(schedule: AdjustmentSchedule, s):
     power(a != 1) -> (1 + (1-a) s)^(1/(1-a)) - 1.
     """
     if type(s) not in _SCALARS:
-        return _each(partial(phi_inverse, schedule), s)
+        return _each(partial(phi_inverse, schedule),
+                     _phi_inverse_formula(schedule), s,
+                     "phi_inverse is only defined for s >= 0")
     if s < 0:
         raise ValueError("phi_inverse is only defined for s >= 0")
-    s = np.float64(s)
+    return np.float64(_phi_inverse_formula(schedule)(float(s)))
+
+
+def _phi_inverse_formula(schedule: AdjustmentSchedule):
+    """phi_inverse as a function of a float s >= 0: the family's one formula."""
     if schedule.family == "constant":
-        return s
+        return lambda s: s
     if schedule.a == 1.0:
-        try:
-            return np.float64(math.expm1(s))
-        except OverflowError:
-            return np.float64(math.inf)
-    a = schedule.a
-    return (1.0 + (1.0 - a) * s) ** (1.0 / (1.0 - a)) - 1.0
+        return _expm1
+    e = 1.0 - schedule.a
+    return lambda s: _pow(1.0 + e * s, 1.0 / e) - 1.0
 
 
 def phi_inverse_bisect(schedule: AdjustmentSchedule, s: float,

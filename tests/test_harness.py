@@ -146,6 +146,9 @@ def test_geometric_checkpoints():
     assert geometric_checkpoints(50, 10, start=7)[0] == 7
     with pytest.raises(ValueError):
         geometric_checkpoints(2, 10, start=5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n_checkpoints must be >= 1, got {n}"):
+            geometric_checkpoints(50, n)
 
 
 # -- ensemble statistics -----------------------------------------------------
@@ -767,8 +770,7 @@ def test_verify_bound_checkpoint_validation():
         verify_bound(stats, bound, checkpoints=np.array([1, 9]))
 
 
-@pytest.mark.parametrize("picks", [{"checkpoints": np.array([], dtype=int)},
-                                   {"n_checkpoints": 0}])
+@pytest.mark.parametrize("picks", [{"checkpoints": np.array([], dtype=int)}])
 def test_verify_bound_with_no_checkpoints_is_an_error(picks):
     ks = np.arange(4)
     stats = manual_stats(ks, ks * 0.1, {"f_gap": np.zeros(4)},
@@ -777,10 +779,32 @@ def test_verify_bound_with_no_checkpoints_is_an_error(picks):
         verify_bound(stats, RateBound("pl_dt", pl_inputs()), **picks)
 
 
-def test_landscape_with_no_checkpoints_is_an_error():
-    with pytest.raises(ValueError, match="landscape check has no checkpoints"):
-        landscape_stretch_experiment([1.0], [1.0], dt=0.01, T=1.0,
-                                     n_checkpoints=0)
+def _verify_bound_at(n):
+    ks = np.arange(4)
+    stats = manual_stats(ks, ks * 0.1, {"f_gap": np.zeros(4)},
+                         {"f_gap": np.zeros(4)})
+    return verify_bound(stats, RateBound("pl_dt", pl_inputs()), n_checkpoints=n)
+
+
+CHECKPOINT_EXPERIMENTS = {
+    "time-change": lambda n: time_change_experiment(
+        _iso_noisy(), [1.0], h=0.05, T_w=0.5, n_paths=8, seed=seed,
+        n_checkpoints=n),
+    "landscape": lambda n: landscape_stretch_experiment(
+        [1.0], [1.0], dt=0.01, T=1.0, n_checkpoints=n),
+    "pl-probe": lambda n: pl_supermartingale_probe(
+        noisy_problem(), AdjustmentSchedule(h=0.1), BatchSchedule(), X0,
+        dt=0.1, T=2.0, n_paths=8, seed=seed, n_checkpoints=n),
+    "verify-bound": _verify_bound_at,
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_EXPERIMENTS))
+def test_experiments_reject_fewer_than_one_checkpoint(name, n):
+    with pytest.raises(ValueError,
+                       match=f"^n_checkpoints must be >= 1, got {n}$"):
+        CHECKPOINT_EXPERIMENTS[name](n)
 
 
 def vr_inputs(m=3):

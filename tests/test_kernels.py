@@ -11,6 +11,7 @@ those two are pinned to a tight relative tolerance instead.
 """
 
 import gc
+import inspect
 import math
 import os
 import sys
@@ -48,7 +49,12 @@ from sgflow.problems import (
     make_perturbed_quadratic,
     make_spread_quadratic,
 )
-from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
+from sgflow.schedules import (
+    AdjustmentSchedule,
+    BatchSchedule,
+    StalenessSchedule,
+    phi_inverse,
+)
 
 seed = 60601
 n_paths = 6
@@ -846,3 +852,148 @@ def test_signed_zero_start_without_noise_matches_simulator(kind):
     assert np.all(res.states == ref)
     assert np.all(res.states[:, :, :2] == 0.0)
     assert not res.diverged.any()
+
+
+# -- per-run tables ------------------------------------------------------------
+
+TABLE_SCHEDULES = {
+    "constant": (AdjustmentSchedule(h=0.2), BatchSchedule(b=3)),
+    "power-0.5": (AdjustmentSchedule(h=0.2, family="power", a=0.5),
+                  BatchSchedule(b=1)),
+    "power-1-growing": (AdjustmentSchedule(h=0.2, family="power", a=1.0),
+                        BatchSchedule(family="linear-growth", b0=1.0, rate=2.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SCHEDULES))
+def test_diffusion_tables_are_the_per_step_expressions(name, monkeypatch):
+    # the drift rates, volatilities and node weights the diffusion kernels
+    # hand to their step loop, against one scalar expression per step
+    adj, batch = TABLE_SCHEDULES[name]
+    p, dt, n_steps = isotropic_problem(), 0.013, 700
+    seen = {}
+    real_em = knl._kernel_em
+
+    def capture(*args, **kwargs):
+        bound = inspect.signature(real_em).bind(*args, **kwargs).arguments
+        seen["drift"], seen["vol"] = bound["drift_coef"], bound["vol_coef"]
+        seen["nodes"] = bound["node_psi"]
+        return real_em(*args, **kwargs)
+
+    monkeypatch.setattr(knl, "_kernel_em", capture)
+
+    def same(got, want):
+        return np.asarray(got, dtype=float).tobytes() == np.asarray(
+            want, dtype=float).tobytes()
+
+    kernel_mb_pgf(p, adj, batch, X0, dt, n_steps, gen_list(seed, 2), [0, n_steps],
+                  weights=True)
+    psi = [adj.psi(k * dt) for k in range(n_steps + 1)]
+    assert same(seen["drift"], psi[:n_steps])
+    assert same(seen["vol"], [psi[k] * np.sqrt(adj.h / batch.value(k * dt))
+                              for k in range(n_steps)])
+    assert same(seen["nodes"], psi)
+
+    kernel_time_changed(p, adj, batch, X0, dt, n_steps, gen_list(seed, 2),
+                        [0, n_steps])
+    warped = [phi_inverse(adj, k * dt) for k in range(n_steps)]
+    assert same(seen["drift"], np.ones(n_steps))
+    assert same(seen["vol"], [np.sqrt(adj.h * adj.psi(w) / batch.value(w))
+                              for w in warped])
+    assert seen["nodes"] is None
+
+
+# -- dense recording -----------------------------------------------------------
+#
+# A run that records every step steps through runs of recorded steps and
+# reads the divergence flags from the snapshots; the per-path loops of
+# tests/reference.py test every step.
+
+
+def _reference_path(kind, rng, n_steps):
+    p = _growing_problem("scalar")
+    adj = AdjustmentSchedule(h=1.0, family="power", a=0.1)
+    x0 = np.zeros(2)
+    if kind == "sgd":
+        return run_mb_sgd(p, adj, BatchSchedule(), x0, n_steps, rng)
+    if kind == "pgd":
+        return run_pgd(p, adj, BatchSchedule(), x0, n_steps, rng)
+    return simulate_mb_pgf(p, adj, BatchSchedule(), x0, 1.0, float(n_steps), rng)
+
+
+def _public_path(kind, rng, n_steps):
+    p = _growing_problem("scalar")
+    adj = AdjustmentSchedule(h=1.0, family="power", a=0.1)
+    x0 = np.zeros(2)
+    if kind == "sgd":
+        return sgflow.run_mb_sgd(p, adj, BatchSchedule(), x0, n_steps, rng)
+    if kind == "pgd":
+        return sgflow.run_pgd(p, adj, BatchSchedule(), x0, n_steps, rng)
+    return sgflow.simulate_mb_pgf(p, adj, BatchSchedule(), x0, 1.0,
+                                  float(n_steps), rng)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["sgd", "pgd", "mb-pgf"])
+def test_dense_recording_matches_the_per_step_loops(kind, monkeypatch):
+    probe = _segmented_run(kind, "scalar", False, 3000, np.arange(3001))
+    n = int(np.unique(probe.divergence_step)[-2])  # some paths survive
+    # 40-step chunks: the overflows fall inside runs of recorded steps, and
+    # chunk ends cut those runs
+    width = 1 if kind == "sgd" else 2
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 40 * SEGMENT_PATHS * width)
+    res = _segmented_run(kind, "scalar", False, n, np.arange(n + 1))
+    assert res.diverged.any() and not res.diverged.all()
+    mid_chunk = 0
+    for path, rng in enumerate(gen_list(seed, SEGMENT_PATHS)):
+        ref = _reference_path(kind, rng, n)
+        assert res.diverged[path] == ref.diverged
+        assert res.divergence_step[path] == (ref.divergence_step
+                                             if ref.diverged else -1)
+        assert np.array_equal(res.states[path, :len(ref)], ref.states)
+        if ref.diverged:
+            mid_chunk += ref.divergence_step % 40 not in (0, 1)
+    assert mid_chunk
+    # one path at a time through the public simulators
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 40 * width)
+    diverging = int(np.flatnonzero(res.diverged)[0])
+    for path in (diverging, int(np.flatnonzero(~res.diverged)[0])):
+        one = _public_path(kind, gen_list(seed, SEGMENT_PATHS)[path], n)
+        ref = _reference_path(kind, gen_list(seed, SEGMENT_PATHS)[path], n)
+        assert one.diverged == ref.diverged
+        assert one.divergence_step == ref.divergence_step
+        assert np.array_equal(one.states, ref.states)
+
+
+# -- block reduction -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("kind", ["sgd", "mb-pgf"])
+def test_observables_without_states_are_the_kept_states_reduction(
+        kind, record_every, monkeypatch):
+    # 20 paths x d = 3: a 64k-value snapshot buffer holds 1 092 records, so
+    # the 5 001 or 1 667 records fill it several times or twice, and
+    # 700-step noise chunks end inside the buffers
+    p = make_isotropic_quadratic(1.0, 3, sigma_star_sq=0.2)
+    adj = AdjustmentSchedule(h=0.01, family="power", a=0.5)
+    n_steps, paths = 5000, 20
+    ks = np.arange(0, n_steps + 1, record_every)
+    width = 1 if kind == "sgd" else 3
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 700 * paths * width)
+
+    def run(keep_states):
+        gens = gen_list(seed, paths)
+        if kind == "sgd":
+            return kernel_mb_sgd(p, adj, BatchSchedule(), X0[:1].repeat(3),
+                                 n_steps, gens, ks, keep_states=keep_states)
+        return kernel_mb_pgf(p, adj, BatchSchedule(), X0[:1].repeat(3), 0.01,
+                             n_steps, gens, ks, volatility_mode="constant",
+                             keep_states=keep_states)
+
+    full, lean = run(True), run(False)
+    want = np.reshape(knl._observable_arrays(p, full.states.reshape(-1, 3)),
+                      (3, paths, ks.size))
+    assert lean.states is None
+    assert lean.observables.tobytes() == want.tobytes()
+    assert lean.diverged.tobytes() == full.diverged.tobytes()

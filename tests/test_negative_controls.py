@@ -1,7 +1,9 @@
 """Negative controls: known defects injected into the code must fail the gate.
 
 Each mutant monkeypatches one defect into sgflow; each check is one of the
-experiments the gate runs, at a small fixed size and seed.  Every check must
+experiments the gate runs, at a small fixed size and seed, except
+``bound-index``, which compares a bound's reference values with their closed
+form on a noiseless run.  Every check must
 pass on the real code (the positive control), and every (mutant, check) pair
 listed in ``KILLS`` must fail.  The pairs not listed survive: the check cannot
 see that defect at this size, and no test asserts either outcome for them.
@@ -11,6 +13,7 @@ Run this file as a script to print the whole kill matrix:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,9 +74,26 @@ def check_pl_dt():
                                          BoundInputs.from_problem(problem, x0, adj)))
 
 
+def check_bound_index():
+    # noiseless gradient descent with psi = 1: the pl-dt bound on x_k is
+    # (1 - mu h)^k f0 exactly, so the reference at checkpoint k must be that
+    # value up to rounding; the cell shows the largest relative deviation
+    problem = make_perturbed_quadratic([1.0, 2.0], [0.0, 0.0], np.zeros((1, 2)))
+    x0, adj = [1.0, 1.0], AdjustmentSchedule(h=0.25)
+    spec = RunSpec(mode="sgd", problem=problem, x0=x0, adj=adj, n_steps=200)
+    inputs = BoundInputs.from_problem(problem, x0, adj)
+    assert inputs.sigma_star_sq == 0.0
+    report = verify_bound(ensemble_run(spec, 2, SEED + 5),
+                          RateBound("pl_dt", inputs))
+    closed = (1.0 - inputs.mu_pl * adj.h) ** report.checkpoints * inputs.f0_gap
+    deviation = np.abs(report.reference / closed - 1.0).max()
+    return SimpleNamespace(passed=bool(deviation <= 1e-12),
+                           max_violation_se=float(deviation))
+
+
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
           "time-change": check_time_change, "pl-ct": check_pl_ct,
-          "pl-dt": check_pl_dt}
+          "pl-dt": check_pl_dt, "bound-index": check_bound_index}
 
 
 # -- mutants: one defect each, patched in with monkeypatch ---------------------
@@ -147,6 +167,7 @@ KILLS = [
     ("no-sqrt-h", "ball-ct"),
     ("ball-bound-halved", "ball-ct"),
     ("identity-warp", "time-change"),
+    ("bound-at-k", "bound-index"),
 ]
 
 

@@ -10,11 +10,11 @@ draws behave the same way -- so a path's states do not depend on the other
 paths of its block, except where a constant volatility matrix that is not a
 multiple of I multiplies the whole noise block as one product (the test
 suite pins that tolerance).  The same facts let every usable core fill a
-chunk, one thread per contiguous range of paths, with no value depending on
-how many cores there are; two chunk buffers take turns, so the next chunk
-fills while the kernel steps through this one, and the scalar-volatility
-kernels' noise is scaled in the fill, value by value as the kernel would
-scale it (:func:`_draw_chunks`, :func:`_normal_chunks`).
+chunk, each thread taking the next path's row until none is left, with no
+value depending on how many cores there are; two chunk buffers take turns,
+so the next chunk fills while the kernel steps through this one, and the
+scalar-volatility kernels' noise is scaled in the fill, value by value as
+the kernel would scale it (:func:`_draw_chunks`, :func:`_normal_chunks`).
 
 The block gradient and volatility are array expressions where the problem
 has affine gradients and the volatility matrix is constant.  Otherwise the
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -308,20 +309,24 @@ def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
     which the caller gave up by asking for chunk j -- so the consumer must
     be done with a chunk before it asks for the next.
 
-    The paths are split into :func:`_fill_workers` contiguous ranges, one
-    pool thread each.  No value moves.  Each path owns its generator, so a
-    thread touches only its own paths' streams, and every generator is
-    drawn by one thread at a time, in chunk order, by the same sized calls
-    whatever the split or the overlap.  NumPy releases the GIL while it
-    fills an array, so the ranges draw in parallel with each other and with
-    the caller's steps.  Since no worker count can change a result, the
-    count is read from the machine and is not a setting.  A chunk is
-    yielded, or its first error in path order raised, only after every one
-    of its ranges has finished; on the way out every fill still in flight
-    is waited for, so no thread outlives the call or writes into a buffer
-    the caller holds.  The threads live for one call (a pool kept across
-    calls would hang in a forked child); a single chunk for a single worker
-    is filled in the caller, with no thread.
+    :func:`_fill_workers` pool threads fill a chunk, taking its paths one at
+    a time, in path order, from one shared iterator, so a thread that loses
+    its core to the stepping caller holds back one row, not a range of them.
+    No value moves.  Each path owns its generator and each row is handed out
+    once, so every generator is drawn by one thread at a time, in chunk
+    order, by the same sized calls whatever the split or the overlap.  NumPy
+    releases the GIL while it fills an array, so the rows draw in parallel
+    with each other and with the caller's steps.  Since no worker count can
+    change a result, the count is read from the machine and is not a
+    setting.  A chunk is yielded, or its first error in path order raised,
+    only after every one of its threads has finished; a thread whose row
+    raises takes no further row, and every row before it has been handed
+    out, so that error is the one a single thread filling the rows in order
+    would raise.  On the way out every fill still in flight is waited for, so
+    no thread outlives the call or writes into a buffer the caller holds.
+    The threads live for one call (a pool kept across calls would hang in a
+    forked child); a single chunk for a single worker is filled in the
+    caller, with no thread.
     """
     n_paths = len(gens)
     chunk = max(1, min(n_steps, _CHUNK_DOUBLES // max(1, n_paths * width)))
@@ -329,40 +334,66 @@ def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
     bufs = [np.empty((n_paths, chunk, width), dtype=dtype)
             for _ in range(min(2, len(starts)))]
     n_workers = _fill_workers(n_paths)
-    cuts = [n_paths * i // n_workers for i in range(n_workers + 1)]
-    ranges = list(zip(cuts[:-1], cuts[1:]))
+    lock = threading.Lock()
 
-    def fill(B, k0, lo, hi):
-        for p in range(lo, hi):
-            fill_row(gens[p], B[p], k0)
+    def fill(B, k0, todo, errors):
+        while True:
+            with lock:
+                p = next(todo, None)
+            if p is None:
+                return
+            try:
+                fill_row(gens[p], B[p], k0)
+            except Exception as exc:  # raised by the caller, in path order
+                errors[p] = exc
+                return
 
     def chunk_view(j):
         return bufs[j % 2][:, :min(chunk, n_steps - starts[j])]
 
     def submit(j):
-        B = chunk_view(j)
-        return [pool.submit(fill, B, starts[j], lo, hi) for lo, hi in ranges]
+        B, todo, errors = chunk_view(j), iter(range(n_paths)), {}
+        return [pool.submit(fill, B, starts[j], todo, errors)
+                for _ in range(n_workers)], errors
 
     if n_workers == 1 and len(starts) == 1:  # nothing to overlap: no thread
-        fill(chunk_view(0), 0, 0, n_paths)
-        yield 0, chunk_view(0)
+        B = chunk_view(0)
+        for g, row in zip(gens, B):
+            fill_row(g, row, 0)
+        yield 0, B
         return
     pool = ThreadPoolExecutor(n_workers, thread_name_prefix="sgflow-draw")
     pending = []
     try:
         if starts:
-            pending = submit(0)
+            pending, errors = submit(0)
         for j, k0 in enumerate(starts):
             filling, pending = pending, []
             wait(filling)
             for f in filling:
                 f.result()
+            if errors:
+                raise errors[min(errors)]
             if j + 1 < len(starts):
-                pending = submit(j + 1)
+                pending, errors = submit(j + 1)
             yield k0, chunk_view(j)
     finally:
         wait(pending)
         pool.shutdown()
+
+
+def _constant_scale(s):
+    """A per-step scale array whose entries are one number, as that scalar.
+
+    Entries are compared bit for bit, so 0.0 and -0.0 stay apart; every
+    product with the scalar is then the product with the array's entry.
+    Scalars and other arrays are returned as they are.
+    """
+    if np.ndim(s) == 0 or np.size(s) == 0:
+        return s
+    a = np.ascontiguousarray(s, dtype=np.float64)
+    bits = a.view(np.uint64)
+    return a[0] if np.all(bits == bits[0]) else s
 
 
 def _normal_chunks(gens, n_steps: int, d: int, scales=()):
@@ -372,8 +403,12 @@ def _normal_chunks(gens, n_steps: int, d: int, scales=()):
     draws in order, as ``row *= s`` or ``row *= s[k0:k0 + n, None]``, while
     the row is still in cache.  These are the products a kernel would take
     on the whole chunk, one value at a time, so they give the same bits.  A
-    factor equal to 1.0 everywhere is left out: multiplying by it is exact.
+    per-step array whose entries are all one number multiplies as that
+    scalar (:func:`_constant_scale`), about three times faster on a wide
+    row; a factor equal to 1.0 everywhere is left out: multiplying by it is
+    exact.
     """
+    scales = [_constant_scale(s) for s in scales]
     scales = [s for s in scales if not np.all(s == 1.0)]
 
     def fill_row(g, row, k0):

@@ -498,7 +498,7 @@ def _draw_threads():
 
 @pytest.mark.parametrize("failing", [0, 3], ids=["caller-range", "pool-range"])
 def test_fill_error_reaches_the_caller_after_every_range(failing, monkeypatch):
-    # two ranges of two paths: the caller fills paths 0-1, a pool thread 2-3
+    # two fill threads: path ``failing`` raises while another path is drawing
     monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
     slow = _SlowStream()
     gens = gen_list(seed, 4)
@@ -509,6 +509,62 @@ def test_fill_error_reaches_the_caller_after_every_range(failing, monkeypatch):
             pass
     assert slow.done
     assert _draw_threads() == []
+
+
+class _NamedFailure:
+    """A stream that raises, after ``delay`` seconds, an error naming its path."""
+
+    def __init__(self, path, delay=0.0):
+        self.path, self.delay = path, delay
+
+    def standard_normal(self, out):
+        time.sleep(self.delay)
+        raise RuntimeError(f"path {self.path} failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_two_failing_paths_raise_the_lower_ones_error(workers, monkeypatch):
+    # path 1 raises late, path 4 at once: with several threads path 4's error
+    # comes first in time, but a one-thread fill in path order raises path 1's
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: workers)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 3 * 6 * 2)
+    gens = gen_list(seed, 6)
+    gens[1] = _NamedFailure(1, delay=0.1)
+    gens[4] = _NamedFailure(4)
+    with pytest.raises(RuntimeError, match="path 1 failed"):
+        for _ in knl._normal_chunks(gens, 6, 2):
+            pass
+    assert _draw_threads() == []
+
+
+def test_slow_path_holds_back_one_row_and_no_value(monkeypatch):
+    # path 0 draws slowly in every chunk: the other thread fills the rest of
+    # the chunk meanwhile, and the bits are those of a one-thread fill
+    n_paths, steps, width = 6, 8, 2
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 4 * n_paths * width)
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 1)
+    ref = np.concatenate([Z.copy() for _, Z in knl._normal_chunks(
+        gen_list(seed, n_paths), steps, width, (0.5,))], axis=1)
+
+    filled_by = []
+    streams = [_CountingStream(g) for g in gen_list(seed, n_paths)]
+    streams[0].delay = 0.3
+    for s in streams:
+        draw = s.standard_normal
+
+        def standard_normal(out, draw=draw, s=s):
+            draw(out)
+            filled_by.append((s, threading.current_thread().name))
+        s.standard_normal = standard_normal
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
+    got = np.concatenate([Z.copy() for _, Z in knl._normal_chunks(
+        streams, steps, width, (0.5,))], axis=1)
+    assert got.tobytes() == ref.tobytes()
+    assert _draw_threads() == []
+    # in each chunk the thread that drew the slow path drew nothing else
+    for chunk in (filled_by[:n_paths], filled_by[n_paths:]):
+        slow_thread = next(name for s, name in chunk if s is streams[0])
+        assert [s for s, name in chunk if name == slow_thread] == [streams[0]]
 
 
 def test_fill_workers_within_cores_and_paths():
@@ -650,6 +706,27 @@ def test_scaled_fill_equals_draw_then_scale(workers, scales, monkeypatch):
     for s in chosen:
         ref *= s[:, None] if np.ndim(s) else s
     assert got.tobytes() == ref.tobytes()
+
+
+def test_constant_scale_array_gives_the_scalar_bits():
+    c = 0.7 * math.pi
+    assert knl._constant_scale(np.full(FILL_STEPS, c)) == c
+    assert np.ndim(knl._constant_scale(np.full(FILL_STEPS, c))) == 0
+    # compared bit for bit: a sign of zero that differs keeps the array
+    mixed = np.array([0.0, -0.0] * 3)
+    assert knl._constant_scale(mixed) is mixed
+
+    def drawn(scales):
+        return np.concatenate([Z.copy() for _, Z in knl._normal_chunks(
+            gen_list(seed, 4), FILL_STEPS, FILL_WIDTH, scales)], axis=1)
+
+    assert (drawn((np.full(FILL_STEPS, c), 1.5)).tobytes()
+            == drawn((c, 1.5)).tobytes())
+    ref = np.array([g.standard_normal((FILL_STEPS, FILL_WIDTH))
+                    for g in gen_list(seed, 4)])
+    ref *= np.full(FILL_STEPS, c)[:, None]
+    ref *= 1.5
+    assert drawn((np.full(FILL_STEPS, c), 1.5)).tobytes() == ref.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

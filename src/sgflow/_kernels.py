@@ -39,12 +39,17 @@ segments from one recorded step to the next, with one divergence test per
 segment; a segment in which a path turns non-finite is replayed step by
 step, so the flags are those of a per-step test.  A run of consecutive
 recorded steps is one dense segment whose flags are read from its
-snapshots.  The step loops leave out operations that are exact identities:
-those of the affine drift (:func:`_grad_ops`, and no gradient call at all
-where grad f(X) = X), fill scales equal to 1.0, and the noise call where the
-scaled draws are the noise.  The only value that can differ from the full
-operation sequence is the sign of an exact zero (adding +0.0 turns -0.0
-into +0.0).
+snapshots.  A chunk is path-major, so one step's draws lie a row apart per
+path; the driven kernels read them from step-major tiles instead
+(:func:`_step_tiles`): a chunk of several paths whose rows are narrower than
+a cache line is copied, byte for byte, a cache-sized tile at a time, so that
+each step reads one contiguous (n_paths, width) block.  The segments, and
+so the records, do not depend on the tiles.  The step loops leave out
+operations that are exact identities: those of the affine drift
+(:func:`_grad_ops`, and no gradient call at all where grad f(X) = X), fill
+scales equal to 1.0, and the noise call where the scaled draws are the
+noise.  The only value that can differ from the full operation sequence is
+the sign of an exact zero (adding +0.0 turns -0.0 into +0.0).
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ _CHUNK_DOUBLES = 5_000_000
 # Snapshot values (~0.5 MB) a run without a state block collects before it
 # reduces them to observables in one call; at least one record is collected.
 _REDUCE_DOUBLES = 65_536
+
+# Draws (~0.5 MB, within L2) in one step-major tile that a driven kernel
+# steps through (:func:`_step_tiles`); at least one step is copied.
+_TILE_DOUBLES = 65_536
 
 
 @dataclass
@@ -307,7 +316,10 @@ def _draw_chunks(gens, n_steps: int, width: int, dtype, fill_row):
     touches the buffer the caller is not holding -- chunk j+1's fill is
     submitted just before chunk j is yielded, into the buffer of chunk j-1,
     which the caller gave up by asking for chunk j -- so the consumer must
-    be done with a chunk before it asks for the next.
+    be done with a chunk before it asks for the next.  The driven kernels'
+    consumer is :func:`_step_tiles`, which asks for chunk j+1 only when its
+    own consumer asks for that chunk's tiles, so chunk j is held while its
+    tiles are read.
 
     :func:`_fill_workers` pool threads fill a chunk, taking its paths one at
     a time, in path order, from one shared iterator, so a thread that loses
@@ -437,6 +449,51 @@ def _index_chunks(gens, n_steps: int, n_components: int, sizes: list):
     yield from _draw_chunks(gens, n_steps, width, np.int64, fill_row)
 
 
+def _step_tiles(chunks):
+    """Yield (k0, n, tile) for each chunk (k0, B) of ``chunks``, n steps long.
+
+    ``tile(i)`` is (t0, T): the chunk's draws of steps t0 to t0 + len(T) - 1,
+    step i among them, step-major, so that T[j] holds the (n_paths, width)
+    draws of step k0 + t0 + j as one contiguous block.  In the path-major
+    chunk a step's draws B[:, i] are n_paths rows a chunk's row length
+    apart: a gather that touches a cache line per path.  A chunk whose
+    paths' rows are one cache line or more (8 values) wide, or that holds
+    one path, has one tile, the view ``B.transpose(1, 0, 2)``.  Any other
+    is copied a tile of ``_TILE_DOUBLES`` values at a time, on demand, into
+    one reused buffer; each copy moves every path's row of a step as one
+    void item of its bytes, so no value changes.  A tile is valid until the
+    next ``tile`` call, and a chunk's ``tile`` until the next chunk is asked
+    for.  Closing this generator closes ``chunks``, which ends its fills.
+    """
+    buf = src = held = None
+
+    def tile(i):
+        nonlocal held
+        t0 = i - i % len(buf)
+        m = min(len(buf), n - t0)
+        if held != t0:
+            np.copyto(items[:m], src[t0:t0 + m])
+            held = t0
+        return t0, buf[:m]
+
+    try:
+        for k0, B in chunks:
+            n_paths, n, width = B.shape
+            if n_paths == 1 or width >= 8:
+                whole = (0, B.transpose(1, 0, 2))
+                yield k0, n, lambda i: whole
+                continue
+            if buf is None:
+                size = max(1, min(n, _TILE_DOUBLES // max(1, n_paths * width)))
+                buf = np.empty((size, n_paths, width), dtype=B.dtype)
+                row = np.dtype((np.void, width * B.itemsize))
+                items = buf.view(row)[..., 0]
+            src, held = B.view(row)[..., 0].T, None  # (n, n_paths) items
+            yield k0, n, tile
+    finally:
+        chunks.close()
+
+
 class _BlockRecorder:
     """The bookkeeping every ensemble shares for its (n_paths, d) state block.
 
@@ -541,19 +598,22 @@ class _BlockRecorder:
     def drive(self, X: np.ndarray, chunks, advance) -> None:
         """Step the block X through every chunk of draws, booking the run.
 
-        ``chunks`` yields (k0, B) like :func:`_normal_chunks`, and
-        ``advance(B, k0, i0, i1)`` applies steps k0 + i0 to k0 + i1 - 1 to X
-        in place, with the draws B[:, i0:i1].  Each chunk is stepped in
-        segments that end at the next recorded step or at the chunk's end;
-        with psi-weights every segment is one step, since the weighted sums
-        take every step.  After a segment of several steps one sum tests the
-        block; if a path still alive has turned non-finite, the block saved
-        at the segment's start is restored and the segment replayed one step
-        at a time, each step tested, so every flag is set at its step.  The
-        replay repeats the same operations on the same values, and non-finite
-        entries are absorbing in the recursions driven here (see the class
-        docstring), so a segment with no new non-finite row at its end had
-        none at any of its steps.
+        ``chunks`` yields (k0, B) like :func:`_normal_chunks`, and the steps
+        read them from the step-major tiles of :func:`_step_tiles`:
+        ``advance(Z, k0, i0, i1)`` applies steps k0 + i0 to k0 + i1 - 1 to X
+        in place, step k0 + i with the contiguous (n_paths, width) draws
+        Z[i]; a stretch of steps that crosses tiles is one ``advance`` call
+        per tile.  Each chunk is stepped in segments that end at the next
+        recorded step or at the chunk's end; with psi-weights every segment
+        is one step, since the weighted sums take every step.  After a
+        segment of several steps one sum tests the block; if a path still
+        alive has turned non-finite, the block saved at the segment's start
+        is restored and the segment replayed one step at a time, each step
+        tested, so every flag is set at its step.  The replay repeats the
+        same operations on the same values, and non-finite entries are
+        absorbing in the recursions driven here (see the class docstring), so
+        a segment with no new non-finite row at its end had none at any of
+        its steps.  Closing the tiles, on the way out, ends the fills.
 
         Recorded steps that follow a recorded step are one dense segment (up
         to the chunk's end, or a full snapshot buffer): each step copies the
@@ -564,48 +624,63 @@ class _BlockRecorder:
         """
         weighted = self.psi is not None
         saved = np.empty_like(X)
+        tiles = _step_tiles(chunks)
+
+        def steps(tile, k0, i0, i1):
+            while i0 < i1:
+                t0, Z = tile(i0)
+                j1 = min(i1, t0 + len(Z))
+                advance(Z, k0 + t0, i0 - t0, j1 - t0)
+                i0 = j1
+
         try:
-            for k0, B in chunks:
-                n, i0 = B.shape[1], 0
+            for k0, n, tile in tiles:
+                i0 = 0
                 while i0 < n:
                     due = self._steps[self._cursor]
                     i1 = i0 + 1 if weighted else min(n, due - k0)
                     if i1 - i0 > 1:
                         np.copyto(saved, X)
-                        advance(B, k0, i0, i1)
+                        steps(tile, k0, i0, i1)
                         if (not math.isfinite(X.sum())
                                 and np.any(self._newly_non_finite(X))):
                             np.copyto(X, saved)
                             for i in range(i0, i1):
-                                advance(B, k0, i, i + 1)
+                                steps(tile, k0, i, i + 1)
                                 self.check(k0 + i + 1, X)
                     else:
-                        advance(B, k0, i0, i1)
+                        steps(tile, k0, i0, i1)
                     k = k0 + i1
                     if weighted:
                         self.record(k, X)
                     elif k == due:
                         self.record(k, X)
-                        i1 += self._dense(X, B, k0, i1, advance)
+                        i1 += self._dense(X, tile, k0, n, i1, advance)
                     else:
                         self.check(k, X)
                     i0 = i1
         finally:
-            chunks.close()  # its fills end here, also when a step raised
+            tiles.close()  # closes chunks too: also when a step raised
 
-    def _dense(self, X: np.ndarray, B, k0: int, i0: int, advance) -> int:
+    def _dense(self, X: np.ndarray, tile, k0: int, n: int, i0: int,
+               advance) -> int:
         """Step and record the run of recorded steps from k0 + i0 + 1 on.
 
-        The run ends at the chunk's end or a full buffer; returns its length.
+        The run ends at the chunk's end (n steps) or a full buffer; returns
+        its length.
         """
-        m = min(B.shape[1] - i0, self._following[self._cursor - 1])
+        m = min(n - i0, self._following[self._cursor - 1])
         if m == 0:
             return 0
         snaps = self._slots(m)
         m = snaps.shape[1]
-        for j in range(m):
-            advance(B, k0, i0 + j, i0 + j + 1)
-            snaps[:, j] = X
+        j = 0
+        while j < m:
+            t0, Z = tile(i0 + j)
+            for i in range(i0 + j - t0, min(len(Z), i0 + m - t0)):
+                advance(Z, k0 + t0, i, i + 1)
+                snaps[:, j] = X
+                j += 1
         self._cursor += m
         last = snaps[:, m - 1]
         if not math.isfinite(last.sum()):
@@ -717,7 +792,7 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
 
     def advance(I, k0, i0, i1):
         for i in range(i0, i1):
-            idx = I[:, i, :sizes[k0 + i]]
+            idx = I[i, :, :sizes[k0 + i]]
             if affine is None:
                 G = _rows(estimate, (problem.d,), X, idx)
             else:
@@ -758,7 +833,7 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     def advance(Z, k0, i0, i1):
         for i in range(i0, i1):
             k = k0 + i
-            N = Z[:, i, :]
+            N = Z[i]
             if noise is not None:
                 N = noise(N, k)  # of the state before the step
             np.multiply(X if grad is None else grad(X, G), eta[k], out=G)
@@ -806,7 +881,7 @@ def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
             np.multiply(X if grad is None else grad(X, G), rate[k], out=G)
             if not folded:
                 np.multiply(G, dt, out=G)
-            N = Z[:, i, :]
+            N = Z[i]
             np.add(G, N if noise is None else noise(N, k), out=G)
             np.add(X, G, out=X)
 

@@ -228,6 +228,15 @@ def test_chunked_draws_keep_the_fingerprint(case, monkeypatch):
     assert _digests(_run(case)) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_tiled_steps_keep_the_fingerprint(case, monkeypatch):
+    # the driven kernels step from 3-step tiles of the 7-step chunks, so
+    # tiles end at odd steps within a chunk and at its end
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * N_PATHS * 2)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * N_PATHS * 2)
+    assert _digests(_run(case)) == GOLDEN[case]
+
+
 # the kernels that draw through _kernels._draw_chunks (svrg and vr-pgf draw
 # per epoch)
 CHUNKED_CASES = sorted(set(GOLDEN) - {"svrg", "vr-pgf"})

@@ -729,6 +729,178 @@ def test_constant_scale_array_gives_the_scalar_bits():
     assert drawn((np.full(FILL_STEPS, c), 1.5)).tobytes() == ref.tobytes()
 
 
+# -- step-major tiles ----------------------------------------------------------
+
+TILE_PATHS, TILE_STEPS = 5, 23  # 7-step chunks cut into 3-step tiles
+
+
+def _chunks_and_tiles(chunks):
+    """Copies of every chunk and of every tile, with their k0, in order.
+
+    Each tile also says whether it shares memory with the chunk it came from.
+    Every chunk's tiles are read forwards, and then its first tile again (a
+    replayed segment reads a tile again).
+    """
+    held, tiles = [], []
+
+    def watched():
+        for k0, B in chunks:
+            held.append((k0, B.copy(), B))
+            yield k0, B
+
+    for k0, n, tile in knl._step_tiles(watched()):
+        assert n == held[-1][1].shape[1]
+        first, i = len(tiles), 0
+        while i < n:
+            t0, T = tile(i)
+            assert t0 == i
+            tiles.append((k0 + t0, T.copy(), np.shares_memory(T, held[-1][2])))
+            i = t0 + len(T)
+        t0, T = tile(0)
+        assert t0 == 0 and T.tobytes() == tiles[first][1].tobytes()
+    return [(k0, B) for k0, B, _ in held], tiles
+
+
+def _assert_transposed(chunks, tiles):
+    whole = np.concatenate([B for _, B in chunks], axis=1)
+    stepped = np.concatenate([T for _, T, _ in tiles], axis=0)
+    assert stepped.dtype == whole.dtype
+    assert (stepped.tobytes()
+            == np.ascontiguousarray(whole.transpose(1, 0, 2)).tobytes())
+    # each tile starts where the one before it ended
+    lengths = [len(T) for _, T, _ in tiles]
+    assert [k0 for k0, _, _ in tiles] == np.cumsum([0] + lengths[:-1]).tolist()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 100])
+@pytest.mark.parametrize("paths", [1, TILE_PATHS])
+def test_step_tiles_are_the_transposed_chunks(paths, width, monkeypatch):
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * paths * width)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * paths * width)
+    chunks, tiles = _chunks_and_tiles(
+        knl._normal_chunks(gen_list(seed, paths), TILE_STEPS, width))
+    assert [k0 for k0, _ in chunks] == [0, 7, 14, 21]
+    _assert_transposed(chunks, tiles)
+    # one path, or rows of a cache line or more: the chunk's own memory
+    view = paths == 1 or width >= 8
+    assert [shared for *_, shared in tiles] == [view] * len(tiles)
+    assert [k0 for k0, _, _ in tiles] == (
+        [0, 7, 14, 21] if view else [0, 3, 6, 7, 10, 13, 14, 17, 20, 21])
+
+
+def test_step_tiles_of_growing_batch_indices(monkeypatch):
+    sizes = [1 + k // 4 for k in range(TILE_STEPS)]  # 1 to 6 indices a step
+    width = max(sizes)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * TILE_PATHS * width)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * TILE_PATHS * width)
+    chunks, tiles = _chunks_and_tiles(knl._index_chunks(
+        gen_list(seed, TILE_PATHS), TILE_STEPS, 5, sizes))
+    assert chunks[0][1].dtype == np.int64
+    _assert_transposed(chunks, tiles)
+    assert not any(shared for *_, shared in tiles)
+
+
+def test_closing_tiles_early_leaves_no_draw_thread(monkeypatch):
+    monkeypatch.setattr(knl, "_fill_workers", lambda n: 2)
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 4 * 4 * 2)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * 4 * 2)
+    streams = [_CountingStream(g, delay=0.05) for g in gen_list(seed, 4)]
+    chunks = knl._normal_chunks(streams, 10, 2)
+    tiles = knl._step_tiles(chunks)
+    k0, n, tile = next(tiles)
+    t0, T = tile(0)
+    assert (k0, n, t0, len(T)) == (0, 4, 0, 3)
+    tiles.close()  # chunk 1 is still filling
+    assert inspect.getgeneratorstate(chunks) == inspect.GEN_CLOSED
+    assert _draw_threads() == []
+    assert [s.calls for s in streams] == [2, 2, 2, 2]
+
+
+def test_kernel_raising_mid_tile_closes_tiles_and_chunks(monkeypatch):
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 4 * 4 * 2)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * 4 * 2)
+    made = []
+    real_tiles, real_record = knl._step_tiles, knl._BlockRecorder.record
+
+    def step_tiles(chunks):
+        made.append((chunks, real_tiles(chunks)))
+        return made[-1][1]
+
+    def record(self, k, X):
+        if k == 6:  # within the tile of steps 4-6, in chunk 1 (steps 4-7)
+            raise RuntimeError("step failed")
+        real_record(self, k, X)
+
+    monkeypatch.setattr(knl, "_step_tiles", step_tiles)
+    monkeypatch.setattr(knl._BlockRecorder, "record", record)
+    streams = [_CountingStream(g, delay=0.05) for g in gen_list(seed, 4)]
+    with pytest.raises(RuntimeError, match="step failed"):
+        kernel_pgd(isotropic_problem(), AdjustmentSchedule(h=0.2),
+                   BatchSchedule(), X0, 20, streams, [0, 6, 20])
+    [(chunks, tiles)] = made
+    assert inspect.getgeneratorstate(tiles) == inspect.GEN_CLOSED
+    assert inspect.getgeneratorstate(chunks) == inspect.GEN_CLOSED
+    assert _draw_threads() == []
+    calls = [s.calls for s in streams]
+    time.sleep(0.2)  # no fill goes on after the kernel has returned
+    assert [s.calls for s in streams] == calls == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("vol", ["matrix", "rows"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_noise_of_a_tile_row_is_that_of_the_chunk_view(d, vol):
+    # the matrix volatility's N @ sigma.T is the one BLAS call whose operand
+    # layout follows the draws': a strided step of a path-major chunk and a
+    # contiguous tile row must give the same bits; the row loop sees each
+    # path's row either way
+    rng = np.random.default_rng(seed + d)
+    problem = _observable_problems(d)["callable"]
+    sigma = None if vol == "rows" else rng.normal(size=(d, d))
+    n, steps = 6, 5
+    B = rng.normal(size=(n, steps, d))
+    X = rng.normal(size=(n, d))
+    noise, _ = knl._noise(problem, sigma, X, rng.uniform(0.5, 2.0, steps), 0.3)
+    tile = np.ascontiguousarray(B.transpose(1, 0, 2))
+    for i in range(steps):
+        assert not B[:, i].flags.c_contiguous and tile[i].flags.c_contiguous
+        assert noise(B[:, i], i).tobytes() == noise(tile[i], i).tobytes()
+
+
+def _chunk_views(chunks):
+    """Every chunk as one tile of strided step views, in place of copies."""
+    try:
+        for k0, B in chunks:
+            view = (0, B.transpose(1, 0, 2))
+            yield k0, B.shape[1], lambda i: view
+    finally:
+        chunks.close()
+
+
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_matrix_kernels_step_tiles_and_chunk_views_alike(d, kind, monkeypatch):
+    rng = np.random.default_rng(seed + d)
+    c = rng.normal(size=d)
+    problem = make_perturbed_quadratic(rng.uniform(0.5, 2.0, d),
+                                       rng.normal(size=d), [c, -c])
+    assert knl._scalar_of(knl._pgd_constant_sigma(problem, "exact")) is None
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * n_paths * d)
+    monkeypatch.setattr(knl, "_TILE_DOUBLES", 3 * n_paths * d)
+    adj = AdjustmentSchedule(h=0.1, family="power", a=0.5)
+    x0, ks = np.linspace(1.0, -1.0, d), [0, 5, 17, 18, 19, 40]
+
+    def run():
+        gens = gen_list(seed, n_paths)
+        if kind == "pgd":
+            return kernel_pgd(problem, adj, BatchSchedule(b=2), x0, 40, gens, ks)
+        return kernel_mb_pgf(problem, adj, BatchSchedule(b=2), x0, 0.01, 40,
+                             gens, ks)
+
+    tiled = run()
+    monkeypatch.setattr(knl, "_step_tiles", _chunk_views)
+    assert tiled.states.tobytes() == run().states.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_flags_match_simulator():
     # component curvatures 1 and 1e200: drawing the stiff component overflows
@@ -896,6 +1068,13 @@ def test_segmented_divergence_matches_per_step_recording(kind, weights, vol,
     for ks in grids:
         ks = sorted(set(ks))
         _same_run(_segmented_run(kind, vol, weights, n, ks), ref, ks)
+    # a divergence at a tile's last step, and 3-step tiles, within one chunk:
+    # segments and their replays cross tiles
+    with pytest.MonkeyPatch.context() as tiles:
+        for tile in (first, second, 3):
+            tiles.setattr(knl, "_TILE_DOUBLES", tile * SEGMENT_PATHS * width)
+            for ks in ([0, n], [0, first, n]):
+                _same_run(_segmented_run(kind, vol, weights, n, ks), ref, ks)
     # a divergence at a chunk's last step
     for chunk in (first, second):
         monkeypatch.setattr(knl, "_CHUNK_DOUBLES", chunk * SEGMENT_PATHS * width)
@@ -1031,6 +1210,11 @@ def test_dense_recording_matches_the_per_step_loops(kind, monkeypatch):
         if ref.diverged:
             mid_chunk += ref.divergence_step % 40 not in (0, 1)
     assert mid_chunk
+    # 7-step tiles end inside those runs too, within each chunk
+    with pytest.MonkeyPatch.context() as tiles:
+        tiles.setattr(knl, "_TILE_DOUBLES", 7 * SEGMENT_PATHS * width)
+        ks = np.arange(n + 1)
+        _same_run(_segmented_run(kind, "scalar", False, n, ks), res, ks)
     # one path at a time through the public simulators
     monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 40 * width)
     diverging = int(np.flatnonzero(res.diverged)[0])

@@ -114,7 +114,8 @@ class KernelResult:
     integrals for continuous ones), and ``denominators`` (n_records,) the
     same sums of psi alone, NaN where the integral is empty (t = 0), so
     their ratios are the weighted averages; all three None when not
-    requested.
+    requested.  ``jump_period`` is q when every q-th step ends on an epoch
+    jump (:func:`_epoch_loop`), and None in a run without jumps.
     """
 
     record_ks: np.ndarray
@@ -125,6 +126,7 @@ class KernelResult:
     wsum_grad_sq: np.ndarray | None = None
     denominators: np.ndarray | None = None
     observables: np.ndarray | None = None
+    jump_period: int | None = None
 
 
 # The "exact" constant volatility of each problem, computed once; weak keys,
@@ -527,8 +529,8 @@ class _BlockRecorder:
     step adds, subtracts and multiplies each entry with finite operands and
     terms of that entry alone (a constant volatility never reads the
     state), and the row loops (:func:`_rows`) give a non-finite row NaN.
-    The epoch-end jumps of :func:`kernel_svrg` and :func:`kernel_vr_pgf` can
-    copy a finite state over a non-finite one, so those two record per step.
+    The epoch-end jumps of :func:`_epoch_loop` can copy a finite state over
+    a non-finite one, so that loop tests every step.
     """
 
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
@@ -743,7 +745,7 @@ class _BlockRecorder:
             self.acc_w += (0.5 * self.dt) * (self._prev_w + w)
         self._prev_f, self._prev_g, self._prev_w = wf, wg, w
 
-    def finish(self) -> KernelResult:
+    def finish(self, jump_period: int | None = None) -> KernelResult:
         assert self._cursor == self.record_ks.size, "missed a recording step"
         if self._buffer is not None:
             self._reduce()
@@ -753,7 +755,8 @@ class _BlockRecorder:
                             wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g,
                             denominators=None if w is None
                             else np.where(w > 0, w, np.nan),
-                            observables=self.observables)
+                            observables=self.observables,
+                            jump_period=jump_period)
 
 
 def _scalar_of(matrix: np.ndarray) -> float | None:
@@ -925,6 +928,48 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                       node_psi=None, keep_states=keep_states)
 
 
+def _epoch_jump(rec: _BlockRecorder, k: int, X, window, gens) -> np.ndarray:
+    """The block after step k's epoch-end jump to uniformly drawn window states.
+
+    The pre-jump state is tested first: a path that turns non-finite on its
+    epoch's last step is flagged there, although it lands on a finite state.
+    """
+    rec.check(k, X)
+    J = np.array([g.integers(0, window.shape[1]) for g in gens])
+    return window[np.arange(len(gens)), J]
+
+
+def _epoch_loop(problem: FiniteSumProblem, x0, gens, n_steps: int, q: int,
+                record_ks, keep_states: bool, draw, epoch,
+                jumps: bool = True) -> KernelResult:
+    """The epochs of q steps of SVRG option II and its delay diffusion.
+
+    Each epoch draws ``draw(g, n)`` per path for its n steps, and
+    ``epoch(start)``, given the block at the epoch's start (SVRG's pivot,
+    the diffusion's delayed state), returns its step (X, W[:, i]) -> X.
+    The states before its steps fill the epoch window; with ``jumps`` a
+    full epoch ends on :func:`_epoch_jump` to one of them, a partial last
+    epoch on no jump.  Every step is recorded, so every step is tested.
+    """
+    rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
+                         keep_states=keep_states)
+    X = rec.start(x0)
+    window = np.empty((len(gens), q, problem.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n_steps, q):
+            n = min(q, n_steps - k0)
+            W = np.array([draw(g, n) for g in gens])
+            step = epoch(X.copy())
+            for i in range(n):
+                window[:, i] = X
+                X = step(X, W[:, i])
+                k = k0 + i + 1
+                if jumps and i == q - 1:
+                    X = _epoch_jump(rec, k, X, window, gens)
+                rec.record(k, X)
+    return rec.finish(jump_period=q if jumps else None)
+
+
 def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
                 n_epochs: int, x0, gens, record_ks,
                 keep_states: bool = True) -> KernelResult:
@@ -937,13 +982,6 @@ def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
     """
     if epoch_steps < 1:
         raise ValueError("epoch_steps must be >= 1")
-    m = epoch_steps
-    n_paths = len(gens)
-    rec = _BlockRecorder(problem, m * n_epochs, n_paths, record_ks,
-                         keep_states=keep_states)
-    X = rec.start(x0)
-    window = np.empty((n_paths, m, problem.d))
-    rows = np.arange(n_paths)
     affine = problem.affine
 
     def estimate(x, pivot, idx):
@@ -951,27 +989,17 @@ def kernel_svrg(problem: FiniteSumProblem, h: float, epoch_steps: int,
                         - problem.component_grad(int(i), pivot)
                         for i in idx], axis=0) + problem.grad(pivot)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_epochs):
-            pivot = X.copy()
-            if affine is not None:
-                grad_pivot = (pivot - problem.x_star) * affine.d_mean + affine.c_mean
-            I = np.array([g.integers(0, problem.n_components, size=m)
-                          for g in gens])
-            for i in range(m):
-                window[:, i, :] = X
-                if affine is None:
-                    G = _rows(estimate, (problem.d,), X, pivot, I[:, i:i + 1])
-                else:
-                    G = affine.D[I[:, i]] * (X - pivot) + grad_pivot
-                X = X - h * G
-                if i < m - 1:
-                    rec.record(j * m + i + 1, X)
-            rec.check((j + 1) * m, X)  # the epoch's last step, before the jump
-            J = np.array([g.integers(0, m) for g in gens])
-            X = window[rows, J, :].copy()
-            rec.record((j + 1) * m, X)
-    return rec.finish()
+    def epoch(pivot):
+        if affine is None:
+            return lambda X, I: X - h * _rows(estimate, (problem.d,), X, pivot,
+                                              I[:, None])
+        grad_pivot = (pivot - problem.x_star) * affine.d_mean + affine.c_mean
+        return lambda X, I: X - h * (affine.D[I] * (X - pivot) + grad_pivot)
+
+    return _epoch_loop(problem, x0, gens, epoch_steps * n_epochs, epoch_steps,
+                       record_ks, keep_states,
+                       lambda g, n: g.integers(0, problem.n_components, size=n),
+                       epoch)
 
 
 def _vr_increment(problem: FiniteSumProblem, dt: float, h: float):
@@ -1019,33 +1047,14 @@ def kernel_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     """Vectorised variance-reduced delay diffusion.
 
     dX = -grad f(X) dt + sqrt(h) sigma_VR(X, X_del) dB, where X_del is the
-    state at the current epoch's start; with ``with_jumps`` each epoch ends
-    on a uniformly drawn grid state of that epoch.  The volatility is the
+    state at the current epoch's start; with ``with_jumps`` each full epoch
+    ends on a uniformly drawn grid state of that epoch.  The volatility is the
     square root of ``sigma_vr`` row by row, in closed form for the
     two-component one-dimensional affine family (:func:`_vr_increment`).
     """
-    q = staleness.grid_steps(dt)
-    n_paths = len(gens)
-    rec = _BlockRecorder(problem, n_steps, n_paths, record_ks,
-                         keep_states=keep_states)
-    X = rec.start(x0)
     increment = _vr_increment(problem, dt, staleness.h)
-    window = np.empty((n_paths, q, problem.d))
-    rows = np.arange(n_paths)
-    # Noise must be drawn in epoch-sized blocks: the per-path stream
-    # interleaves q normal increments with one jump draw per epoch.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k0 = 0
-        while k0 < n_steps:
-            q_eff = min(q, n_steps - k0)
-            Z = np.array([g.standard_normal((q_eff, problem.d)) for g in gens])
-            for i in range(q_eff):
-                k = k0 + i
-                window[:, k % q] = X
-                X = X + increment(X, window[:, 0], Z[:, i])
-                if with_jumps and (k + 1) % q == 0:
-                    J = np.array([g.integers(0, q) for g in gens])
-                    X = window[rows, J].copy()
-                rec.record(k + 1, X)
-            k0 += q_eff
-    return rec.finish()
+    return _epoch_loop(problem, x0, gens, n_steps, staleness.grid_steps(dt),
+                       record_ks, keep_states,
+                       lambda g, n: g.standard_normal((n, problem.d)),
+                       lambda X_del: lambda X, Z: X + increment(X, X_del, Z),
+                       jumps=with_jumps)

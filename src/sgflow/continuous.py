@@ -56,8 +56,8 @@ class SdeSpec:
     matrix (x_delayed is None unless ``delay`` is set).  ``volatility=None``
     means a deterministic flow (no noise is drawn at all).  When ``delay`` is
     given, its epoch time must be a positive multiple of dt; ``jump_rule``
-    may then be "uniform_epoch" to resample at epoch ends.  ``problem`` is
-    only used to record observables.
+    may then be "uniform_epoch" to resample at epoch ends, each after a
+    finiteness test.  ``problem`` is only used to record observables.
     """
 
     drift: Callable[[np.ndarray, float], np.ndarray]
@@ -97,11 +97,12 @@ def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
                    record_every: int = 1) -> Trajectory:
     """Integrate an :class:`SdeSpec` to one sample path.
 
-    Non-finite states truncate the path and set the divergence flag.  In delay
-    mode the delayed lookup for t in [j·T_epoch, (j+1)·T_epoch) returns the
-    stored state at j·T_epoch (pre-history is x0), and with the uniform jump
-    rule the state at each epoch end is replaced by a uniformly drawn state of
-    the finished epoch before integration continues.
+    Non-finite states truncate the path and set the divergence flag, at an
+    epoch's end before its jump.  In delay mode the delayed lookup for t in
+    [j·T_epoch, (j+1)·T_epoch) returns the stored state at j·T_epoch
+    (pre-history is x0), and with the uniform jump rule the state at each
+    epoch end is replaced by a uniformly drawn state of the finished epoch
+    before integration continues.
     """
     d = spec.x0.size
     K = spec.n_steps
@@ -126,13 +127,13 @@ def euler_maruyama(spec: SdeSpec, rng: np.random.Generator,
             z = rng.standard_normal(d)
             step = step + sqrt_dt * (spec.volatility(x, t, x_delayed) @ z)
         x = x + step
-        jumped = False
-        if q is not None and spec.jump_rule == "uniform_epoch" and (k + 1) % q == 0:
-            x = epoch_window[rng.integers(0, q)].copy()
-            jumped = True
-        if not np.all(np.isfinite(x)):
+        if not np.all(np.isfinite(x)):  # before a jump could hide it
             rec.mark_divergence(k + 1)
             break
+        jumped = (q is not None and spec.jump_rule == "uniform_epoch"
+                  and (k + 1) % q == 0)
+        if jumped:
+            x = epoch_window[rng.integers(0, q)].copy()
         rec.record(k + 1, x, jumped=jumped)
     return rec.finish()
 
@@ -177,8 +178,7 @@ def simulate_vr_pgf(problem: FiniteSumProblem, staleness: StalenessSchedule,
     res = _kernels.kernel_vr_pgf(problem, staleness, x0, dt, n_steps, [rng],
                                  record_steps(n_steps, record_every),
                                  with_jumps=with_jumps)
-    q = staleness.grid_steps(dt)
-    return _trajectory(problem, res, dt, jump_every=q if with_jumps else None)
+    return _trajectory(problem, res, dt)
 
 
 def simulate_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,

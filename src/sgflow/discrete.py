@@ -103,17 +103,18 @@ class _Recorder:
 
 
 def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
-                dt: float, jump_every: int | None = None) -> Trajectory:
+                dt: float) -> Trajectory:
     """The first path of a kernel run, ended before its divergence step.
 
-    Given ``jump_every``, the states at its positive multiples are flagged
-    as epoch-end jumps.
+    In a run with epoch-end jumps, the states at positive multiples of its
+    ``jump_period`` are flagged as jumps.
     """
     ks = res.record_ks
     div = int(res.divergence_step[0]) if res.diverged[0] else None
     n = ks.size if div is None else int(np.searchsorted(ks, div))
     ks = ks[:n]
-    jumps = None if jump_every is None else (ks > 0) & (ks % jump_every == 0)
+    q = res.jump_period
+    jumps = None if q is None else (ks > 0) & (ks % q == 0)
     return _observed(problem, ks * dt, res.states[0, :n], jumps, div)
 
 
@@ -178,4 +179,4 @@ def run_svrg_option2(problem: FiniteSumProblem, h: float, epoch_steps: int,
     n_steps = epoch_steps * n_epochs
     res = _kernels.kernel_svrg(problem, h, epoch_steps, n_epochs, x0, [rng],
                                record_steps(n_steps, record_every))
-    return _trajectory(problem, res, h, jump_every=epoch_steps)
+    return _trajectory(problem, res, h)

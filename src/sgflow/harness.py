@@ -214,12 +214,7 @@ def _run_one_path(spec: RunSpec, rng: np.random.Generator,
     vr-pgf.
     """
     res = _kernel_dispatch(spec, [rng], record_steps(spec.total_steps, record_every))
-    jump_every = None
-    if spec.mode == "svrg":
-        jump_every = spec.epoch_steps
-    elif spec.mode == "vr-pgf":
-        jump_every = spec.staleness.grid_steps(spec.dt)
-    return _trajectory(spec.problem, res, spec.grid_spacing, jump_every=jump_every)
+    return _trajectory(spec.problem, res, spec.grid_spacing)
 
 
 def _kernel_dispatch(spec: RunSpec, gens, ks: np.ndarray, *,
@@ -462,8 +457,10 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
 
     ``checkpoints`` are positions in the stats grid (indices into
     ``stats.record_ks``); by default ~n_checkpoints geometric positions over
-    the admissible part of the grid (epoch marks for the variance-reduced
-    kinds).  Every checkpoint must satisfy mean <= bound + slack_se * SE.
+    the admissible part of the grid.  Every checkpoint must satisfy
+    mean <= bound + slack_se * SE.  The variance-reduced kinds are checked
+    at every epoch mark j, each grid time within 1e-9 of j m h; they reject
+    ``checkpoints`` with a ValueError and leave ``n_checkpoints`` unused.
     """
     key = _OBSERVABLE_FOR_KIND[bound.kind]
     if key not in stats.mean:
@@ -472,29 +469,21 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
     ks = stats.record_ks
     t0 = time.perf_counter()
 
-    if bound.kind == "vr_dt":
+    if bound.kind in ("vr_dt", "vr_ct"):
+        if checkpoints is not None:
+            raise ValueError(f"{bound.kind!r} is checked at every epoch mark "
+                             "on the record grid and takes no checkpoints")
         m = bound.inputs.m
         if m is None:
-            raise ValueError("the discrete variance-reduced bound needs inputs.m")
-        pos = np.nonzero(ks % m == 0)[0]
-        if pos.size == 0:
-            raise ValueError("no epoch marks on the record grid")
-        epochs = ks[pos] // m
-        reference = np.array([bound.evaluate(j) for j in epochs])
-        where = epochs
-    elif bound.kind == "vr_ct":
-        m = bound.inputs.m
-        if m is None:
-            raise ValueError("the continuous variance-reduced bound needs inputs.m")
+            raise ValueError(f"the {bound.kind!r} bound needs inputs.m")
         epoch_time = m * bound.inputs.h
         j_near = np.round(stats.grid / epoch_time).astype(int)
         on_mark = np.abs(stats.grid - j_near * epoch_time) <= 1e-9 * max(1.0, epoch_time)
         pos = np.nonzero(on_mark)[0]
         if pos.size == 0:
             raise ValueError("no epoch marks on the record grid")
-        epochs = j_near[pos]
-        reference = np.array([bound.evaluate(j) for j in epochs])
-        where = epochs
+        where = j_near[pos]
+        reference = np.array([bound.evaluate(j) for j in where])
     else:
         first = 1 if ks[0] == 0 else 0
         if checkpoints is None:

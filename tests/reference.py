@@ -216,5 +216,6 @@ def one_path_at_a_time(dispatch):
             stacked(name) for name in ("states", "diverged", "divergence_step",
                                        "wsum_f_gap", "wsum_grad_sq")),
             denominators=parts[0].denominators,
-            observables=stacked("observables", axis=1))
+            observables=stacked("observables", axis=1),
+            jump_period=parts[0].jump_period)
     return run

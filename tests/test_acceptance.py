@@ -86,15 +86,14 @@ def test_criterion_3_variance_reduced_contraction():
     spec = RunSpec(mode="svrg", problem=problem, x0=x0, h=0.01,
                    epoch_steps=100, n_epochs=5, record_every=100)
     stats = ensemble_run(spec, 500, SEED + 31)
-    report = verify_bound(stats, discrete, checkpoints=np.arange(1, 6))
+    report = verify_bound(stats, discrete)
     assert report.passed
 
     spec_sdde = RunSpec(mode="vr-pgf", problem=problem, x0=x0,
                         staleness=StalenessSchedule(m=100, h=0.01),
                         dt=0.002, T=5.0, record_every=500)
     stats_sdde = ensemble_run(spec_sdde, 500, SEED + 32)
-    report_sdde = verify_bound(stats_sdde, RateBound("vr_ct", inputs),
-                               checkpoints=np.arange(1, 6))
+    report_sdde = verify_bound(stats_sdde, RateBound("vr_ct", inputs))
     assert report_sdde.passed
     assert np.all(report_sdde.empirical
                   <= report_sdde.reference + 3.0 * report_sdde.se)

@@ -834,6 +834,31 @@ def test_verify_bound_vr_discrete_epoch_marks():
         verify_bound(off_grid, bound)
 
 
+def test_verify_bound_vr_discrete_marks_by_time_on_a_finer_grid():
+    # steps of 0.005 with m = 3 and h = 0.01: the epoch time 0.03 is step 6,
+    # so the marks are positions 0 and 6, not the multiples of m
+    inputs = vr_inputs(m=3)
+    ks = np.arange(7)
+    dist = np.array([4.0, 1e6, 1e6, 1e6, 1e6, 1e6, 0.5])
+    stats = manual_stats(ks, ks * 0.005, {"dist_sq": dist},
+                         {"dist_sq": np.zeros(7)})
+    report = verify_bound(stats, RateBound("vr_dt", inputs))
+    assert np.array_equal(report.checkpoints, [0, 1])
+    assert np.array_equal(report.empirical, dist[[0, 6]])
+    assert report.passed
+
+
+@pytest.mark.parametrize("kind", ["vr_dt", "vr_ct"])
+def test_verify_bound_vr_rejects_checkpoints(kind):
+    ks = np.arange(7)
+    stats = manual_stats(ks, ks * 0.01, {"dist_sq": np.zeros(7)},
+                         {"dist_sq": np.zeros(7)})
+    with pytest.raises(ValueError, match=f"'{kind}' is checked at every epoch "
+                                         "mark .* takes no checkpoints"):
+        verify_bound(stats, RateBound(kind, vr_inputs(m=3)),
+                     checkpoints=np.arange(1, 3))
+
+
 def test_verify_bound_vr_continuous_marks_by_time():
     inputs = vr_inputs(m=3)  # epoch time 0.03
     bound = RateBound("vr_ct", inputs)

@@ -42,6 +42,7 @@ from reference import (
     simulate_vr_pgf,
 )
 from sgflow.estimators import sigma_mb
+from sgflow.harness import EnsembleDivergenceError, RunSpec, ensemble_run
 from sgflow.problems import (
     FiniteSumProblem,
     ProblemConstants,
@@ -409,6 +410,92 @@ def test_kernel_vr_pgf_rejects_wrong_shapes():
         kernel_vr_pgf(make_spread_quadratic(3.0, 1.0),
                       StalenessSchedule(m=3, h=0.01), [1.0], 0.02, 4,
                       gen_list(seed, 2), record_ks=[0, 4])
+
+
+# -- epoch-end jumps ---------------------------------------------------------
+
+# Component curvatures 1 and 1e200 with h = dt = 1e-3: from x0 = 10 the
+# first step of an epoch moves to about -5e197, where the volatility (vr-pgf)
+# or the stiff component's estimate (svrg) overflows on the second step.
+# With two-step epochs that step is the epoch's last, and the jump after it
+# lands on a finite state of the window.
+JUMP_DT = 1e-3
+JUMP_X0 = np.array([10.0])
+JUMP_STATES = [[10.0], [-4.9999999999999994e+197]]  # steps 0 and 1
+
+
+def jump_overflow_problem():
+    return FiniteSumProblem.from_affine([[1.0], [1e200]], [[0.0], [0.0]],
+                                        [0.0], ProblemConstants(L=1e200))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [2, 3], ids=["at-the-jump", "mid-epoch"])
+def test_overflow_before_a_jump_is_flagged_at_its_step(m):
+    # the state is tested before the jump: the kernel, the simulator and the
+    # reference loop flag step 2 whether or not a jump follows it
+    p, st = jump_overflow_problem(), StalenessSchedule(m=m, h=JUMP_DT)
+    res = kernel_vr_pgf(p, st, JUMP_X0, JUMP_DT, 6, [np.random.default_rng(0)],
+                        record_ks=np.arange(7))
+    assert res.diverged.tolist() == [True]
+    assert res.divergence_step.tolist() == [2]
+    for simulate in (sgflow.simulate_vr_pgf, simulate_vr_pgf):
+        tr = simulate(p, st, JUMP_X0, JUMP_DT, 6 * JUMP_DT,
+                      np.random.default_rng(0))
+        assert tr.diverged and tr.divergence_step == 2
+        assert np.array_equal(tr.states, JUMP_STATES)
+        assert tr.jump_flags.tolist() == [False, False]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [2, 3])
+def test_svrg_overflow_before_a_jump_is_flagged_at_its_step(m):
+    p = jump_overflow_problem()
+    for run in (sgflow.run_svrg_option2, run_svrg_option2):
+        tr = run(p, JUMP_DT, m, 6 // m, JUMP_X0, np.random.default_rng(0))
+        assert tr.diverged and tr.divergence_step == 2
+        assert np.array_equal(tr.states, JUMP_STATES)
+        assert tr.jump_flags.tolist() == [False, False]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ensemble_counts_every_path_that_overflows_before_a_jump():
+    # every path overflows on its first epoch's last step; none may be
+    # counted as a survivor because its jump landed on a finite state
+    spec = RunSpec(mode="vr-pgf", problem=jump_overflow_problem(), x0=JUMP_X0,
+                   staleness=StalenessSchedule(m=2, h=JUMP_DT), dt=JUMP_DT,
+                   T=6 * JUMP_DT)
+    with pytest.raises(EnsembleDivergenceError, match="^50/50 paths diverged"):
+        ensemble_run(spec, 50, 1)
+
+
+@pytest.mark.parametrize("with_jumps", [True, False])
+def test_jumps_end_full_epochs_only(with_jumps):
+    # 7 steps of two-step epochs: jumps end steps 2, 4 and 6, and the partial
+    # last epoch (step 7) has none
+    p, st, dt = make_spread_quadratic(3.0, 1.0), StalenessSchedule(m=2, h=0.01), 0.01
+    res = kernel_vr_pgf(p, st, [1.5], dt, 7, gen_list(seed, 2),
+                        record_ks=np.arange(8), with_jumps=with_jumps)
+    assert res.jump_period == (2 if with_jumps else None)
+    flags = [False, False, True, False, True, False, True, False]
+    for simulate in (sgflow.simulate_vr_pgf, simulate_vr_pgf):
+        tr = simulate(p, st, np.array([1.5]), dt, 7 * dt,
+                      np.random.default_rng(seed), with_jumps=with_jumps)
+        if with_jumps:
+            assert tr.jump_flags.tolist() == flags
+        else:
+            assert tr.jump_flags is None
+
+
+def test_only_the_epoch_kernels_carry_a_jump_period():
+    p, gens, ks = noisy_problem(), gen_list(seed, 2), np.arange(7)
+    assert kernel_svrg(p, 0.05, 3, 2, X0, gens, ks).jump_period == 3
+    adj, batch = AdjustmentSchedule(h=0.1), BatchSchedule()
+    for res in (kernel_mb_sgd(p, adj, batch, X0, 6, gens, ks),
+                kernel_pgd(p, adj, batch, X0, 6, gens, ks),
+                kernel_mb_pgf(p, adj, batch, X0, 0.1, 6, gens, ks),
+                kernel_time_changed(p, adj, batch, X0, 0.1, 6, gens, ks)):
+        assert res.jump_period is None
 
 
 # -- chunking and divergence -------------------------------------------------

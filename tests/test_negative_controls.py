@@ -3,7 +3,8 @@
 Each mutant monkeypatches one defect into sgflow; each check is one of the
 experiments the gate runs, at a small fixed size and seed, except
 ``bound-index``, which compares a bound's reference values with their closed
-form on a noiseless run.  Every check must
+form on a noiseless run, and ``jump-divergence``, which counts the paths of
+a run that must all diverge.  Every check must
 pass on the real code (the positive control), and every (mutant, check) pair
 listed in ``KILLS`` must fail.  The pairs not listed survive: the check cannot
 see that defect at this size, and no test asserts either outcome for them.
@@ -23,8 +24,9 @@ import sgflow.harness as harness
 from sgflow.bounds import BoundInputs, RateBound
 from sgflow.harness import (RunSpec, ball_experiment, ensemble_run,
                             time_change_experiment, verify_bound)
-from sgflow.problems import make_isotropic_quadratic, make_perturbed_quadratic
-from sgflow.schedules import AdjustmentSchedule
+from sgflow.problems import (FiniteSumProblem, ProblemConstants,
+                             make_isotropic_quadratic, make_perturbed_quadratic)
+from sgflow.schedules import AdjustmentSchedule, StalenessSchedule
 
 SEED = 271828
 
@@ -91,9 +93,26 @@ def check_bound_index():
                            max_violation_se=float(deviation))
 
 
+def check_jump_divergence():
+    # component curvatures 1 and 1e200: from x0 = 10 every path of the delay
+    # diffusion overflows on the last step of its first two-step epoch, just
+    # before a jump that lands it on a finite state; all must be flagged, and
+    # the cell shows how many were counted as survivors
+    problem = FiniteSumProblem.from_affine([[1.0], [1e200]], [[0.0], [0.0]],
+                                           [0.0], ProblemConstants(L=1e200))
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(SEED + 6).spawn(50)]
+    res = knl.kernel_vr_pgf(problem, StalenessSchedule(m=2, h=1e-3), [10.0],
+                            1e-3, 6, gens, np.arange(7))
+    survivors = int(np.count_nonzero(~res.diverged))
+    return SimpleNamespace(passed=survivors == 0,
+                           max_violation_se=float(survivors))
+
+
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
           "time-change": check_time_change, "pl-ct": check_pl_ct,
-          "pl-dt": check_pl_dt, "bound-index": check_bound_index}
+          "pl-dt": check_pl_dt, "bound-index": check_bound_index,
+          "jump-divergence": check_jump_divergence}
 
 
 # -- mutants: one defect each, patched in with monkeypatch ---------------------
@@ -155,10 +174,21 @@ def bound_one_step_ahead(monkeypatch):
     monkeypatch.setattr(RateBound, "evaluate", shifted)
 
 
+def no_pre_jump_check(monkeypatch):
+    """Epoch-end jumps with no divergence test of the pre-jump state."""
+    real = knl._epoch_jump
+
+    def unchecked_jump(rec, k, X, window, gens):
+        return real(SimpleNamespace(check=lambda k, X: None), k, X, window, gens)
+
+    monkeypatch.setattr(knl, "_epoch_jump", unchecked_jump)
+
+
 MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "ball-bound-halved": ball_bound_halved,
            "identity-warp": identity_warp,
-           "bound-at-k": bound_one_step_ahead}
+           "bound-at-k": bound_one_step_ahead,
+           "no-pre-jump-check": no_pre_jump_check}
 
 # the (mutant, check) pairs whose check fails; every other pair survives
 KILLS = [
@@ -168,6 +198,7 @@ KILLS = [
     ("ball-bound-halved", "ball-ct"),
     ("identity-warp", "time-change"),
     ("bound-at-k", "bound-index"),
+    ("no-pre-jump-check", "jump-divergence"),
 ]
 
 

@@ -31,7 +31,9 @@ simulator, and every closed-form bound -- never loads it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -298,7 +300,7 @@ def bound_discrete(inputs: BoundInputs, k: int, kind: str) -> float:
 
 
 def bound_discrete_curve(inputs: BoundInputs, ks, kind: str) -> np.ndarray:
-    """Vectorized :func:`bound_discrete` over an increasing array of step indices."""
+    """:func:`bound_discrete` over increasing step indices, bit for bit, in one pass."""
     _discrete_admissibility(inputs, kind)
     ks = np.asarray(ks, dtype=int)
     if ks.size == 0:
@@ -320,9 +322,9 @@ def bound_discrete_curve(inputs: BoundInputs, ks, kind: str) -> np.ndarray:
         tau = inputs.tau
         noise = d * h * h * s2 * np.cumsum(w)
         return (inputs.dist0_sq + noise)[ks] / (tau * h * big_phi[ks])
-    if kind == "wqc_last_dt":
+    if kind == "wqc_last_dt":  # the continuous weight L tau phi(ih), as L tau h Phi_{i+1}
         tau = inputs.tau
-        noise = h * h * d * s2 * np.cumsum((1.0 + tau * big_phi * L) * w)
+        noise = h * h * d * s2 * np.cumsum((1.0 + tau * L * h * big_phi) * w)
         return (inputs.dist0_sq + noise)[ks] / (2.0 * tau * h * big_phi[ks])
     # pl_dt: exact forward recursion, evaluated once up to k_max
     mu = _require(inputs.mu_pl, "mu_pl", "the gradient-domination bound")
@@ -476,19 +478,46 @@ def ball_bound(inputs: BoundInputs, mode: str) -> float:
 
 
 @dataclass(frozen=True)
+class _Kind:
+    observable: str  # the EnsembleStats mean the kind bounds
+    value: Callable | None = None  # (inputs, time or epoch) -> bound; None for steps
+    lag: int = 0  # record step k reads bound_discrete(k - lag)
+    at_zero: Callable | None = None  # inputs -> the bound at point 0, if set
+
+
+# A randomized output averages over x_0..x_k, so step k reads bound_discrete(k);
+# a last iterate x_k reads bound_discrete(k - 1), and x_0 reads f0 - f* (pl_dt's
+# B(0)) or inf (wqc_last_dt, as Phi_0 = 0).  A bound over phi(t) is inf at t = 0.
+_KINDS = {
+    "smooth_ct": _Kind("grad_norm_sq_wavg", bound_smooth_ct, at_zero=lambda _: math.inf),
+    "wqc_rand_ct": _Kind("f_gap_wavg", partial(bound_wqc, variant="randomized"),
+                         at_zero=lambda _: math.inf),
+    "wqc_last_ct": _Kind("f_gap", partial(bound_wqc, variant="last"),
+                         at_zero=lambda _: math.inf),
+    "pl_ct": _Kind("f_gap", bound_pl_ct),
+    "vr_ct": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "continuous")),
+    "vr_dt": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "discrete")),
+    "smooth_dt": _Kind("grad_norm_sq_wavg"),
+    "wqc_rand_dt": _Kind("f_gap_wavg"),
+    "wqc_last_dt": _Kind("f_gap", lag=1, at_zero=lambda _: math.inf),
+    "pl_dt": _Kind("f_gap", lag=1, at_zero=lambda inputs: inputs.f0_gap),
+}
+
+
+@dataclass(frozen=True)
 class RateBound:
     """A guarantee kind bundled with its inputs, evaluable along a run.
 
     Continuous kinds map a time t to the bound value, discrete kinds a step
-    index k (with the x_{k+1} convention of :func:`bound_discrete`), and the
-    variance-reduced kinds an epoch index j.
+    index k (in :meth:`evaluate`, with the x_{k+1} convention of
+    :func:`bound_discrete`), and the variance-reduced kinds an epoch index j.
     """
 
     kind: str
     inputs: BoundInputs
 
     def __post_init__(self) -> None:
-        if self.kind not in CONTINUOUS_KINDS + DISCRETE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}; expected one "
                              f"of {CONTINUOUS_KINDS + DISCRETE_KINDS}")
 
@@ -496,20 +525,26 @@ class RateBound:
     def is_continuous(self) -> bool:
         return self.kind in CONTINUOUS_KINDS
 
+    @property
+    def observable(self) -> str:
+        """The ensemble mean the kind bounds, a key of ``EnsembleStats.mean``."""
+        return _KINDS[self.kind].observable
+
     def evaluate(self, arg) -> float:
-        if self.kind == "smooth_ct":
-            return bound_smooth_ct(self.inputs, arg)
-        if self.kind == "wqc_rand_ct":
-            return bound_wqc(self.inputs, arg, "randomized")
-        if self.kind == "wqc_last_ct":
-            return bound_wqc(self.inputs, arg, "last")
-        if self.kind == "pl_ct":
-            return bound_pl_ct(self.inputs, arg)
-        if self.kind == "vr_ct":
-            return bound_vr(self.inputs, int(arg), "continuous")
-        if self.kind == "vr_dt":
-            return bound_vr(self.inputs, int(arg), "discrete")
-        return bound_discrete(self.inputs, int(arg), self.kind)
+        value = _KINDS[self.kind].value or partial(bound_discrete, kind=self.kind)
+        return value(self.inputs, arg)
+
+    def curve(self, points) -> np.ndarray:
+        """The bound at each time, epoch or record step k of a run's grid; step
+        k gets the bound on x_k, and all steps take one bound_discrete_curve."""
+        spec = _KINDS[self.kind]
+        points = np.asarray(points)
+        start = (points == 0) & bool(spec.at_zero)
+        values = np.full(points.shape, spec.at_zero(self.inputs) if start.any() else 0.0)
+        rest = points[~start]
+        values[~start] = (bound_discrete_curve(self.inputs, rest - spec.lag, self.kind)
+                          if spec.value is None else [self.evaluate(p) for p in rest])
+        return values
 
 
 def _require(value, name: str, where: str):

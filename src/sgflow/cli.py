@@ -81,9 +81,6 @@ _VERIFY_KEYS = {"experiment", "kind", "slack_se", "n_checkpoints", "t_w",
                 "ball_mode", "t_long", "tail_fraction", "rel_tol",
                 "min_pass_fraction"}
 
-# kinds whose empirical observable is a psi-weighted running average
-_WEIGHTED_KINDS = {"smooth_ct", "smooth_dt", "wqc_rand_ct", "wqc_rand_dt"}
-
 
 class ConfigError(Exception):
     """A configuration problem the user must fix (exit code 2)."""
@@ -425,56 +422,50 @@ def cmd_simulate(cfg: dict, overrides: argparse.Namespace) -> int:
     return 0
 
 
-def _bound_grid(cfg: dict, bound: RateBound, m: int | None,
-                overrides: argparse.Namespace):
-    """(axis values, evaluate() arguments) for a bound curve."""
+def _rate_bound(cfg: dict, problem: FiniteSumProblem, kind: str) -> RateBound:
+    """``kind`` on the config's problem, schedules and start point."""
+    adj, batch, m = build_schedules(cfg)
+    if adj is None:
+        raise ConfigError("a rate bound needs key 'h' in [schedule]")
+    x0 = _get(cfg.get("simulation", {}), "x0", _as_vector, required=True,
+              where="simulation")
+    return RateBound(kind, BoundInputs.from_problem(problem, x0, adj, batch, m=m))
+
+
+def _bound_grid(cfg: dict, bound: RateBound,
+                overrides: argparse.Namespace) -> np.ndarray:
+    """The points of a bound curve: epochs, times or record steps."""
     sec = cfg.get("simulation", {})
     if bound.kind in ("vr_ct", "vr_dt"):
         n_epochs = _get(sec, "n_epochs", _as_int, where="simulation")
         if n_epochs is None:
             T = _get(sec, "t", _as_float, where="simulation")
-            h = bound.inputs.h
+            m = bound.inputs.m
             if T is None or m is None:
                 raise ConfigError("variance-reduced bound curves need "
                                   "'n_epochs' (or 't' with [schedule] m)")
-            n_epochs = int(round(T / (m * h)))
-        js = np.arange(n_epochs + 1)
-        return js.astype(float), js
+            n_epochs = math.floor(T / (m * bound.inputs.h) + 1e-9)  # whole epochs
+        return np.arange(n_epochs + 1)
     if bound.is_continuous:
         dt = _dt(sec, overrides, required=True)
         T = _get(sec, "t", _as_float, required=True, where="simulation")
         n = _grid_steps(dt, T)
-        ts = record_steps(n, _record_stride(sec, n)) * dt
-        return ts, ts
+        return record_steps(n, _record_stride(sec, n)) * dt
     n_steps = _get(sec, "n_steps", _as_int, required=True, where="simulation")
-    ks = record_steps(n_steps, _record_stride(sec, n_steps))
-    return ks.astype(float), ks
+    return record_steps(n_steps, _record_stride(sec, n_steps))
 
 
 def cmd_bound(cfg: dict, kind: str, overrides: argparse.Namespace) -> int:
     problem = build_problem(cfg)
-    adj, batch, m = build_schedules(cfg)
-    if adj is None:
-        raise ConfigError("bound evaluation needs key 'h' in [schedule]")
-    sec = cfg.get("simulation", {})
-    x0 = _get(sec, "x0", _as_vector, required=True, where="simulation")
-    inputs = BoundInputs.from_problem(problem, x0, adj, batch, m=m)
     try:
-        bound = RateBound(kind=kind, inputs=inputs)
-        axis, args = _bound_grid(cfg, bound, m, overrides)
-        values = []
-        for a in args:
-            try:
-                values.append(bound.evaluate(a))
-            except (ZeroDivisionError, ValueError):
-                if a != 0:
-                    raise
-                values.append(math.inf)  # randomized-output bounds diverge at t=0
-        values = np.array(values)
-    except (AdmissibilityError, ValueError) as e:
+        bound = _rate_bound(cfg, problem, kind)
+        points = _bound_grid(cfg, bound, overrides)
+        values = bound.curve(points)
+    except ValueError as e:
         raise ConfigError(str(e)) from e
     out, fmt, name = _output_params(cfg, overrides)
     stem = name or f"bound_{kind}"
+    axis = points.astype(float)
     if fmt == "csv":
         _write_csv(out / f"{stem}.csv", ["t", "bound"], [axis, values])
     else:
@@ -511,17 +502,10 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
     try:
         if experiment == "bound":
             kind = _get(vsec, "kind", _as_str, required=True, where="verify")
-            adj, batch, m = build_schedules(cfg)
-            if adj is None:
-                raise ConfigError("bound verification needs key 'h' in [schedule]")
-            x0 = _get(sim, "x0", _as_vector, required=True, where="simulation")
-            inputs = BoundInputs.from_problem(problem, x0, adj, batch, m=m)
-            bound = RateBound(kind=kind, inputs=inputs)
-            bound.evaluate(0 if not bound.is_continuous else
-                           _get(sim, "t", _as_float, default=1.0,
-                                where="simulation"))
+            bound = _rate_bound(cfg, problem, kind)
+            bound.evaluate(1)  # a missing constant or an inadmissible h fails now
             spec = build_run_spec(cfg, problem, overrides,
-                                  weights=kind in _WEIGHTED_KINDS)
+                                  weights=bound.observable.endswith("_wavg"))
             t0 = time.perf_counter()
             stats = ensemble_run(spec, n_paths, seed)
             report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=n_cp)

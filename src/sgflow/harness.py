@@ -428,32 +428,20 @@ def _finish_report(experiment, checkpoints, empirical, reference, se,
 
 # -- bound verification ------------------------------------------------------
 
-_OBSERVABLE_FOR_KIND = {
-    "smooth_ct": "grad_norm_sq_wavg",
-    "wqc_rand_ct": "f_gap_wavg",
-    "wqc_last_ct": "f_gap",
-    "pl_ct": "f_gap",
-    "smooth_dt": "grad_norm_sq_wavg",
-    "wqc_rand_dt": "f_gap_wavg",
-    "wqc_last_dt": "f_gap",
-    "pl_dt": "f_gap",
-    "vr_ct": "dist_sq",
-    "vr_dt": "dist_sq",
-}
-
 
 def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                  checkpoints: np.ndarray | None = None,
                  n_checkpoints: int = 30) -> VerificationReport:
     """One-sided Monte-Carlo check of a rate guarantee.
 
-    The empirical quantity is chosen to match what the guarantee bounds:
-    the psi-weighted average of |grad f|^2 (smooth kinds) or of the f-gap
-    (randomized weakly-quasi-convex kinds) — computed by exact quadrature
-    over the whole trajectory rather than by sampling the random time —
-    the plain mean f-gap (last-iterate and gradient-domination kinds), or the
-    mean squared distance at epoch marks (variance-reduced kinds).  Discrete
-    last-iterate guarantees for x_k are evaluated as bound_discrete(k-1).
+    The empirical quantity is ``bound.observable``, what the guarantee
+    bounds: the psi-weighted average of |grad f|^2 (smooth kinds) or of the
+    f-gap (randomized weakly-quasi-convex kinds) — computed by exact
+    quadrature over the whole trajectory rather than by sampling the random
+    time — the plain mean f-gap (last-iterate and gradient-domination
+    kinds), or the mean squared distance at epoch marks (variance-reduced
+    kinds).  The reference is ``bound.curve`` at the checkpoints' times,
+    steps or epochs, which decides the iterate each discrete step bounds.
 
     ``checkpoints`` are positions in the stats grid (indices into
     ``stats.record_ks``); by default ~n_checkpoints geometric positions over
@@ -462,7 +450,7 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
     at every epoch mark j, each grid time within 1e-9 of j m h; they reject
     ``checkpoints`` with a ValueError and leave ``n_checkpoints`` unused.
     """
-    key = _OBSERVABLE_FOR_KIND[bound.kind]
+    key = bound.observable
     if key not in stats.mean:
         raise ValueError(f"stats lack the {key!r} observable required by "
                          f"{bound.kind!r} (run with weights=True?)")
@@ -483,7 +471,6 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
         if pos.size == 0:
             raise ValueError("no epoch marks on the record grid")
         where = j_near[pos]
-        reference = np.array([bound.evaluate(j) for j in where])
     else:
         first = 1 if ks[0] == 0 else 0
         if checkpoints is None:
@@ -497,16 +484,9 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                 raise ValueError("checkpoint positions outside the record grid")
             if np.any(ks[pos] == 0):
                 raise ValueError("checkpoints must sit at positive times/steps")
-        if bound.is_continuous:
-            where = stats.grid[pos]
-            reference = np.array([bound.evaluate(t) for t in where])
-        else:
-            where = ks[pos]
-            if bound.kind in ("wqc_last_dt", "pl_dt"):
-                reference = np.array([bound.evaluate(k - 1) for k in where])
-            else:
-                reference = np.array([bound.evaluate(k) for k in where])
+        where = stats.grid[pos] if bound.is_continuous else ks[pos]
 
+    reference = bound.curve(where)
     empirical = stats.mean[key][pos]
     se = stats.se(key)[pos]
     v, ok = _violations(empirical, reference, se, slack_se)

@@ -1,6 +1,7 @@
 """Rate guarantees: closed forms, schedule integrals, admissibility gates."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -255,7 +256,7 @@ def discrete_oracle(inputs, k, kind):
         elif kind == "wqc_rand_dt":
             acc += w_i
         elif kind == "wqc_last_dt":
-            acc += (1.0 + tau * L_ * big_phi) * w_i
+            acc += (1.0 + tau * L_ * h * big_phi) * w_i
         else:
             B = (1.0 - inputs.mu_pl * h * psi_i) * B + h * h * d * L_ * s2 * w_i / 2.0
     if kind == "smooth_dt":
@@ -311,28 +312,108 @@ def test_bound_discrete_curve_matches_pointwise():
 RESCALINGS = (1.0, 4.0, 0.25)
 
 
+def rescaled_inputs(c, h=0.05):
+    return BoundInputs(d=2, L=2.0 / c, f0_gap=1.3 / c, dist0_sq=2.0,
+                       adj=AdjustmentSchedule(h=h * c),
+                       batch=BatchSchedule(b=2), sigma_star_sq=0.34 / c**2,
+                       mu_pl=1.0 / c, mu_rsi=1.0 / c, tau=1.0, m=1000)
+
+
 def rescaled_bound(kind, c, k=200):
-    inputs = BoundInputs(d=2, L=2.0 / c, f0_gap=1.3 / c, dist0_sq=2.0,
-                         adj=AdjustmentSchedule(h=0.05 * c),
-                         batch=BatchSchedule(b=2), sigma_star_sq=0.34 / c**2,
-                         mu_pl=1.0 / c, tau=1.0)
-    return RateBound(kind, inputs).evaluate(k)
+    return RateBound(kind, rescaled_inputs(c)).evaluate(k)
 
 
 @pytest.mark.parametrize("kind, power", [
-    ("smooth_dt", 2), ("wqc_rand_dt", 1), ("pl_dt", 1)])
+    ("smooth_dt", 2), ("wqc_rand_dt", 1), ("pl_dt", 1), ("vr_dt", 0), ("vr_ct", 0)])
 def test_discrete_bounds_are_invariant_under_rescaling(kind, power):
+    # the variance-reduced kinds, at epoch 200, bound |x - x*|^2, which does
+    # not scale: their rho reads only L h and mu_rsi h
     scaled = [c ** power * rescaled_bound(kind, c) for c in RESCALINGS]
     assert scaled == [scaled[0]] * len(RESCALINGS)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "c * wqc_last_dt(200) is 1.825, 0.537 and 6.976 at c = 1, 4 and 1/4: "
-    "its noise sum carries (1 + tau L Phi_{i+1}) where the continuous "
-    "bound's phi(kh) is about h Phi_k (ROADMAP item 3)"))
 def test_wqc_last_dt_is_invariant_under_rescaling():
+    # its noise weights read 1 + tau L h Phi_{i+1}; with 1 + tau L Phi_{i+1}
+    # c * wqc_last_dt(200) was 1.825, 0.537 and 6.976 at c = 1, 4 and 1/4
     scaled = [c * rescaled_bound("wqc_last_dt", c) for c in RESCALINGS]
     assert scaled == [scaled[0]] * len(RESCALINGS)
+
+
+@pytest.mark.parametrize("kind, power", [
+    ("smooth_ct", 2), ("wqc_rand_ct", 1), ("wqc_last_ct", 1), ("pl_ct", 1)])
+def test_continuous_bounds_are_invariant_under_rescaling(kind, power):
+    # the time of step 200 at h = 0.05 c is 10 c
+    scaled = [c ** power * RateBound(kind, rescaled_inputs(c)).evaluate(10.0 * c)
+              for c in RESCALINGS]
+    assert scaled == [scaled[0]] * len(RESCALINGS)
+
+
+# Matching rates: under psi = 1 the bound on x_k over the continuous bound at
+# t = k h, at T = k h = 10, has a limit as h -> 0: 2 for the randomized
+# outputs (1.974, 1.991, 1.998 for smooth at h = 0.2, 0.05, 0.0125) and 1
+# for wqc_last.  pl is left out: its discrete contraction 1 - mu h psi decays
+# like e^{-mu T} against the continuous e^{-2 mu T}, so at a fixed T its
+# ratio grows as h -> 0 (2.0005, 2.005, 2.026).
+@pytest.mark.parametrize("kind, limit", [
+    ("smooth", 2.0), ("wqc_rand", 2.0), ("wqc_last", 1.0)])
+def test_discrete_rates_match_the_continuous_ones(kind, limit):
+    gaps = []
+    for h in (0.2, 0.05, 0.0125):
+        inputs = rescaled_inputs(1.0, h=h)
+        k = round(10.0 / h)
+        ratio = (RateBound(f"{kind}_dt", inputs).curve([k])[0]
+                 / RateBound(f"{kind}_ct", inputs).evaluate(k * h))
+        gaps.append(abs(ratio - limit))
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 0.005
+
+
+@pytest.mark.parametrize("family,a", [("constant", None), ("power", 0.5)])
+def test_noiseless_bounds_take_their_closed_forms(family, a):
+    adj = AdjustmentSchedule(h=H, family=family, a=a)
+    inputs = make_inputs(adj=adj, sigma_star_sq=0.0)
+    t, k = 7.0, 20
+    phi_t = phi(adj, t)
+    continuous = {"smooth_ct": F0 / phi_t,
+                  "wqc_rand_ct": DIST0 / (2.0 * TAU * phi_t),
+                  "wqc_last_ct": DIST0 / (2.0 * TAU * phi_t),
+                  "pl_ct": math.exp(-2.0 * MU * phi_t) * F0}
+    for kind, closed in continuous.items():
+        assert RateBound(kind, inputs).evaluate(t) == pytest.approx(closed, rel=1e-14)
+    psis = [float(adj.psi(H * i)) for i in range(k + 1)]
+    big_phi = math.fsum(psis)  # Phi_{k+1}
+    discrete = {"smooth_dt": 2.0 * F0 / (H * big_phi),
+                "wqc_rand_dt": DIST0 / (TAU * H * big_phi),
+                "wqc_last_dt": DIST0 / (2.0 * TAU * H * big_phi),
+                "pl_dt": math.prod(1.0 - MU * H * p for p in psis) * F0}
+    for kind, closed in discrete.items():
+        assert bound_discrete(inputs, k, kind) == pytest.approx(closed, rel=1e-13)
+
+
+# the kinds that read each of sigma*^2, f0 - f* and |x0 - x*|^2
+READERS = {
+    "sigma_star_sq": {f"{c}_{m}" for c in ("smooth", "wqc_rand", "wqc_last", "pl")
+                      for m in ("ct", "dt")},
+    "f0_gap": {"smooth_ct", "smooth_dt", "pl_ct", "pl_dt"},
+    "dist0_sq": {"wqc_rand_ct", "wqc_last_ct", "wqc_rand_dt", "wqc_last_dt",
+                 "vr_ct", "vr_dt"},
+}
+
+
+@pytest.mark.parametrize("field", sorted(READERS))
+def test_bounds_grow_with_what_they_read(field):
+    # mu_rsi = 10 makes the variance-reduced kinds admissible at h = 0.25
+    low = make_inputs(mu_rsi=10.0, m=10)
+    high = replace(low, **{field: 2.0 * getattr(low, field)})
+    for kind in CONTINUOUS_KINDS + DISCRETE_KINDS:
+        points = ([1, 3] if kind.startswith("vr") else
+                  [0.5, 2.0, 10.0] if kind.endswith("_ct") else [1, 5, 40])
+        before = RateBound(kind, low).curve(points)
+        after = RateBound(kind, high).curve(points)
+        if kind in READERS[field]:
+            assert np.all(after > before), kind
+        else:
+            assert np.array_equal(after, before), kind
 
 
 def test_discrete_admissibility_gates():
@@ -378,6 +459,39 @@ def test_rate_bound_dispatch_matches_direct_calls():
         assert rb.evaluate(arg) == direct[kind]
     with pytest.raises(ValueError):
         RateBound(kind="cubic", inputs=inputs)
+
+
+def test_curve_gives_step_k_the_bound_on_x_k():
+    inputs = make_inputs(adj=AdjustmentSchedule(h=H, family="power", a=0.5),
+                         mu_rsi=10.0, m=10)
+    ks = np.array([0, 1, 4, 9])
+    for kind in ("smooth_dt", "wqc_rand_dt"):  # averages over x_0..x_k
+        assert np.array_equal(RateBound(kind, inputs).curve(ks),
+                              bound_discrete_curve(inputs, ks, kind))
+    for kind, at_zero in (("wqc_last_dt", math.inf), ("pl_dt", F0)):
+        curve = RateBound(kind, inputs).curve(ks)
+        assert curve[0] == at_zero
+        assert np.array_equal(curve[1:], bound_discrete_curve(inputs, ks[1:] - 1, kind))
+    for kind in ("smooth_ct", "wqc_rand_ct", "wqc_last_ct", "pl_ct"):
+        rb = RateBound(kind, inputs)
+        curve = rb.curve([0.0, 2.0])
+        assert curve[0] == (F0 if kind == "pl_ct" else math.inf)
+        assert curve[1] == rb.evaluate(2.0)
+    for kind in ("vr_ct", "vr_dt"):
+        rb = RateBound(kind, inputs)
+        assert rb.curve(np.arange(3)).tolist() == [rb.evaluate(j) for j in range(3)]
+    with pytest.raises(ValueError):
+        RateBound("pl_dt", inputs).curve([-1])
+
+
+def test_observables_follow_the_output_each_kind_bounds():
+    observables = {kind: RateBound(kind, make_inputs()).observable
+                   for kind in CONTINUOUS_KINDS + DISCRETE_KINDS}
+    assert observables == {
+        "smooth_ct": "grad_norm_sq_wavg", "smooth_dt": "grad_norm_sq_wavg",
+        "wqc_rand_ct": "f_gap_wavg", "wqc_rand_dt": "f_gap_wavg",
+        "wqc_last_ct": "f_gap", "wqc_last_dt": "f_gap",
+        "pl_ct": "f_gap", "pl_dt": "f_gap", "vr_ct": "dist_sq", "vr_dt": "dist_sq"}
 
 
 @pytest.mark.parametrize("cls,a,form,exponent", [

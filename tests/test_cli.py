@@ -464,6 +464,84 @@ n_epochs = 4
     assert np.all(np.diff(cols["bound"]) < 0)
 
 
+@pytest.mark.parametrize("t, epochs", [(2.6, 3), (3.0, 4)])
+def test_bound_vr_epochs_stop_at_the_horizon(tmp_path, t, epochs):
+    # m h = 1: only the whole epochs within t are written
+    cfg = write(tmp_path, "vr.ini", f"""\
+[problem]
+family = spread
+lambda_mean = 10.0
+spread = 1.0
+
+[schedule]
+h = 0.01
+m = 100
+
+[simulation]
+x0 = 3.0
+t = {t}
+""")
+    out = tmp_path / "out"
+    assert main(["bound", "vr_ct", "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out / "bound_vr_ct.csv")
+    assert np.array_equal(cols["t"], np.arange(float(epochs)))
+
+
+def test_bound_dt_starts_at_the_bound_on_x0(tmp_path):
+    cfg = write(tmp_path, "b.ini", BOUND_INI.replace("dt = 1.0", "n_steps = 10"))
+    out = tmp_path / "out"
+    for kind in ("pl_dt", "wqc_last_dt"):
+        assert main(["bound", kind, "--config", str(cfg), "--out", str(out)]) == 0
+    _, cols = read_csv(out / "bound_pl_dt.csv")
+    assert cols["bound"][0] == perturbed_problem().gap(np.array([1.25, 0.0]))
+    text = (out / "bound_wqc_last_dt.csv").read_text().split("\n")
+    assert text[1] == "0,inf"           # Phi_0 = 0: no step has been taken
+
+
+AGREE_INI = """\
+[problem]
+family = perturbed
+h_diag = 1.0, 2.0
+x_star = 0.25, -1.0
+noise = 0.5, 0.3; -0.5, -0.3
+
+[schedule]
+h = 0.25
+
+[simulation]
+mode = {mode}
+x0 = 1.25, 0.0
+n_steps = 200
+dt = 0.05
+t = 5.0
+
+[ensemble]
+n_paths = 40
+seed = 2718
+
+[verify]
+experiment = bound
+kind = {kind}
+"""
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("pl_dt", "sgd"), ("smooth_dt", "sgd"), ("pl_ct", "mb-pgf")])
+def test_bound_curve_agrees_with_verify_bound(tmp_path, kind, mode):
+    cfg = write(tmp_path, "a.ini", AGREE_INI.format(kind=kind, mode=mode))
+    out = tmp_path / "out"
+    assert main(["verify", "bound", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["bound", kind, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def rows(name):
+        return [ln.split(",") for ln in (out / name).read_text().split("\n")[1:] if ln]
+
+    written = dict(rows(f"bound_{kind}.csv"))
+    checked = {row[0]: row[3] for row in rows(f"curve_{kind}.csv")}
+    assert len(checked) >= 20
+    assert {t: written[t] for t in checked} == checked
+
+
 # -- verify and suite ----------------------------------------------------------
 
 

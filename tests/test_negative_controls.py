@@ -3,7 +3,8 @@
 Each mutant monkeypatches one defect into sgflow; each check is one of the
 experiments the gate runs, at a small fixed size and seed, except
 ``bound-index``, which compares a bound's reference values with their closed
-form on a noiseless run, and ``jump-divergence``, which counts the paths of
+form on a noiseless run, ``wqc-last-scaling``, which rescales the objective
+under a discrete bound, and ``jump-divergence``, which counts the paths of
 a run that must all diverge.  Every check must
 pass on the real code (the positive control), and every (mutant, check) pair
 listed in ``KILLS`` must fail.  The pairs not listed survive: the check cannot
@@ -13,20 +14,23 @@ Run this file as a script to print the whole kill matrix:
     PYTHONPATH=src python tests/test_negative_controls.py
 """
 
+import inspect
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sgflow._kernels as knl
+import sgflow.bounds as bounds
 import sgflow.harness as harness
 from sgflow.bounds import BoundInputs, RateBound
 from sgflow.harness import (RunSpec, ball_experiment, ensemble_run,
                             time_change_experiment, verify_bound)
 from sgflow.problems import (FiniteSumProblem, ProblemConstants,
                              make_isotropic_quadratic, make_perturbed_quadratic)
-from sgflow.schedules import AdjustmentSchedule, StalenessSchedule
+from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
 
 SEED = 271828
 
@@ -93,6 +97,22 @@ def check_bound_index():
                            max_violation_se=float(deviation))
 
 
+def check_wqc_last_scaling():
+    # f -> f/c with h -> c h, L -> L/c and sigma*^2 -> sigma*^2/c^2 leaves the
+    # SGD iterates unchanged, so c times the last-iterate bound at step 200
+    # must keep its bits at c = 4 and 1/4; the cell shows the largest
+    # relative change
+    def scaled(c):
+        inputs = BoundInputs(d=2, L=2.0 / c, f0_gap=1.3 / c, dist0_sq=2.0,
+                             adj=AdjustmentSchedule(h=0.05 * c),
+                             batch=BatchSchedule(b=2), sigma_star_sq=0.34 / c**2,
+                             tau=1.0)
+        return c * RateBound("wqc_last_dt", inputs).curve([200])[0]
+
+    change = max(abs(scaled(c) / scaled(1.0) - 1.0) for c in (4.0, 0.25))
+    return SimpleNamespace(passed=change == 0.0, max_violation_se=float(change))
+
+
 def check_jump_divergence():
     # component curvatures 1 and 1e200: from x0 = 10 every path of the delay
     # diffusion overflows on the last step of its first two-step epoch, just
@@ -112,6 +132,7 @@ def check_jump_divergence():
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
           "time-change": check_time_change, "pl-ct": check_pl_ct,
           "pl-dt": check_pl_dt, "bound-index": check_bound_index,
+          "wqc-last-scaling": check_wqc_last_scaling,
           "jump-divergence": check_jump_divergence}
 
 
@@ -164,14 +185,19 @@ def identity_warp(monkeypatch):
 
 def bound_one_step_ahead(monkeypatch):
     """Discrete last-iterate bounds for x_k evaluated at k, not k - 1."""
-    real = RateBound.evaluate
+    for kind in ("wqc_last_dt", "pl_dt"):
+        monkeypatch.setitem(bounds._KINDS, kind, replace(bounds._KINDS[kind], lag=0))
 
-    def shifted(self, arg):
-        if self.kind in ("wqc_last_dt", "pl_dt"):
-            arg = arg + 1
-        return real(self, arg)
 
-    monkeypatch.setattr(RateBound, "evaluate", shifted)
+def wqc_last_unscaled_phi(monkeypatch):
+    """The discrete last-iterate noise weights 1 + tau L Phi_{i+1}, where the
+    continuous bound's phi(ih) is about h Phi_{i+1}."""
+    source = inspect.getsource(bounds.bound_discrete_curve)
+    assert "tau * L * h * big_phi" in source
+    namespace = dict(vars(bounds))
+    exec(source.replace("tau * L * h * big_phi", "tau * L * big_phi"), namespace)
+    monkeypatch.setattr(bounds, "bound_discrete_curve",
+                        namespace["bound_discrete_curve"])
 
 
 def no_pre_jump_check(monkeypatch):
@@ -188,6 +214,7 @@ MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "ball-bound-halved": ball_bound_halved,
            "identity-warp": identity_warp,
            "bound-at-k": bound_one_step_ahead,
+           "wqc-last-unscaled-phi": wqc_last_unscaled_phi,
            "no-pre-jump-check": no_pre_jump_check}
 
 # the (mutant, check) pairs whose check fails; every other pair survives
@@ -198,6 +225,7 @@ KILLS = [
     ("ball-bound-halved", "ball-ct"),
     ("identity-warp", "time-change"),
     ("bound-at-k", "bound-index"),
+    ("wqc-last-unscaled-phi", "wqc-last-scaling"),
     ("no-pre-jump-check", "jump-divergence"),
 ]
 

@@ -481,6 +481,7 @@ def ball_bound(inputs: BoundInputs, mode: str) -> float:
 class _Kind:
     observable: str  # the EnsembleStats mean the kind bounds
     value: Callable | None = None  # (inputs, time or epoch) -> bound; None for steps
+    point: str = "time"  # what the bound is a function of: a time, step or epoch
     lag: int = 0  # record step k reads bound_discrete(k - lag)
     at_zero: Callable | None = None  # inputs -> the bound at point 0, if set
 
@@ -495,12 +496,14 @@ _KINDS = {
     "wqc_last_ct": _Kind("f_gap", partial(bound_wqc, variant="last"),
                          at_zero=lambda _: math.inf),
     "pl_ct": _Kind("f_gap", bound_pl_ct),
-    "vr_ct": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "continuous")),
-    "vr_dt": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "discrete")),
-    "smooth_dt": _Kind("grad_norm_sq_wavg"),
-    "wqc_rand_dt": _Kind("f_gap_wavg"),
-    "wqc_last_dt": _Kind("f_gap", lag=1, at_zero=lambda _: math.inf),
-    "pl_dt": _Kind("f_gap", lag=1, at_zero=lambda inputs: inputs.f0_gap),
+    "vr_ct": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "continuous"),
+                   "epoch"),
+    "vr_dt": _Kind("dist_sq", lambda inputs, j: bound_vr(inputs, int(j), "discrete"),
+                   "epoch"),
+    "smooth_dt": _Kind("grad_norm_sq_wavg", point="step"),
+    "wqc_rand_dt": _Kind("f_gap_wavg", point="step"),
+    "wqc_last_dt": _Kind("f_gap", point="step", lag=1, at_zero=lambda _: math.inf),
+    "pl_dt": _Kind("f_gap", point="step", lag=1, at_zero=lambda inputs: inputs.f0_gap),
 }
 
 
@@ -508,9 +511,9 @@ _KINDS = {
 class RateBound:
     """A guarantee kind bundled with its inputs, evaluable along a run.
 
-    Continuous kinds map a time t to the bound value, discrete kinds a step
-    index k (in :meth:`evaluate`, with the x_{k+1} convention of
-    :func:`bound_discrete`), and the variance-reduced kinds an epoch index j.
+    Time kinds map a time t to the bound, step kinds a step k (the bound on
+    x_k) and the variance-reduced kinds an epoch j; :meth:`marks` says where on
+    a run's record times each kind is checked, and at which point.
     """
 
     kind: str
@@ -530,9 +533,29 @@ class RateBound:
         """The ensemble mean the kind bounds, a key of ``EnsembleStats.mean``."""
         return _KINDS[self.kind].observable
 
+    def marks(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Where on the record ``times`` the kind is checked, and its point there.
+
+        A mark is a time t > 0: each one for a time kind, at point t; for a step
+        (variance-reduced) kind, each whole number k >= 1 of steps h (j >= 1 of
+        epochs m h), within 1e-9 max(1, unit), at point k (j).  No mark: ValueError.
+        """
+        point, times = _KINDS[self.kind].point, np.asarray(times, dtype=float)
+        pos = np.flatnonzero(times > 0)
+        points = times[pos]
+        if point != "time":
+            unit = self.inputs.h * (1 if point == "step" else
+                                    _require(self.inputs.m, "m", f"{self.kind!r} marks"))
+            whole = np.round(points / unit)
+            on = (whole >= 1) & (np.abs(points - whole * unit) <= 1e-9 * max(1.0, unit))
+            pos, points = pos[on], whole[on].astype(int)
+        if pos.size == 0:
+            raise ValueError(f"{self.kind!r} has no {point} marks on the record grid")
+        return pos, points
+
     def evaluate(self, arg) -> float:
-        value = _KINDS[self.kind].value or partial(bound_discrete, kind=self.kind)
-        return value(self.inputs, arg)
+        value = _KINDS[self.kind].value
+        return float(self.curve([arg])[0]) if value is None else value(self.inputs, arg)
 
     def curve(self, points) -> np.ndarray:
         """The bound at each time, epoch or record step k of a run's grid; step

@@ -291,7 +291,7 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
         if mode == "svrg" and n_epochs is None:
             raise ConfigError("mode 'svrg' needs key 'n_epochs' in [simulation]")
         staleness = StalenessSchedule(m=m, h=h)
-        if mode == "vr-pgf" and T is None and n_epochs is not None:
+        if mode == "vr-pgf" and n_epochs is not None:
             T = n_epochs * staleness.epoch_time
     given = {"h": h, "n_steps": n_steps, "dt": dt, "t": T}
     missing = [f"key {key!r} in [{section}]"
@@ -340,9 +340,7 @@ def _output_params(cfg: dict, overrides: argparse.Namespace):
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'json'")
     name = _get(sec, "name", str, where="output")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, fmt, name
+    return Path(out_dir), fmt, name
 
 
 # -- emission ----------------------------------------------------------------
@@ -355,6 +353,7 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, header: list, columns: list) -> None:
     """Write columns (sequences of equal length) with 17-digit floats."""
     n = len(columns[0])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(n):
@@ -363,6 +362,7 @@ def _write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_json_clean(payload), fh, indent=2)
         fh.write("\n")

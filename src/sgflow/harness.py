@@ -432,59 +432,34 @@ def _finish_report(experiment, checkpoints, empirical, reference, se,
 def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                  checkpoints: np.ndarray | None = None,
                  n_checkpoints: int = 30) -> VerificationReport:
-    """One-sided Monte-Carlo check of a rate guarantee.
+    """One-sided Monte-Carlo check of a rate guarantee at ``bound.marks``.
 
-    The empirical quantity is ``bound.observable``, what the guarantee
-    bounds: the psi-weighted average of |grad f|^2 (smooth kinds) or of the
-    f-gap (randomized weakly-quasi-convex kinds) — computed by exact
-    quadrature over the whole trajectory rather than by sampling the random
-    time — the plain mean f-gap (last-iterate and gradient-domination
-    kinds), or the mean squared distance at epoch marks (variance-reduced
-    kinds).  The reference is ``bound.curve`` at the checkpoints' times,
-    steps or epochs, which decides the iterate each discrete step bounds.
-
-    ``checkpoints`` are positions in the stats grid (indices into
-    ``stats.record_ks``); by default ~n_checkpoints geometric positions over
-    the admissible part of the grid.  Every checkpoint must satisfy
-    mean <= bound + slack_se * SE.  The variance-reduced kinds are checked
-    at every epoch mark j, each grid time within 1e-9 of j m h; they reject
-    ``checkpoints`` with a ValueError and leave ``n_checkpoints`` unused.
+    Each checkpoint must satisfy mean <= ``bound.curve`` + slack_se * SE for
+    the mean of ``bound.observable``.  The variance-reduced kinds are checked
+    at every mark and reject ``checkpoints``; the others at ~n_checkpoints
+    geometric marks, or at ``checkpoints``, stats grid positions on marks.
     """
     key = bound.observable
     if key not in stats.mean:
         raise ValueError(f"stats lack the {key!r} observable required by "
                          f"{bound.kind!r} (run with weights=True?)")
-    ks = stats.record_ks
     t0 = time.perf_counter()
-
+    pos, where = bound.marks(stats.grid)
     if bound.kind in ("vr_dt", "vr_ct"):
         if checkpoints is not None:
             raise ValueError(f"{bound.kind!r} is checked at every epoch mark "
                              "on the record grid and takes no checkpoints")
-        m = bound.inputs.m
-        if m is None:
-            raise ValueError(f"the {bound.kind!r} bound needs inputs.m")
-        epoch_time = m * bound.inputs.h
-        j_near = np.round(stats.grid / epoch_time).astype(int)
-        on_mark = np.abs(stats.grid - j_near * epoch_time) <= 1e-9 * max(1.0, epoch_time)
-        pos = np.nonzero(on_mark)[0]
-        if pos.size == 0:
-            raise ValueError("no epoch marks on the record grid")
-        where = j_near[pos]
+        pick = slice(None)
+    elif checkpoints is None:
+        pick = geometric_checkpoints(pos.size, n_checkpoints) - 1
     else:
-        first = 1 if ks[0] == 0 else 0
-        if checkpoints is None:
-            if ks.size - first < 1:
-                raise ValueError("record grid has no usable checkpoints")
-            pick = geometric_checkpoints(ks.size - 1, n_checkpoints, start=first)
-            pos = np.asarray(pick, dtype=int)
-        else:
-            pos = np.asarray(checkpoints, dtype=int)
-            if np.any((pos < 0) | (pos >= ks.size)):
-                raise ValueError("checkpoint positions outside the record grid")
-            if np.any(ks[pos] == 0):
-                raise ValueError("checkpoints must sit at positive times/steps")
-        where = stats.grid[pos] if bound.is_continuous else ks[pos]
+        picked = np.asarray(checkpoints, dtype=int)
+        if np.any((picked < 0) | (picked >= stats.record_ks.size)):
+            raise ValueError("checkpoint positions outside the record grid")
+        if not np.isin(picked, pos).all():
+            raise ValueError("checkpoints must sit at positive times/steps on marks")
+        pick = np.searchsorted(pos, picked)
+    pos, where = pos[pick], where[pick]
 
     reference = bound.curve(where)
     empirical = stats.mean[key][pos]

@@ -447,8 +447,9 @@ def test_rate_bound_dispatch_matches_direct_calls():
         "vr_ct": bound_vr(inputs_vr, 2, "continuous"),
         "smooth_dt": bound_discrete(inputs, 5, "smooth_dt"),
         "wqc_rand_dt": bound_discrete(inputs, 5, "wqc_rand_dt"),
-        "wqc_last_dt": bound_discrete(inputs, 5, "wqc_last_dt"),
-        "pl_dt": bound_discrete(inputs, 5, "pl_dt"),
+        # a last iterate at step 5 is x_5, which bound_discrete reaches at k = 4
+        "wqc_last_dt": bound_discrete(inputs, 4, "wqc_last_dt"),
+        "pl_dt": bound_discrete(inputs, 4, "pl_dt"),
         "vr_dt": bound_vr(inputs_vr, 2, "discrete"),
     }
     for kind in CONTINUOUS_KINDS + DISCRETE_KINDS:
@@ -482,6 +483,43 @@ def test_curve_gives_step_k_the_bound_on_x_k():
         assert rb.curve(np.arange(3)).tolist() == [rb.evaluate(j) for j in range(3)]
     with pytest.raises(ValueError):
         RateBound("pl_dt", inputs).curve([-1])
+
+
+def test_evaluate_reads_a_step_kind_as_curve():
+    # evaluate(k) and curve([k]) both give the bound on x_k, so the last
+    # iterate's x_1 reads bound_discrete at k = 0 and x_0 its start value
+    inputs = make_inputs()
+    for kind in ("smooth_dt", "wqc_rand_dt", "wqc_last_dt", "pl_dt"):
+        rb = RateBound(kind, inputs)
+        for k in (0, 1, 5):
+            assert rb.evaluate(k) == rb.curve([k])[0]
+    assert RateBound("pl_dt", inputs).evaluate(0) == F0
+    assert RateBound("pl_dt", inputs).evaluate(1) == bound_discrete(inputs, 0, "pl_dt")
+
+
+def test_marks_map_record_times_to_each_kind_point():
+    # h = 0.25 and m = 2: a step is 0.25, an epoch 0.5; 0.3 is on neither
+    inputs = make_inputs(mu_rsi=10.0, m=2)
+    times = np.array([0.0, 0.25, 0.3, 0.5, 0.75 + 1e-12, 1.0])
+    pos, points = RateBound("pl_ct", inputs).marks(times)
+    assert pos.tolist() == [1, 2, 3, 4, 5]
+    assert np.array_equal(points, times[1:])
+    for kind in ("smooth_dt", "wqc_rand_dt", "wqc_last_dt", "pl_dt"):
+        pos, points = RateBound(kind, inputs).marks(times)
+        assert pos.tolist() == [1, 3, 4, 5]
+        assert points.tolist() == [1, 2, 3, 4]
+    for kind in ("vr_ct", "vr_dt"):
+        pos, points = RateBound(kind, inputs).marks(times)
+        assert pos.tolist() == [3, 5]
+        assert points.tolist() == [1, 2]
+    with pytest.raises(ValueError, match="'vr_dt' has no epoch marks"):
+        RateBound("vr_dt", inputs).marks([0.0, 0.25])
+    with pytest.raises(ValueError, match="'pl_dt' has no step marks"):
+        RateBound("pl_dt", inputs).marks([0.0, 0.1])
+    with pytest.raises(ValueError, match="'pl_ct' has no time marks"):
+        RateBound("pl_ct", inputs).marks([0.0])
+    with pytest.raises(ValueError, match="m is required"):
+        RateBound("vr_ct", make_inputs(mu_rsi=10.0)).marks(times)
 
 
 def test_observables_follow_the_output_each_kind_bounds():

@@ -779,6 +779,8 @@ BAD_STEP_CASES = {
     "verify-ball-dt-negative": (CONFIGS_DIR / "01_ou_ball_ct.ini",
                                 ["verify", "ball", "--dt=-1"],
                                 "bad value for --dt: must be positive, got -1.0"),
+    "verify-bound-bad-problem": ("[problem]\nfamily = isotropic\nmu = -1\nd = 1\n",
+                                 ["verify", "bound"], "[problem] mu must be positive"),
 }
 for _name, _config in (("time-change", "03_time_change.ini"),
                        ("landscape", "10_landscape.ini"),
@@ -797,7 +799,7 @@ def test_bad_step_or_horizon_exits_2(tmp_path, capsys, case):
     assert main(argv + ["--config", str(path), "--out", str(out),
                         "--paths", "4"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 VR_OFF_GRID_INI = """[problem]
@@ -833,6 +835,45 @@ def test_vr_pgf_epoch_off_the_dt_grid_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "must be a positive multiple of dt=0.003" in err
+
+
+VR_HORIZON_INI = """\
+[problem]
+family = spread
+lambda_mean = 10.0
+spread = 1.0
+
+[schedule]
+h = 0.01
+m = 100
+
+[simulation]
+mode = vr-pgf
+x0 = 1.5
+dt = 0.01
+t = 2.0
+n_epochs = 4
+record_every = 100
+
+[ensemble]
+n_paths = 4
+
+[verify]
+experiment = bound
+kind = vr_ct
+"""
+
+
+def test_vr_pgf_commands_share_the_n_epochs_horizon(tmp_path):
+    # the epoch time m h is 1; n_epochs = 4 sets the horizon over t = 2.0 for
+    # simulate and verify, as it does for the bound curve
+    cfg = write(tmp_path, "vr.ini", VR_HORIZON_INI)
+    out = tmp_path / "o"
+    for argv in (["simulate"], ["bound", "vr_ct"], ["verify", "bound"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out / "ensemble.csv")[1]["t"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert read_csv(out / "bound_vr_ct.csv")[1]["t"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert read_csv(out / "curve_vr_ct.csv")[1]["t"].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def weak_error_ini(out_dir):
@@ -970,11 +1011,11 @@ SUITE_4242_DIGESTS = {
     "report_pl_dt_constant_curve.csv": "c0fa2f4f8954166fe784bc6dd6a726e8f7c99dba269761b9b0c2d6693ffd4c8a",
     "report_pl_dt_power.json": "31605fc986cc1c4e20ae939baaf8194f6a3c7bc5170338ec5ec170b7aab7a2c9",
     "report_pl_dt_power_curve.csv": "6846795e2269edcf2eac70163ee78ef08b089931ce41a6297230284e0050ff76",
-    "report_svrg_contraction.json": "0ef0b920c09b61e1133607cf3a7a3d3e425e6a9869b9042355dd22032eab9a19",
-    "report_svrg_contraction_curve.csv": "7b539977049f39342bd6b12f17076479ec3899c4a02952cc183d4272e9e7428f",
+    "report_svrg_contraction.json": "4411854f37ee54ca0fa22a0eecd6a8da2d54cbb14d70a4c8b8b9e6cafe736c43",
+    "report_svrg_contraction_curve.csv": "580ca7e1b6a713e53c66c33c8f96ceeb27fef0141bacb683d3d541e71c93271c",
     "report_time-change.json": "c7d5717706b128e57ec7fb43d5b026e85c2a56b3fdc80eb7711639e31e76d56d",
-    "report_vr_sdde_contraction.json": "5d5f4a345e707c7f3e499ab751a678f93b222dcc2df5de6bb01760896f9c2aba",
-    "report_vr_sdde_contraction_curve.csv": "dfddf42d2f91aefb62944ae0ba121a877b24cb2fcfef4809cdb8b7270418b367",
+    "report_vr_sdde_contraction.json": "fa40b31374eab970d5ae935a40a7efe9f9b8d413d96b197dc8694638b63e83a5",
+    "report_vr_sdde_contraction_curve.csv": "e66e1ad7fcb8f5d90cc1e04978294eee8bd97fb5fbbc0cebd57a682806b1498b",
     "report_weak-error.json": "f6875a73361beb208a89c7df5f4db479e491cfaf76bb8418e8b0b03d4e46651c",
     "suite_report.json": "63f539fb570da496c456e28699cac29fac8df74d2fbe8b8a9a0b7173ac6f0951",
 }

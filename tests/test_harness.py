@@ -818,15 +818,15 @@ def test_verify_bound_vr_discrete_epoch_marks():
     bound = RateBound("vr_dt", inputs)
     rho = bound.evaluate(1) / inputs.dist0_sq
     ks = np.arange(7)
-    dist = np.full(7, 1e6)  # garbage off the epoch marks: must be ignored
-    dist[[0, 3, 6]] = 0.9 * inputs.dist0_sq * rho ** np.array([0.0, 1.0, 2.0])
+    dist = np.full(7, 1e6)  # garbage off the epoch marks and at epoch 0: ignored
+    dist[[3, 6]] = 0.9 * inputs.dist0_sq * rho ** np.array([1.0, 2.0])
     stats = manual_stats(ks, ks * 0.01, {"dist_sq": dist},
                          {"dist_sq": np.zeros(7)})
     report = verify_bound(stats, bound)
     assert report.passed
-    assert np.array_equal(report.checkpoints, [0, 1, 2])
+    assert np.array_equal(report.checkpoints, [1, 2])
     assert report.reference == pytest.approx(
-        inputs.dist0_sq * rho ** np.array([0.0, 1.0, 2.0]), rel=1e-12)
+        inputs.dist0_sq * rho ** np.array([1.0, 2.0]), rel=1e-12)
 
     off_grid = manual_stats([1, 2], [0.01, 0.02],
                             {"dist_sq": np.zeros(2)}, {"dist_sq": np.zeros(2)})
@@ -836,15 +836,15 @@ def test_verify_bound_vr_discrete_epoch_marks():
 
 def test_verify_bound_vr_discrete_marks_by_time_on_a_finer_grid():
     # steps of 0.005 with m = 3 and h = 0.01: the epoch time 0.03 is step 6,
-    # so the marks are positions 0 and 6, not the multiples of m
+    # so the one mark is position 6, not a multiple of m
     inputs = vr_inputs(m=3)
     ks = np.arange(7)
     dist = np.array([4.0, 1e6, 1e6, 1e6, 1e6, 1e6, 0.5])
     stats = manual_stats(ks, ks * 0.005, {"dist_sq": dist},
                          {"dist_sq": np.zeros(7)})
     report = verify_bound(stats, RateBound("vr_dt", inputs))
-    assert np.array_equal(report.checkpoints, [0, 1])
-    assert np.array_equal(report.empirical, dist[[0, 6]])
+    assert np.array_equal(report.checkpoints, [1])
+    assert np.array_equal(report.empirical, dist[[6]])
     assert report.passed
 
 
@@ -867,7 +867,35 @@ def test_verify_bound_vr_continuous_marks_by_time():
     stats = manual_stats(np.arange(4), grid, {"dist_sq": dist},
                          {"dist_sq": np.zeros(4)})
     report = verify_bound(stats, bound)
-    assert np.array_equal(report.checkpoints, [0, 1, 2])
+    assert np.array_equal(report.checkpoints, [1, 2])
+    assert report.passed
+
+
+def test_verify_bound_reads_a_step_kind_by_time_on_a_finer_grid():
+    # mb-pgf at dt = h/5: record step 5k sits at time k h, so the pl_dt check
+    # reads step k there, against the bound on x_k, and skips the steps between
+    problem, adj = noisy_problem(), AdjustmentSchedule(h=0.25)
+    spec = RunSpec(mode="mb-pgf", problem=problem, x0=X0, adj=adj, dt=0.05, T=5.0)
+    stats = ensemble_run(spec, 50, seed)
+    bound = RateBound("pl_dt", BoundInputs.from_problem(problem, X0, adj))
+    report = verify_bound(stats, bound)
+    ks = report.checkpoints
+    assert ks[0] == 1 and ks[-1] == 20
+    assert np.array_equal(stats.record_ks[5 * ks], 5 * ks)
+    assert np.array_equal(report.empirical, stats.mean["f_gap"][5 * ks])
+    assert report.reference.tolist() == [bound.curve([k])[0] for k in ks]
+    assert report.passed
+
+
+def test_verify_bound_on_a_grid_that_starts_after_step_0():
+    problem, adj = noisy_problem(), AdjustmentSchedule(h=0.25)
+    spec = sgd_spec(n_steps=100, record_ks=np.arange(5, 101, 5))
+    stats = ensemble_run(spec, 50, seed)
+    report = verify_bound(stats, RateBound(
+        "pl_dt", BoundInputs.from_problem(problem, X0, adj)))
+    # geometric picks among the marks, from the grid's first step to its last
+    assert report.checkpoints[0] == 5 and report.checkpoints[-1] == 100
+    assert np.isin(report.checkpoints, stats.record_ks).all()
     assert report.passed
 
 

@@ -29,7 +29,8 @@ from sgflow.bounds import BoundInputs, RateBound
 from sgflow.harness import (RunSpec, ball_experiment, ensemble_run,
                             time_change_experiment, verify_bound)
 from sgflow.problems import (FiniteSumProblem, ProblemConstants,
-                             make_isotropic_quadratic, make_perturbed_quadratic)
+                             make_isotropic_quadratic, make_perturbed_quadratic,
+                             make_spread_quadratic)
 from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
 
 SEED = 271828
@@ -78,6 +79,18 @@ def check_pl_dt():
     stats = ensemble_run(spec, 400, SEED + 4)
     return verify_bound(stats, RateBound("pl_dt",
                                          BoundInputs.from_problem(problem, x0, adj)))
+
+
+def check_vr_dt():
+    # criterion 3's discrete shape: SVRG on the spread quadratic, 5 epochs of
+    # m = 100 steps at h = 0.01, checked at every epoch mark
+    problem, x0 = make_spread_quadratic(10.0, 1.0), [3.0]
+    inputs = BoundInputs(d=1, L=1.0, f0_gap=problem.gap(np.array(x0)),
+                         dist0_sq=9.0, adj=AdjustmentSchedule(h=0.01),
+                         batch=BatchSchedule(), mu_rsi=10.0, m=100)
+    spec = RunSpec(mode="svrg", problem=problem, x0=x0, h=0.01,
+                   epoch_steps=100, n_epochs=5, record_every=100)
+    return verify_bound(ensemble_run(spec, 500, SEED + 7), RateBound("vr_dt", inputs))
 
 
 def check_bound_index():
@@ -131,7 +144,8 @@ def check_jump_divergence():
 
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
           "time-change": check_time_change, "pl-ct": check_pl_ct,
-          "pl-dt": check_pl_dt, "bound-index": check_bound_index,
+          "pl-dt": check_pl_dt, "vr-dt": check_vr_dt,
+          "bound-index": check_bound_index,
           "wqc-last-scaling": check_wqc_last_scaling,
           "jump-divergence": check_jump_divergence}
 
@@ -210,12 +224,51 @@ def no_pre_jump_check(monkeypatch):
     monkeypatch.setattr(knl, "_epoch_jump", unchecked_jump)
 
 
+def _in_svrg(monkeypatch, name, mutate):
+    """``knl.<name>`` replaced by ``mutate(real)`` inside SVRG kernel calls only."""
+    real_kernel, real = knl.kernel_svrg, getattr(knl, name)
+
+    def mutant(*args, **kwargs):
+        setattr(knl, name, mutate(real))  # for this kernel call only
+        try:
+            return real_kernel(*args, **kwargs)
+        finally:
+            setattr(knl, name, real)
+
+    monkeypatch.setattr(knl, "kernel_svrg", mutant)
+
+
+def svrg_frozen_pivot(monkeypatch):
+    """Every SVRG epoch's pivot held at x0, not moved to the epoch's start."""
+    def frozen(real):
+        def loop(problem, x0, gens, *args):
+            *args, epoch = args
+            start = np.tile(np.asarray(x0, dtype=float), (len(gens), 1))
+            return real(problem, x0, gens, *args, lambda _: epoch(start))
+        return loop
+
+    _in_svrg(monkeypatch, "_epoch_loop", frozen)
+
+
+def svrg_jump_to_start(monkeypatch):
+    """Each SVRG epoch-end jump landing on the epoch's first state."""
+    def to_start(real):
+        def jump(rec, k, X, window, gens):
+            real(rec, k, X, window, gens)  # the pre-jump test and the draws
+            return window[:, 0].copy()
+        return jump
+
+    _in_svrg(monkeypatch, "_epoch_jump", to_start)
+
+
 MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "ball-bound-halved": ball_bound_halved,
            "identity-warp": identity_warp,
            "bound-at-k": bound_one_step_ahead,
            "wqc-last-unscaled-phi": wqc_last_unscaled_phi,
-           "no-pre-jump-check": no_pre_jump_check}
+           "no-pre-jump-check": no_pre_jump_check,
+           "svrg-frozen-pivot": svrg_frozen_pivot,
+           "svrg-jump-to-start": svrg_jump_to_start}
 
 # the (mutant, check) pairs whose check fails; every other pair survives
 KILLS = [
@@ -227,6 +280,8 @@ KILLS = [
     ("bound-at-k", "bound-index"),
     ("wqc-last-unscaled-phi", "wqc-last-scaling"),
     ("no-pre-jump-check", "jump-divergence"),
+    ("svrg-frozen-pivot", "vr-dt"),
+    ("svrg-jump-to-start", "vr-dt"),
 ]
 
 

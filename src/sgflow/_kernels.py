@@ -44,7 +44,12 @@ path; the driven kernels read them from step-major tiles instead
 (:func:`_step_tiles`): a chunk of several paths whose rows are narrower than
 a cache line is copied, byte for byte, a cache-sized tile at a time, so that
 each step reads one contiguous (n_paths, width) block.  The segments, and
-so the records, do not depend on the tiles.  The step loops leave out
+so the records, do not depend on the tiles.  The PGD and diffusion kernels
+state their step once, as factor tables and a combine, for two executors
+(:func:`_elementwise`): one ufunc call per operation on the block, or, for a
+block of at most ``_NARROW_VALUES`` values with an affine gradient and a
+volatility s I, each value's recursion on Python floats, whose +, - and *
+round like NumPy's elementwise loops.  The step loops leave out
 operations that are exact identities: those of the affine drift
 (:func:`_grad_ops`, and no gradient call at all where grad f(X) = X), fill
 scales equal to 1.0, and the noise call where the scaled draws are the
@@ -55,6 +60,7 @@ the sign of an exact zero (adding +0.0 turns -0.0 into +0.0).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 import weakref
@@ -95,6 +101,19 @@ _REDUCE_DOUBLES = 65_536
 # Draws (~0.5 MB, within L2) in one step-major tile that a driven kernel
 # steps through (:func:`_step_tiles`); at least one step is copied.
 _TILE_DOUBLES = 65_536
+
+# State values (n_paths * d) up to which an elementwise step runs on Python
+# floats (:func:`_elementwise`), in calls of more than two steps a value.  A
+# 5-operation mb-pgf step, every step recorded, took 1.5 / 2.7 / 4.0 / 5.2 us
+# on floats against 3.9 / 3.9 / 4.0 / 4.2 us on NumPy at 4 / 8 / 12 / 16
+# values (2 vCPU, Python 3.11, NumPy 2.4).  A float call also converts, at
+# about 2 us plus 2.3 us a value: 8 values recorded every 9 steps took 3.9 us
+# a step either way, and a weighted run's one-step calls 31 against 26 us.
+_NARROW_VALUES = 8
+
+# The Python float operation that rounds as each ufunc of an elementwise step
+_FLOAT_OPS = {np.add: operator.add, np.subtract: operator.sub,
+              np.multiply: operator.mul}
 
 
 @dataclass
@@ -239,7 +258,7 @@ def _grad_block(problem: FiniteSumProblem):
     def grad(X, out):
         A = X
         for op, operand in ops:
-            op(A, operand, out=out)
+            op(A, operand, out)
             A = out
         return A
     return grad
@@ -602,12 +621,14 @@ class _BlockRecorder:
 
         ``chunks`` yields (k0, B) like :func:`_normal_chunks`, and the steps
         read them from the step-major tiles of :func:`_step_tiles`:
-        ``advance(Z, k0, i0, i1)`` applies steps k0 + i0 to k0 + i1 - 1 to X
-        in place, step k0 + i with the contiguous (n_paths, width) draws
-        Z[i]; a stretch of steps that crosses tiles is one ``advance`` call
-        per tile.  Each chunk is stepped in segments that end at the next
-        recorded step or at the chunk's end; with psi-weights every segment
-        is one step, since the weighted sums take every step.  After a
+        ``advance(Z, k0, i0, i1, snaps=None)`` applies steps k0 + i0 to
+        k0 + i1 - 1 to X in place, step k0 + i with the contiguous (n_paths,
+        width) draws Z[i], and writes the state after each step into its
+        slot of ``snaps``, given; a stretch of steps that crosses tiles is
+        one ``advance`` call per tile.  Each chunk is stepped in segments
+        that end at the next recorded step or at the chunk's end; with
+        psi-weights every segment is one step, since the weighted sums take
+        every step.  After a
         segment of several steps one sum tests the block; if a path still
         alive has turned non-finite, the block saved at the segment's start
         is restored and the segment replayed one step at a time, each step
@@ -618,11 +639,11 @@ class _BlockRecorder:
         its steps.  Closing the tiles, on the way out, ends the fills.
 
         Recorded steps that follow a recorded step are one dense segment (up
-        to the chunk's end, or a full snapshot buffer): each step copies the
-        block straight into its snapshot slot, and the flags are read once,
-        from the snapshots -- a path is new to non-finite values in the
-        segment if its last snapshot is, and then it first was at its first
-        non-finite snapshot.
+        to the chunk's end, or a full snapshot buffer): one ``advance`` call
+        per tile writes each step's state into its snapshot slot, and the
+        flags are read once, from the snapshots -- a path is new to
+        non-finite values in the segment if its last snapshot is, and then
+        it first was at its first non-finite snapshot.
         """
         weighted = self.psi is not None
         saved = np.empty_like(X)
@@ -668,8 +689,9 @@ class _BlockRecorder:
                advance) -> int:
         """Step and record the run of recorded steps from k0 + i0 + 1 on.
 
-        The run ends at the chunk's end (n steps) or a full buffer; returns
-        its length.
+        The run ends at the chunk's end (n steps) or a full buffer; each of
+        its tiles is one ``advance`` call, with the run's snapshot slots in
+        that tile as its target.  Returns the run's length.
         """
         m = min(n - i0, self._following[self._cursor - 1])
         if m == 0:
@@ -679,10 +701,9 @@ class _BlockRecorder:
         j = 0
         while j < m:
             t0, Z = tile(i0 + j)
-            for i in range(i0 + j - t0, min(len(Z), i0 + m - t0)):
-                advance(Z, k0 + t0, i, i + 1)
-                snaps[:, j] = X
-                j += 1
+            i, i1 = i0 + j - t0, min(len(Z), i0 + m - t0)
+            advance(Z, k0 + t0, i, i1, snaps[:, j:j + i1 - i])
+            j += i1 - i
         self._cursor += m
         last = snaps[:, m - 1]
         if not math.isfinite(last.sum()):
@@ -773,6 +794,82 @@ def _scalar_of(matrix: np.ndarray) -> float | None:
     return None
 
 
+def _elementwise(problem: FiniteSumProblem, X: np.ndarray, noise,
+                 factors: tuple, combine):
+    """``advance`` for a step that sets each value of X from that value alone.
+
+    Step k takes g = grad f(X) (:func:`_grad_block`, or X), multiplies it by
+    each per-step table of ``factors`` at k, in order, and ends on
+    ``combine(x, g, z)``, z the draws Z[i] or ``noise(Z[i], k)`` of the
+    state before the step; its augmented assignments write the block in
+    place and rebind a Python float.  Given ``snaps``, (n_paths, i1 - i0, d)
+    slots, each step's state is written to its slot.
+
+    A block of at most ``_NARROW_VALUES`` values, affine and with no noise
+    call, steps each value's recursion on Python floats (the :func:`_grad_ops`
+    pairs at the value's coordinate, the factors, ``combine``) in calls of
+    more than two steps a value, reading X on entry and writing it on exit.
+    Python's float +, - and * are separate, correctly rounded double
+    operations, like NumPy's elementwise loops, so every bit is kept.  Other
+    blocks and calls take one ufunc call per operation.
+    """
+    grad, G = _grad_block(problem), np.empty_like(X)
+
+    def block(Z, k0, i0, i1, snaps=None):
+        for i in range(i0, i1):
+            k = k0 + i
+            N = Z[i] if noise is None else noise(Z[i], k)
+            g = X if grad is None else grad(X, G)
+            for table in factors:
+                g = np.multiply(g, table[k], G)
+            combine(X, G, N)
+            if snaps is not None:
+                snaps[:, i - i0] = X
+
+    if noise is not None or problem.affine is None or X.size > _NARROW_VALUES:
+        return block
+    # each value's gradient operations, with its coordinate of each operand
+    value_ops = [[(_FLOAT_OPS[op], a if np.ndim(a) == 0 else float(a[c]))
+                  for op, a in _grad_ops(problem)]
+                 for c in range(problem.d)] * len(X)
+
+    def narrow(Z, k0, i0, i1, snaps=None):
+        if i1 - i0 <= 2 * X.size:  # see _NARROW_VALUES
+            return block(Z, k0, i0, i1, snaps)
+        tables = [table[k0 + i0:k0 + i1] for table in factors]
+        draws = Z[i0:i1].reshape(i1 - i0, -1)
+        states = np.empty(draws.shape)  # one value's floats alive at a time
+        for v, (x, ops) in enumerate(zip(X.ravel().tolist(), value_ops)):
+            path = []
+            for fs, z in zip(zip(*tables), draws[:, v].tolist()):
+                g = x
+                for op, a in ops:
+                    g = op(g, a)
+                for f in fs:
+                    g = g * f
+                x = combine(x, g, z)
+                path.append(x)
+            states[:, v] = path
+        X.flat = states[-1]
+        if snaps is not None:
+            snaps[...] = states.reshape(i1 - i0, *X.shape).transpose(1, 0, 2)
+    return narrow
+
+
+def _pgd_combine(x, g, z):
+    """x <- (x - g) - z."""
+    x -= g
+    x -= z
+    return x
+
+
+def _em_combine(x, g, z):
+    """x <- x + (g + z)."""
+    g += z
+    x += g
+    return x
+
+
 def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                   batch: BatchSchedule, x0, n_steps: int, gens,
                   record_ks, weights: bool = False,
@@ -793,7 +890,7 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     def estimate(x, idx):
         return np.mean([problem.component_grad(int(i), x) for i in idx], axis=0)
 
-    def advance(I, k0, i0, i1):
+    def advance(I, k0, i0, i1, snaps=None):
         for i in range(i0, i1):
             idx = I[i, :, :sizes[k0 + i]]
             if affine is None:
@@ -802,7 +899,9 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
                 U = X - x_star
                 G = (affine.D[idx] * U[:, None, :] + affine.C[idx]).mean(axis=1)
             G *= eta[k0 + i]
-            np.subtract(X, G, out=X)
+            np.subtract(X, G, X)
+            if snaps is not None:
+                snaps[:, i - i0] = X
 
     with np.errstate(over="ignore", invalid="ignore"):
         rec.drive(X, _index_chunks(gens, n_steps, problem.n_components, sizes),
@@ -821,7 +920,8 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     eta_k / sqrt(b_k), in place, less the exact identities of
     :func:`_grad_ops`.  sigma is the constant matrix of ``volatility_mode``
     where there is one, else the square root of ``sigma_mb`` row by row.
-    Driven in segments by :meth:`_BlockRecorder.drive`.
+    Stepped by :func:`_elementwise`, driven in segments by
+    :meth:`_BlockRecorder.drive`.
     """
     sig = _pgd_constant_sigma(problem, volatility_mode)
     eta, psi = _step_tables(adj, n_steps)
@@ -829,20 +929,8 @@ def kernel_pgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks,
                          psi if weights else None, keep_states=keep_states)
     X = rec.start(x0)
-    grad = _grad_block(problem)
-    G = np.empty_like(X)
     noise, scales = _noise(problem, sig, X, None, coef)
-
-    def advance(Z, k0, i0, i1):
-        for i in range(i0, i1):
-            k = k0 + i
-            N = Z[i]
-            if noise is not None:
-                N = noise(N, k)  # of the state before the step
-            np.multiply(X if grad is None else grad(X, G), eta[k], out=G)
-            np.subtract(X, G, out=X)
-            np.subtract(X, N, out=X)
-
+    advance = _elementwise(problem, X, noise, (eta,), _pgd_combine)
     with np.errstate(over="ignore", invalid="ignore"):
         rec.drive(X, _normal_chunks(gens, n_steps, problem.d, scales), advance)
     return rec.finish()
@@ -861,33 +949,20 @@ def _kernel_em(problem: FiniteSumProblem, x0, dt: float, n_steps: int, gens,
     observables.  The step is X <- X + (dt (-c_k grad f(X)) + sqrt(dt)
     (v_k sigma) z_k), in place, less the exact identities of
     :func:`_grad_ops`; when every c_k is 1.0 the two factors -c_k and dt
-    fold into one -dt, exact since negation is.  Driven in segments by
-    :meth:`_BlockRecorder.drive`.
+    fold into one -dt, exact since negation is.  Stepped by
+    :func:`_elementwise`, driven in segments by :meth:`_BlockRecorder.drive`.
     """
     sigma_matrix = _pgd_constant_sigma(problem, volatility_mode)
     rec = _BlockRecorder(problem, n_steps, len(gens), record_ks, node_psi, dt,
                          keep_states)
     X = rec.start(x0)
-    sqrt_dt = np.sqrt(dt)
-    grad = _grad_block(problem)
-    G = np.empty_like(X)
-    # G <- (-c_k G) dt as one factor -dt when every c_k is 1.0, else as the
+    # g <- (-c_k g) dt as one factor -dt when every c_k is 1.0, else as the
     # factor -c_k followed by dt
     drift = np.asarray(drift_coef, dtype=float)
-    folded = bool(np.all(drift == 1.0))
-    rate = [-dt] * n_steps if folded else (-drift).tolist()
-    noise, scales = _noise(problem, sigma_matrix, X, vol_coef, sqrt_dt)
-
-    def advance(Z, k0, i0, i1):
-        for i in range(i0, i1):
-            k = k0 + i
-            np.multiply(X if grad is None else grad(X, G), rate[k], out=G)
-            if not folded:
-                np.multiply(G, dt, out=G)
-            N = Z[i]
-            np.add(G, N if noise is None else noise(N, k), out=G)
-            np.add(X, G, out=X)
-
+    factors = (([-dt] * n_steps,) if np.all(drift == 1.0)
+               else ((-drift).tolist(), [dt] * n_steps))
+    noise, scales = _noise(problem, sigma_matrix, X, vol_coef, np.sqrt(dt))
+    advance = _elementwise(problem, X, noise, factors, _em_combine)
     with np.errstate(over="ignore", invalid="ignore"):
         rec.drive(X, _normal_chunks(gens, n_steps, problem.d, scales), advance)
     return rec.finish()

@@ -533,6 +533,11 @@ class RateBound:
         """The ensemble mean the kind bounds, a key of ``EnsembleStats.mean``."""
         return _KINDS[self.kind].observable
 
+    @property
+    def point(self) -> str:
+        """What the bound is a function of: "time", "step" or "epoch"."""
+        return _KINDS[self.kind].point
+
     def marks(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Where on the record ``times`` the kind is checked, and its point there.
 
@@ -540,7 +545,7 @@ class RateBound:
         (variance-reduced) kind, each whole number k >= 1 of steps h (j >= 1 of
         epochs m h), within 1e-9 max(1, unit), at point k (j).  No mark: ValueError.
         """
-        point, times = _KINDS[self.kind].point, np.asarray(times, dtype=float)
+        point, times = self.point, np.asarray(times, dtype=float)
         pos = np.flatnonzero(times > 0)
         points = times[pos]
         if point != "time":

@@ -436,7 +436,7 @@ def _bound_grid(cfg: dict, bound: RateBound,
                 overrides: argparse.Namespace) -> np.ndarray:
     """The points of a bound curve: epochs, times or record steps."""
     sec = cfg.get("simulation", {})
-    if bound.kind in ("vr_ct", "vr_dt"):
+    if bound.point == "epoch":
         n_epochs = _get(sec, "n_epochs", _as_int, where="simulation")
         if n_epochs is None:
             T = _get(sec, "t", _as_float, where="simulation")
@@ -504,11 +504,15 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
             kind = _get(vsec, "kind", _as_str, required=True, where="verify")
             bound = _rate_bound(cfg, problem, kind)
             bound.evaluate(1)  # a missing constant or an inadmissible h fails now
+            picks = n_cp if "n_checkpoints" in vsec else None
+            if picks is not None and bound.point == "epoch":  # fails now, too
+                raise ConfigError(f"{kind!r} is checked at every epoch mark and "
+                                  "takes no n_checkpoints")
             spec = build_run_spec(cfg, problem, overrides,
                                   weights=bound.observable.endswith("_wavg"))
             t0 = time.perf_counter()
             stats = ensemble_run(spec, n_paths, seed)
-            report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=n_cp)
+            report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=picks)
             # the run, not just the check
             report.runtime_seconds = time.perf_counter() - t0
             stem = name or f"report_bound_{kind}"

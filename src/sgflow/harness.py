@@ -431,13 +431,14 @@ def _finish_report(experiment, checkpoints, empirical, reference, se,
 
 def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                  checkpoints: np.ndarray | None = None,
-                 n_checkpoints: int = 30) -> VerificationReport:
+                 n_checkpoints: int | None = None) -> VerificationReport:
     """One-sided Monte-Carlo check of a rate guarantee at ``bound.marks``.
 
     Each checkpoint must satisfy mean <= ``bound.curve`` + slack_se * SE for
-    the mean of ``bound.observable``.  The variance-reduced kinds are checked
-    at every mark and reject ``checkpoints``; the others at ~n_checkpoints
-    geometric marks, or at ``checkpoints``, stats grid positions on marks.
+    the mean of ``bound.observable``.  The epoch kinds are checked at every
+    mark and reject ``checkpoints`` and ``n_checkpoints``; the others at
+    ~n_checkpoints (default 30) geometric marks, or at ``checkpoints``, stats
+    grid positions on marks.
     """
     key = bound.observable
     if key not in stats.mean:
@@ -445,13 +446,14 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                          f"{bound.kind!r} (run with weights=True?)")
     t0 = time.perf_counter()
     pos, where = bound.marks(stats.grid)
-    if bound.kind in ("vr_dt", "vr_ct"):
-        if checkpoints is not None:
-            raise ValueError(f"{bound.kind!r} is checked at every epoch mark "
-                             "on the record grid and takes no checkpoints")
+    if bound.point == "epoch":
+        if checkpoints is not None or n_checkpoints is not None:
+            raise ValueError(f"{bound.kind!r} is checked at every epoch mark on the "
+                             "record grid and takes no checkpoints or n_checkpoints")
         pick = slice(None)
     elif checkpoints is None:
-        pick = geometric_checkpoints(pos.size, n_checkpoints) - 1
+        pick = geometric_checkpoints(
+            pos.size, 30 if n_checkpoints is None else n_checkpoints) - 1
     else:
         picked = np.asarray(checkpoints, dtype=int)
         if np.any((picked < 0) | (picked >= stats.record_ks.size)):

@@ -707,6 +707,24 @@ def test_verify_without_checkpoints_exits_2(tmp_path, capsys, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["04_svrg_contraction.ini",
+                                    "05_vr_sdde_contraction.ini"])
+def test_verify_vr_bound_with_n_checkpoints_exits_2(tmp_path, capsys,
+                                                   monkeypatch, config):
+    # the epoch kinds are checked at every epoch mark: a number of picks is
+    # a config error, raised before the ensemble runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    monkeypatch.setattr(cli, "ensemble_run", no_run)
+    cfg = write(tmp_path, config, with_checkpoints(config, 30))
+    out = tmp_path / "out"
+    assert main(["verify", "bound", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and "takes no n_checkpoints" in err
+    assert not out.exists()
+
+
 def test_verify_experiment_mismatch_and_unknown(tmp_path, capsys):
     cfg = write(tmp_path, "v.ini", VERIFY_PL_INI)
     assert main(["verify", "ball", "--config", str(cfg),

@@ -252,6 +252,39 @@ def test_parallel_fill_keeps_the_fingerprint(case, workers, monkeypatch):
     assert _digests(_run(case)) == GOLDEN[case]
 
 
+# _NARROW_VALUES at 0 keeps every elementwise step on the block loop; above
+# every block it puts the step on Python floats wherever it is eligible (a
+# scalar volatility on an affine problem, in calls of more than two steps a
+# value: the unweighted time-changed cases here, and a weighted run's
+# one-step calls never)
+EXECUTORS = {"block": 0, "narrow": 1 << 30}
+
+
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_kernel_fingerprint_on_either_executor(case, executor, monkeypatch):
+    monkeypatch.setattr(knl, "_NARROW_VALUES", EXECUTORS[executor])
+    assert _digests(_run(case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+@pytest.mark.parametrize("case", ["mb-pgf-scalar", "pgd-scalar", "time-changed",
+                                  "time-changed-a1"])
+def test_split_draws_keep_the_fingerprint_on_either_executor(case, executor,
+                                                              monkeypatch):
+    # the chunked, tiled and parallel-fill variants above, on one executor,
+    # for the cases with a scalar volatility (the others step on the block)
+    monkeypatch.setattr(knl, "_NARROW_VALUES", EXECUTORS[executor])
+    monkeypatch.setattr(knl, "_CHUNK_DOUBLES", 7 * N_PATHS * 2)
+    assert _digests(_run(case)) == GOLDEN[case]
+    with pytest.MonkeyPatch.context() as tiles:
+        tiles.setattr(knl, "_TILE_DOUBLES", 3 * N_PATHS * 2)
+        assert _digests(_run(case)) == GOLDEN[case]
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(knl, "_fill_workers", lambda n_paths: workers)
+        assert _digests(_run(case)) == GOLDEN[case]
+
+
 # -- a discrete bound curve --------------------------------------------------
 
 # the pl_dt curve under psi_k = (1 + h k)^(-1/2): the table NumPy's SIMD power
@@ -537,9 +570,10 @@ def test_digests_do_not_depend_on_simd_level():
         children[level] = subprocess.Popen(
             cmd, cwd=root, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True)
-    # the kernel, simulator, bound-curve, schedule-table, slope and ensemble
-    # digests, and 4 worker counts x 4 modes
-    n_cases = (len(GOLDEN) + len(GOLDEN_SIMULATORS) + 3
+    # the kernel digests at the default executor and on each one, the
+    # simulator, bound-curve, schedule-table, slope and ensemble digests, and
+    # 4 worker counts x 4 modes
+    n_cases = ((1 + len(EXECUTORS)) * len(GOLDEN) + len(GOLDEN_SIMULATORS) + 3
                + len(GOLDEN_ENSEMBLES) + 4 * 4)
     for level, child in children.items():
         out, _ = child.communicate(timeout=600)

@@ -10,6 +10,7 @@ is pinned with hand-built ensembles whose moments are known exactly.
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -617,6 +618,46 @@ def test_supports_kernel_is_exact(mode, problem_name, batch_name, volatility):
             assert _digest(res.states[p]) == frozen[p]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("volatility", ["exact", "constant"])
+@pytest.mark.parametrize("problem_name", sorted(SELECTION_PROBLEMS))
+@pytest.mark.parametrize("mode", ["sgd", "pgd", "svrg", "mb-pgf", "vr-pgf",
+                                  "time-changed"])
+def test_float_steps_run_exactly_where_eligible(mode, problem_name, volatility,
+                                                monkeypatch):
+    # kernel_pgd and the diffusions step a small block on Python floats where
+    # the problem is affine and the volatility is a multiple of I (every
+    # cell's block is small); every other cell steps on arrays alone
+    problem = SELECTION_PROBLEMS[problem_name]()
+    spec = _selection_spec(mode, problem, SELECTION_BATCHES["constant"],
+                           volatility)
+    # 30 steps, every one recorded: after step 1 one call of 29 steps, more
+    # than two a value for the 2 paths x d <= 2 values
+    if spec.n_steps is not None:
+        spec = replace(spec, n_steps=30)
+    elif spec.T is not None:
+        spec = replace(spec, T=1.5)
+    stepped = set()
+    for name in ("_pgd_combine", "_em_combine"):
+        def spy(x, g, z, combine=getattr(_kernels, name)):
+            stepped.add(type(x))
+            return combine(x, g, z)
+        monkeypatch.setattr(_kernels, name, spy)
+    gens = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(2)]
+    if isinstance(ENGINE_GRID[f"{mode}-{problem_name}-constant-{volatility}"], str):
+        with pytest.raises(ValueError):
+            _kernel_dispatch(spec, gens, spec.resolved_record_ks())
+        assert not stepped
+        return
+    _kernel_dispatch(spec, gens, spec.resolved_record_ks())
+    sigma = (_kernels._pgd_constant_sigma(problem, volatility)
+             if mode in ("pgd", "mb-pgf", "time-changed") else None)
+    eligible = (problem.affine is not None and sigma is not None
+                and _kernels._scalar_of(sigma) is not None)
+    assert (float in stepped) == eligible
+
+
 # -- weighted averages -------------------------------------------------------
 
 
@@ -857,6 +898,19 @@ def test_verify_bound_vr_rejects_checkpoints(kind):
                                          "mark .* takes no checkpoints"):
         verify_bound(stats, RateBound(kind, vr_inputs(m=3)),
                      checkpoints=np.arange(1, 3))
+
+
+@pytest.mark.parametrize("n", [30, 2])
+@pytest.mark.parametrize("kind", ["vr_dt", "vr_ct"])
+def test_verify_bound_vr_rejects_n_checkpoints(kind, n):
+    # every epoch mark is checked, so a number of picks is not used: it is
+    # rejected, the default value too
+    ks = np.arange(7)
+    stats = manual_stats(ks, ks * 0.01, {"dist_sq": np.zeros(7)},
+                         {"dist_sq": np.zeros(7)})
+    with pytest.raises(ValueError, match=f"'{kind}' is checked at every epoch "
+                                         "mark .* takes no .*n_checkpoints"):
+        verify_bound(stats, RateBound(kind, vr_inputs(m=3)), n_checkpoints=n)
 
 
 def test_verify_bound_vr_continuous_marks_by_time():

@@ -1313,6 +1313,73 @@ def test_dense_recording_matches_the_per_step_loops(kind, monkeypatch):
         assert np.array_equal(one.states, ref.states)
 
 
+# -- the executors of an elementwise step ----------------------------------------
+#
+# kernel_pgd and the diffusions step a small block with a scalar volatility on
+# Python floats, value by value, and any other block with one ufunc call per
+# operation; _NARROW_VALUES at 0 keeps every step on the ufunc calls, and
+# above every block it takes the floats wherever they are eligible.
+
+EXECUTORS = {"block": 0, "narrow": 1 << 30}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf", "time-changed"])
+def test_segmented_divergence_on_either_executor(kind, executor, monkeypatch):
+    monkeypatch.setattr(knl, "_NARROW_VALUES", EXECUTORS[executor])
+    test_segmented_divergence_matches_per_step_recording(kind, False, "scalar",
+                                                         monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf"])
+def test_dense_recording_on_either_executor(kind, executor, monkeypatch):
+    monkeypatch.setattr(knl, "_NARROW_VALUES", EXECUTORS[executor])
+    test_dense_recording_matches_the_per_step_loops(kind, monkeypatch)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("sigma_sq", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ["pgd", "mb-pgf", "time-changed"])
+def test_float_steps_match_the_block_loop_bit_for_bit(kind, sigma_sq,
+                                                      keep_states, monkeypatch):
+    # signed-zero starts; sigma = 0 scales every draw to +-0.0; curvature 50
+    # overflows both paths (pgd at step 206, the diffusions at dt = 0.3, a
+    # factor that is not a power of 2, at 315 and 269), inside the sparse
+    # grid's second segment and inside the dense grid's run
+    p = make_isotropic_quadratic(50.0, 3, sigma_star_sq=sigma_sq)
+    adj = AdjustmentSchedule(h=1.0, family="power", a=0.1)
+    x0, n = np.array([-0.0, 0.0, 1.5]), 400
+
+    def run(ks):
+        gens = gen_list(seed, 2)
+        common = dict(volatility_mode="constant", keep_states=keep_states)
+        if kind == "pgd":
+            return kernel_pgd(p, adj, BatchSchedule(), x0, n, gens, ks, **common)
+        if kind == "mb-pgf":
+            return kernel_mb_pgf(p, adj, BatchSchedule(), x0, 0.3, n, gens, ks,
+                                 **common)
+        return kernel_time_changed(p, adj, BatchSchedule(), x0, 0.3, n, gens, ks,
+                                   **common)
+
+    for ks in (np.arange(n + 1), [0, 100, n]):
+        runs = {}
+        for executor, bound in EXECUTORS.items():
+            monkeypatch.setattr(knl, "_NARROW_VALUES", bound)
+            runs[executor] = run(ks)
+        block, narrow = runs["block"], runs["narrow"]
+        assert block.diverged.all()
+        assert np.all((block.divergence_step > 100) & (block.divergence_step < n))
+        kept = block.states if keep_states else block.observables
+        got = narrow.states if keep_states else narrow.observables
+        assert np.array_equal(got.view(np.uint64), kept.view(np.uint64))
+        assert np.array_equal(narrow.diverged, block.diverged)
+        assert np.array_equal(narrow.divergence_step, block.divergence_step)
+
+
 # -- block reduction -----------------------------------------------------------
 
 

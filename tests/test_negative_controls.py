@@ -5,7 +5,8 @@ experiments the gate runs, at a small fixed size and seed, except
 ``bound-index``, which compares a bound's reference values with their closed
 form on a noiseless run, ``wqc-last-scaling``, which rescales the objective
 under a discrete bound, and ``jump-divergence``, which counts the paths of
-a run that must all diverge.  Every check must
+a run that must all diverge, and ``fingerprint``, which compares the kernels'
+golden digests with every eligible step on Python floats.  Every check must
 pass on the real code (the positive control), and every (mutant, check) pair
 listed in ``KILLS`` must fail.  The pairs not listed survive: the check cannot
 see that defect at this size, and no test asserts either outcome for them.
@@ -32,6 +33,7 @@ from sgflow.problems import (FiniteSumProblem, ProblemConstants,
                              make_isotropic_quadratic, make_perturbed_quadratic,
                              make_spread_quadratic)
 from sgflow.schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
+from test_fingerprints import GOLDEN, _digests, _run
 
 SEED = 271828
 
@@ -142,12 +144,23 @@ def check_jump_divergence():
                            max_violation_se=float(survivors))
 
 
+def check_fingerprint():
+    # every kernel case of tests/test_fingerprints.py against its golden
+    # digests, each eligible step on Python floats (the unweighted
+    # time-changed cases); the cell shows how many cases changed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knl, "_NARROW_VALUES", 1 << 30)
+        changed = sum(_digests(_run(case)) != GOLDEN[case] for case in GOLDEN)
+    return SimpleNamespace(passed=changed == 0, max_violation_se=float(changed))
+
+
 CHECKS = {"ball-ct": check_ball_ct, "ball-dt": check_ball_dt,
           "time-change": check_time_change, "pl-ct": check_pl_ct,
           "pl-dt": check_pl_dt, "vr-dt": check_vr_dt,
           "bound-index": check_bound_index,
           "wqc-last-scaling": check_wqc_last_scaling,
-          "jump-divergence": check_jump_divergence}
+          "jump-divergence": check_jump_divergence,
+          "fingerprint": check_fingerprint}
 
 
 # -- mutants: one defect each, patched in with monkeypatch ---------------------
@@ -261,6 +274,16 @@ def svrg_jump_to_start(monkeypatch):
     _in_svrg(monkeypatch, "_epoch_jump", to_start)
 
 
+def narrow_reassociated(monkeypatch):
+    """The diffusion step on Python floats as (x + g) + z, not x + (g + z)."""
+    real = knl._em_combine
+
+    def reassociated(x, g, z):
+        return (x + g) + z if type(x) is float else real(x, g, z)
+
+    monkeypatch.setattr(knl, "_em_combine", reassociated)
+
+
 MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "ball-bound-halved": ball_bound_halved,
            "identity-warp": identity_warp,
@@ -268,12 +291,14 @@ MUTANTS = {"volatility-x1.5": volatility_x1_5, "no-sqrt-h": no_sqrt_h,
            "wqc-last-unscaled-phi": wqc_last_unscaled_phi,
            "no-pre-jump-check": no_pre_jump_check,
            "svrg-frozen-pivot": svrg_frozen_pivot,
-           "svrg-jump-to-start": svrg_jump_to_start}
+           "svrg-jump-to-start": svrg_jump_to_start,
+           "narrow-reassociated": narrow_reassociated}
 
 # the (mutant, check) pairs whose check fails; every other pair survives
 KILLS = [
     ("volatility-x1.5", "ball-ct"),
     ("volatility-x1.5", "ball-dt"),
+    ("volatility-x1.5", "fingerprint"),
     ("no-sqrt-h", "ball-ct"),
     ("ball-bound-halved", "ball-ct"),
     ("identity-warp", "time-change"),
@@ -282,6 +307,7 @@ KILLS = [
     ("no-pre-jump-check", "jump-divergence"),
     ("svrg-frozen-pivot", "vr-dt"),
     ("svrg-jump-to-start", "vr-dt"),
+    ("narrow-reassociated", "fingerprint"),
 ]
 
 

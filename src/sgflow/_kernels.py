@@ -207,6 +207,11 @@ def _batch_sizes(batch: BatchSchedule, n_steps: int, h: float) -> list:
     return batch.size_at_step(np.arange(n_steps), h).tolist()
 
 
+def _batch_values(batch: BatchSchedule, times: np.ndarray):
+    """b(t) at each of the times: one array call, one scalar for a constant batch."""
+    return batch.value(0.0) if batch.family == "constant" else batch.value(times)
+
+
 def _rows(fn, shape: tuple, X: np.ndarray, *per_row) -> np.ndarray:
     """fn(X[p], *(a[p] for a in per_row)), of shape ``shape``, for each row p.
 
@@ -980,7 +985,7 @@ def kernel_mb_pgf(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     """
     psi = _psi_table(adj, n_steps, dt)
     vol_coef = psi[:n_steps] * np.sqrt(
-        adj.h / batch.value(np.arange(n_steps) * dt))
+        adj.h / _batch_values(batch, np.arange(n_steps) * dt))
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       psi[:n_steps], vol_coef, volatility_mode,
                       psi if weights else None, keep_states)
@@ -997,7 +1002,7 @@ def kernel_time_changed(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     takes one array call per schedule value.
     """
     warped = phi_inverse(adj, np.arange(n_steps) * dt)
-    vol_coef = np.sqrt(adj.h * adj.psi(warped) / batch.value(warped))
+    vol_coef = np.sqrt(adj.h * adj.psi(warped) / _batch_values(batch, warped))
     return _kernel_em(problem, x0, dt, n_steps, gens, record_ks,
                       np.ones(n_steps), vol_coef, volatility_mode,
                       node_psi=None, keep_states=keep_states)

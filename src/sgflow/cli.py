@@ -37,7 +37,6 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from .bounds import AdmissibilityError, BoundInputs, RateBound
-from .continuous import _grid_steps  # the one dt/T check, as RunSpec makes it
 from .discrete import Trajectory
 from .harness import (
     EnsembleDivergenceError,
@@ -59,12 +58,11 @@ from .problems import (
     make_perturbed_quadratic,
     make_spread_quadratic,
 )
-from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule, record_steps
+from .schedules import AdjustmentSchedule, BatchSchedule, StalenessSchedule
 
 DEFAULT_SEED = 1729
 
 _SECTIONS = ("problem", "schedule", "simulation", "ensemble", "output", "verify")
-_EXPERIMENTS = ("bound", "time-change", "landscape", "weak-error", "ball", "pl-probe")
 
 _PROBLEM_KEYS = {
     "isotropic": {"family", "mu", "d", "sigma_star_sq", "x_star"},
@@ -76,10 +74,17 @@ _SIMULATION_KEYS = {"mode", "x0", "n_steps", "n_epochs", "dt", "t",
                     "record_every", "volatility"}
 _ENSEMBLE_KEYS = {"n_paths", "seed"}
 _OUTPUT_KEYS = {"dir", "format", "name"}
-_VERIFY_KEYS = {"experiment", "kind", "slack_se", "n_checkpoints", "t_w",
-                "lambda", "sigma", "tol_mult", "slope_tol", "h_list",
-                "ball_mode", "t_long", "tail_fraction", "rel_tol",
-                "min_pass_fraction"}
+# the [verify] keys each experiment reads, besides "experiment"
+_VERIFY_KEYS = {
+    "bound": {"kind", "slack_se", "n_checkpoints"},
+    "time-change": {"t_w", "min_pass_fraction", "slack_se", "n_checkpoints"},
+    "landscape": {"lambda", "sigma", "tol_mult", "slope_tol", "slack_se",
+                  "n_checkpoints"},
+    "weak-error": {"h_list"},
+    "ball": {"ball_mode", "t_long", "tail_fraction", "rel_tol", "slack_se"},
+    "pl-probe": {"slack_se", "n_checkpoints"},
+}
+_EXPERIMENTS = tuple(_VERIFY_KEYS)
 
 
 class ConfigError(Exception):
@@ -119,7 +124,8 @@ def load_config(path) -> dict:
     _check_keys(cfg.get("simulation", {}), _SIMULATION_KEYS, "simulation")
     _check_keys(cfg.get("ensemble", {}), _ENSEMBLE_KEYS, "ensemble")
     _check_keys(cfg.get("output", {}), _OUTPUT_KEYS, "output")
-    _check_keys(cfg.get("verify", {}), _VERIFY_KEYS, "verify")
+    _check_keys(cfg.get("verify", {}), {"experiment"}.union(*_VERIFY_KEYS.values()),
+                "verify")
     fam = str(cfg.get("problem", {}).get("family", "")).strip().lower()
     if fam:
         if fam not in _PROBLEM_KEYS:
@@ -303,17 +309,14 @@ def build_run_spec(cfg: dict, problem: FiniteSumProblem,
                        n_steps=n_steps, dt=dt, T=T, h=h, epoch_steps=m,
                        n_epochs=n_epochs, staleness=staleness,
                        volatility_mode=volatility, weights=weights)
-        spec.record_every = _record_stride(sec, spec.total_steps)
+        # by default about 1000 records
+        spec.record_every = _get(sec, "record_every", _as_int,
+                                 default=max(1, spec.total_steps // 1000),
+                                 where="simulation")
         spec.resolved_record_ks()  # a bad record grid is a config error
     except ValueError as e:
         raise ConfigError(f"[simulation] {e}") from e
     return spec
-
-
-def _record_stride(sec: dict, n_steps: int) -> int:
-    """``record_every`` in [simulation]; by default about 1000 records."""
-    return _get(sec, "record_every", _as_int, default=max(1, n_steps // 1000),
-                where="simulation")
 
 
 def _ensemble_params(cfg: dict, overrides: argparse.Namespace):
@@ -381,7 +384,7 @@ def cmd_simulate(cfg: dict, overrides: argparse.Namespace) -> int:
         # the single path coincides with path 0 of an ensemble run at this seed
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         # recorded on the ensemble's grid, up to any divergence
-        tr: Trajectory = _run_one_path(spec, rng, spec.record_every)
+        tr: Trajectory = _run_one_path(spec, rng)
         stem = name or "trajectory"
         flags = (tr.jump_flags.astype(int) if tr.jump_flags is not None
                  else np.zeros(len(tr), dtype=int))
@@ -432,34 +435,15 @@ def _rate_bound(cfg: dict, problem: FiniteSumProblem, kind: str) -> RateBound:
     return RateBound(kind, BoundInputs.from_problem(problem, x0, adj, batch, m=m))
 
 
-def _bound_grid(cfg: dict, bound: RateBound,
-                overrides: argparse.Namespace) -> np.ndarray:
-    """The points of a bound curve: epochs, times or record steps."""
-    sec = cfg.get("simulation", {})
-    if bound.point == "epoch":
-        n_epochs = _get(sec, "n_epochs", _as_int, where="simulation")
-        if n_epochs is None:
-            T = _get(sec, "t", _as_float, where="simulation")
-            m = bound.inputs.m
-            if T is None or m is None:
-                raise ConfigError("variance-reduced bound curves need "
-                                  "'n_epochs' (or 't' with [schedule] m)")
-            n_epochs = math.floor(T / (m * bound.inputs.h) + 1e-9)  # whole epochs
-        return np.arange(n_epochs + 1)
-    if bound.is_continuous:
-        dt = _dt(sec, overrides, required=True)
-        T = _get(sec, "t", _as_float, required=True, where="simulation")
-        n = _grid_steps(dt, T)
-        return record_steps(n, _record_stride(sec, n)) * dt
-    n_steps = _get(sec, "n_steps", _as_int, required=True, where="simulation")
-    return record_steps(n_steps, _record_stride(sec, n_steps))
-
-
 def cmd_bound(cfg: dict, kind: str, overrides: argparse.Namespace) -> int:
     problem = build_problem(cfg)
+    # the record grid of the run the config describes; nothing runs
+    spec = build_run_spec(cfg, problem, overrides)
     try:
         bound = _rate_bound(cfg, problem, kind)
-        points = _bound_grid(cfg, bound, overrides)
+        # point 0, then each mark verify bound checks on that grid
+        _, marks = bound.marks(spec.resolved_record_ks() * spec.grid_spacing)
+        points = np.concatenate(([0], marks))
         values = bound.curve(points)
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -484,6 +468,11 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
     if declared is not None and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but "
                           f"{experiment!r} was requested")
+    foreign = set(vsec) - _VERIFY_KEYS[experiment] - {"experiment"}
+    if foreign:
+        raise ConfigError(f"experiment {experiment!r} reads no key(s) "
+                          f"{sorted(foreign)} in [verify]; its keys: "
+                          f"{sorted(_VERIFY_KEYS[experiment] | {'experiment'})}")
     slack = _get(vsec, "slack_se", _as_float, default=3.0, where="verify")
     n_cp = _get(vsec, "n_checkpoints", _as_int, default=30, where="verify")
     if n_cp < 1:

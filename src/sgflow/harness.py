@@ -205,15 +205,14 @@ def geometric_checkpoints(last: int, n_points: int = 30, start: int = 1) -> np.n
 # -- ensemble runner ---------------------------------------------------------
 
 
-def _run_one_path(spec: RunSpec, rng: np.random.Generator,
-                  record_every: int = 1) -> Trajectory:
-    """One path of the spec, recorded every ``record_every`` steps and at the end.
+def _run_one_path(spec: RunSpec, rng: np.random.Generator) -> Trajectory:
+    """One path of the spec, recorded on its grid (``resolved_record_ks``).
 
     The ensemble's kernel run on one generator, replayed as the public
     simulators replay theirs, with epoch-end jumps flagged for svrg and
     vr-pgf.
     """
-    res = _kernel_dispatch(spec, [rng], record_steps(spec.total_steps, record_every))
+    res = _kernel_dispatch(spec, [rng], spec.resolved_record_ks())
     return _trajectory(spec.problem, res, spec.grid_spacing)
 
 

@@ -327,9 +327,9 @@ def test_single_path_runs_on_the_record_stride(tmp_path, monkeypatch):
     strides = []
     real = cli._run_one_path
 
-    def spy(spec, rng, record_every=1):
-        strides.append(record_every)
-        return real(spec, rng, record_every)
+    def spy(spec, rng):
+        strides.append(spec.record_every)
+        return real(spec, rng)
 
     monkeypatch.setattr(cli, "_run_one_path", spy)
     cfg = write(tmp_path, "c.ini", STRIDE_CASES["plain"])
@@ -376,6 +376,7 @@ noise = 0.5, 0.3; -0.5, -0.3
 h = 0.25
 
 [simulation]
+mode = mb-pgf
 x0 = 1.25, 0.0
 dt = 1.0
 t = 10.0
@@ -420,11 +421,13 @@ def test_bound_dt_override_coarsens_grid(tmp_path):
 
 def test_bound_inadmissible_stepsize_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "b.ini", BOUND_INI.replace("h = 0.25", "h = 0.6"))
-    cfg_txt = cfg.read_text().replace("dt = 1.0", "n_steps = 10")
+    cfg_txt = cfg.read_text().replace("dt = 1.0", "n_steps = 10").replace(
+        "mode = mb-pgf", "mode = sgd")
     cfg.write_text(cfg_txt)
     assert main(["bound", "pl_dt", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "needs h <= 1/L" in err
 
 
 def test_bound_unknown_kind_exits_2(tmp_path, capsys):
@@ -446,6 +449,7 @@ h = 0.01
 m = 100
 
 [simulation]
+mode = svrg
 x0 = 3.0
 n_epochs = 4
 """)
@@ -478,7 +482,9 @@ h = 0.01
 m = 100
 
 [simulation]
+mode = vr-pgf
 x0 = 3.0
+dt = 0.01
 t = {t}
 """)
     out = tmp_path / "out"
@@ -488,7 +494,8 @@ t = {t}
 
 
 def test_bound_dt_starts_at_the_bound_on_x0(tmp_path):
-    cfg = write(tmp_path, "b.ini", BOUND_INI.replace("dt = 1.0", "n_steps = 10"))
+    cfg = write(tmp_path, "b.ini", BOUND_INI.replace("dt = 1.0", "n_steps = 10")
+                .replace("mode = mb-pgf", "mode = sgd"))
     out = tmp_path / "out"
     for kind in ("pl_dt", "wqc_last_dt"):
         assert main(["bound", kind, "--config", str(cfg), "--out", str(out)]) == 0
@@ -525,10 +532,48 @@ kind = {kind}
 """
 
 
-@pytest.mark.parametrize("kind, mode", [
-    ("pl_dt", "sgd"), ("smooth_dt", "sgd"), ("pl_ct", "mb-pgf")])
+VR_AGREE_INI = """\
+[problem]
+family = spread
+lambda_mean = 10.0
+spread = 1.0
+
+[schedule]
+h = 0.01
+m = 100
+
+[simulation]
+mode = {mode}
+x0 = 2.0
+dt = 0.01
+n_epochs = 3
+
+[ensemble]
+n_paths = 40
+seed = 2718
+
+[verify]
+experiment = bound
+kind = {kind}
+"""
+
+
+# (kind, mode): the fewest points verify bound checks there
+AGREE_CASES = {("pl_dt", "sgd"): 20, ("smooth_dt", "sgd"): 20,
+               ("pl_ct", "mb-pgf"): 20,
+               ("pl_dt", "mb-pgf"): 17,  # 30 geometric picks of 20 whole steps
+               ("vr_dt", "svrg"): 3, ("vr_ct", "vr-pgf"): 3}  # every epoch
+
+
+@pytest.mark.parametrize("kind, mode", list(AGREE_CASES))
 def test_bound_curve_agrees_with_verify_bound(tmp_path, kind, mode):
-    cfg = write(tmp_path, "a.ini", AGREE_INI.format(kind=kind, mode=mode))
+    # every point verify bound checks is a row of the bound curve, with the
+    # same bytes; a step kind on a diffusion run (no n_steps) is read at its
+    # whole steps
+    ini = VR_AGREE_INI if kind.startswith("vr") else AGREE_INI
+    if mode == "mb-pgf":
+        ini = ini.replace("n_steps = 200\n", "")
+    cfg = write(tmp_path, "a.ini", ini.format(kind=kind, mode=mode))
     out = tmp_path / "out"
     assert main(["verify", "bound", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["bound", kind, "--config", str(cfg), "--out", str(out)]) == 0
@@ -538,8 +583,119 @@ def test_bound_curve_agrees_with_verify_bound(tmp_path, kind, mode):
 
     written = dict(rows(f"bound_{kind}.csv"))
     checked = {row[0]: row[3] for row in rows(f"curve_{kind}.csv")}
-    assert len(checked) >= 20
+    assert len(checked) >= AGREE_CASES[kind, mode]
     assert {t: written[t] for t in checked} == checked
+
+
+def test_bound_without_a_mode_exits_2(tmp_path, capsys):
+    # the curve is drawn on the configured run's record grid, which needs a mode
+    cfg = write(tmp_path, "b.ini", BOUND_INI.replace("mode = mb-pgf\n", ""))
+    out = tmp_path / "o"
+    assert main(["bound", "pl_ct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "config error: missing required key 'mode' in [simulation]\n")
+    assert not out.exists()
+
+
+# sha256 of the (csv, json) files `sgflow bound KIND` writes for each shipped
+# config and kind it can draw there, frozen before the curve's points came
+# from RateBound.marks on the run's record grid
+SHIPPED_BOUND_DIGESTS = {
+    ("04_svrg_contraction.ini", "vr_ct"): (
+        "f6f4a1d7f678b91d369ff3a5b1d03768b4faa02af85e2cb54e2204b1ed721886",
+        "fd2f681d74a538d27cbefbc161b2ec654ce69cbd440da60555962b50b87526b0"),
+    ("04_svrg_contraction.ini", "vr_dt"): (
+        "f6f4a1d7f678b91d369ff3a5b1d03768b4faa02af85e2cb54e2204b1ed721886",
+        "4487d7fd9d9e2fe81934e8e28f9251fb6e7b0e1ceaf4709a200d72eafcb13df9"),
+    ("05_vr_sdde_contraction.ini", "pl_ct"): (
+        "74a3aa4b08357245bab1418b8cd209914a0417fbfe9e22a54a1b2717bc342439",
+        "5414728e6bc6f3cf3d463fa8ffe1237392a292e8a3d3828e5cbe473841ea2af4"),
+    ("05_vr_sdde_contraction.ini", "smooth_ct"): (
+        "ce86529ddfebda72301c2de3cc31a11c623f1cc8dd54a460e9743da4fbe82f25",
+        "89b8d44dd278774a7a113734140afc007dc3bfd6705bd052eac861af57d62c78"),
+    ("05_vr_sdde_contraction.ini", "vr_ct"): (
+        "f6f4a1d7f678b91d369ff3a5b1d03768b4faa02af85e2cb54e2204b1ed721886",
+        "fd2f681d74a538d27cbefbc161b2ec654ce69cbd440da60555962b50b87526b0"),
+    ("05_vr_sdde_contraction.ini", "vr_dt"): (
+        "f6f4a1d7f678b91d369ff3a5b1d03768b4faa02af85e2cb54e2204b1ed721886",
+        "4487d7fd9d9e2fe81934e8e28f9251fb6e7b0e1ceaf4709a200d72eafcb13df9"),
+    ("05_vr_sdde_contraction.ini", "wqc_last_ct"): (
+        "540a9848948ac0dbecfd7af06654be8e56b4d9f6d5a003ee4c4cb43def1cf66f",
+        "8ca73e172273999b9dd268244449f2a9c5532a53f697c08cf5b3f87d04a3ec78"),
+    ("05_vr_sdde_contraction.ini", "wqc_rand_ct"): (
+        "540a9848948ac0dbecfd7af06654be8e56b4d9f6d5a003ee4c4cb43def1cf66f",
+        "6e5add59e119b0bcf4af251d59ec9564262868b217f4255ab8410f3b474cc52e"),
+    ("06_pl_dt_constant.ini", "pl_dt"): (
+        "f1fc9a051d462c3aaaddcbf2a036bfa90d6869fbdbf1de728c36c47fba408136",
+        "8a6a08d2fa3f35293dc9c0721cca42fa57951ef50542596311d475708f0d5755"),
+    ("06_pl_dt_constant.ini", "smooth_dt"): (
+        "172bb30ac074ec0609f63fcf2431fdd85f9d51c56022d9d14f89e13ee80184d8",
+        "c6f2bc7bbda0ee5df316c00569376cdcbab3087fb0c526396810749d72591532"),
+    ("06_pl_dt_constant.ini", "wqc_last_dt"): (
+        "4cfd936aec557f85baeae6be45dbc77073dcf1c2e6bd7052e722f7e396baeb48",
+        "f526a92a762a705233ab777a4f2ac3817a86ecc4730cdd09bbc1577eddfd6b6b"),
+    ("06_pl_dt_constant.ini", "wqc_rand_dt"): (
+        "844be1878881ba3e9bcd509d79323b9583db3426aa20049580a0e1d36ff6b155",
+        "8ec5da36d8abee2faae2bc15ac63eb6d2ec4f2338ec0bd8f9b9f046994bce76a"),
+    ("07_pl_dt_power.ini", "pl_dt"): (
+        "58e28e2fa36baf0f40840343b0fae192601eb57016598361b9c92848b6ba0e11",
+        "d2b26d3d822b7595cf0fd1fc7faab9182bcaf2d9d52d2dc55ecf8d0a98e1aa24"),
+    ("07_pl_dt_power.ini", "smooth_dt"): (
+        "08f77ef75c4a5d784abd88b05523cbee23546175c5b80d10a3181ce41187d58e",
+        "f4e0dab66fd7470f125837625ae7e3d8d2ec7cc39ec1942a897e028a5c8f356d"),
+    ("07_pl_dt_power.ini", "wqc_last_dt"): (
+        "44b07a7d824aef2722b65342a46676e40facb92617dce41eec052b33d9332390",
+        "f8fb80b5580162760d70da0b5fd36f287b28f0e10a4a314d0efdecd2a642066e"),
+    ("07_pl_dt_power.ini", "wqc_rand_dt"): (
+        "3a52ee7ff5246f52b44041bca51d6f0d92d17bd19748d1db87d2bb4f694d22a2",
+        "5cccf59b052b8fc9d2e706178efd09f8ae00875b0f04ae0acaad497893fb6d0c"),
+    ("08_smooth_ct.ini", "pl_ct"): (
+        "6b2a9cb4b10d3c2db62769c3cd101aeab763f7ff4f9c4c6e2fc06f1ad1d6423e",
+        "9761099d7b68823548bdf91b64dfb1c5c2da996a7db7a12c472c711615dfe4f1"),
+    ("08_smooth_ct.ini", "smooth_ct"): (
+        "42d5eee2edc0fa17b57785f046f86d4a06a047ffa0e8f880a126dd3b7ba68225",
+        "fed9b12204076279900a545a576ff32a1222d57e50a792d86ff1f7cefe602322"),
+    ("08_smooth_ct.ini", "wqc_last_ct"): (
+        "d4ca093f38d850bf5ced3bbb0d095a9e3a5a4358b880b3bb930070a53cda0f59",
+        "05978462c609beb9d26f955d954841d023d2e27017a5f5230addb591ccfb864d"),
+    ("08_smooth_ct.ini", "wqc_rand_ct"): (
+        "e2abacc680e64ba77f6ece5564b479f62f41deb2b7cca92f9facd8a61687c8a9",
+        "bf9efe5584db33504a05620c7ec831f577880226982566b5f890237dcda9c67f"),
+    ("09_pl_ct.ini", "pl_ct"): (
+        "6b2a9cb4b10d3c2db62769c3cd101aeab763f7ff4f9c4c6e2fc06f1ad1d6423e",
+        "9761099d7b68823548bdf91b64dfb1c5c2da996a7db7a12c472c711615dfe4f1"),
+    ("09_pl_ct.ini", "smooth_ct"): (
+        "42d5eee2edc0fa17b57785f046f86d4a06a047ffa0e8f880a126dd3b7ba68225",
+        "fed9b12204076279900a545a576ff32a1222d57e50a792d86ff1f7cefe602322"),
+    ("09_pl_ct.ini", "wqc_last_ct"): (
+        "d4ca093f38d850bf5ced3bbb0d095a9e3a5a4358b880b3bb930070a53cda0f59",
+        "05978462c609beb9d26f955d954841d023d2e27017a5f5230addb591ccfb864d"),
+    ("09_pl_ct.ini", "wqc_rand_ct"): (
+        "e2abacc680e64ba77f6ece5564b479f62f41deb2b7cca92f9facd8a61687c8a9",
+        "bf9efe5584db33504a05620c7ec831f577880226982566b5f890237dcda9c67f"),
+    ("12_pl_probe.ini", "pl_ct"): (
+        "116469b09df804ddaa3763fc73197133d9dc10c157842629738e2281e25d9a92",
+        "1d7e2d6e13a2b2f262d1b30ef123ebe78acd1cdda4fc394ddae0e9fb80941641"),
+    ("12_pl_probe.ini", "smooth_ct"): (
+        "c860b7c80d9614505236093014bdea9c9b139ec85f45d0838f455dae057376d8",
+        "b0ea155959343874400acd6c3706028a1efdd6e326fc49d47933203324ad5d6e"),
+    ("12_pl_probe.ini", "wqc_last_ct"): (
+        "ded0ebed9fd6fcfdb8b413c523115ea6bca3a3f019c39b5535f5483d6d47285d",
+        "93b01fff8c7c6f4684301eada99cd27f49466cced92955cb37bd2ac95e1e1166"),
+    ("12_pl_probe.ini", "wqc_rand_ct"): (
+        "58c35781c7d8214f775c6c7c302a8055ae28be0b314bb992e29132b33314c0cf",
+        "c26521d75abb754ab828f9d83096538fd3274af8d8cba7e495d68e18eec32a86"),
+}
+
+
+@pytest.mark.parametrize("config, kind", sorted(SHIPPED_BOUND_DIGESTS))
+def test_shipped_bound_curves_keep_their_bytes(tmp_path, config, kind):
+    out = tmp_path / "out"
+    for fmt, digest in zip(("csv", "json"), SHIPPED_BOUND_DIGESTS[config, kind]):
+        assert main(["bound", kind, "--config", str(CONFIGS_DIR / config),
+                     "--out", str(out), "--format", fmt]) == 0
+        (path,) = out.glob(f"*.{fmt}")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # -- verify and suite ----------------------------------------------------------
@@ -725,6 +881,32 @@ def test_verify_vr_bound_with_n_checkpoints_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+# (config, experiment, a [verify] key that experiment does not read)
+FOREIGN_KEY_CASES = [
+    ("09_pl_ct.ini", "bound", "tail_fraction"),
+    ("03_time_change.ini", "time-change", "t_long"),
+    ("10_landscape.ini", "landscape", "h_list"),
+    ("11_weak_error.ini", "weak-error", "slack_se"),
+    ("01_ou_ball_ct.ini", "ball", "n_checkpoints"),
+    ("12_pl_probe.ini", "pl-probe", "kind"),
+]
+
+
+@pytest.mark.parametrize("config, experiment, key", FOREIGN_KEY_CASES,
+                         ids=[case[1] for case in FOREIGN_KEY_CASES])
+def test_verify_rejects_a_key_its_experiment_does_not_read(tmp_path, capsys,
+                                                           config, experiment,
+                                                           key):
+    text = (CONFIGS_DIR / config).read_text()
+    cfg = write(tmp_path, config, text.replace("[verify]\n", f"[verify]\n{key} = 1\n"))
+    out = tmp_path / "out"
+    assert main(["verify", experiment, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert (f"config error: experiment {experiment!r} reads no key(s) [{key!r}] "
+            "in [verify]" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_verify_experiment_mismatch_and_unknown(tmp_path, capsys):
     cfg = write(tmp_path, "v.ini", VERIFY_PL_INI)
     assert main(["verify", "ball", "--config", str(cfg),
@@ -790,7 +972,7 @@ BAD_STEP_CASES = {
                    "bad value for --dt: must be positive, got 0.0"),
     "bound-t-below-dt": (BOUND_INI.replace("t = 10.0", "t = 0.5"),
                          ["bound", "smooth_ct"],
-                         "horizon T must be at least one step dt"),
+                         "[simulation] horizon T must be at least one step dt"),
     "verify-bound-dt-0": (CONFIGS_DIR / "08_smooth_ct.ini",
                           ["verify", "bound", "--dt", "0"],
                           "bad value for --dt: must be positive, got 0.0"),

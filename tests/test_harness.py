@@ -321,6 +321,21 @@ def test_run_one_path_dispatch_matches_direct_call():
     assert np.array_equal(tr.jump_flags, ref.jump_flags)
 
 
+def test_run_one_path_records_path_0_of_the_ensemble(monkeypatch):
+    # a single path records on its spec's grid, record_ks included, exactly
+    # where path 0 of ensemble_run at the same seed records
+    spec = sgd_spec(n_steps=50, record_ks=np.array([0, 3, 10, 49, 50]))
+    runs = []
+    real = harness._kernel_dispatch
+    monkeypatch.setattr(harness, "_kernel_dispatch",
+                        lambda *a, **kw: runs.append(real(*a, **kw)) or runs[-1])
+    ensemble_run(spec, 3, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    tr = _run_one_path(spec, rng)
+    assert np.array_equal(tr.times, [0.0, 0.75, 2.5, 12.25, 12.5])
+    assert np.array_equal(tr.states, runs[0].states[0])
+
+
 # -- the engine --------------------------------------------------------------
 
 

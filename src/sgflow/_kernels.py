@@ -895,12 +895,19 @@ def kernel_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,
     def estimate(x, idx):
         return np.mean([problem.component_grad(int(i), x) for i in idx], axis=0)
 
+    # a batch of one is its own mean: the mean over one index is left out
+    single = affine is not None and max(sizes, default=1) == 1
+
     def advance(I, k0, i0, i1, snaps=None):
         for i in range(i0, i1):
-            idx = I[i, :, :sizes[k0 + i]]
-            if affine is None:
-                G = _rows(estimate, (problem.d,), X, idx)
+            if single:
+                idx = I[i, :, 0]
+                G = affine.D[idx] * (X - x_star)
+                G += affine.C[idx]
+            elif affine is None:
+                G = _rows(estimate, (problem.d,), X, I[i, :, :sizes[k0 + i]])
             else:
+                idx = I[i, :, :sizes[k0 + i]]
                 U = X - x_star
                 G = (affine.D[idx] * U[:, None, :] + affine.C[idx]).mean(axis=1)
             G *= eta[k0 + i]

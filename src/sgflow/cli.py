@@ -50,6 +50,7 @@ from .harness import (
     weak_error_experiment,
 )
 from .harness import _MODES  # the run modes RunSpec accepts
+from .harness import _bound_positions  # the one rule for verify_bound's picks
 from .harness import _json_clean  # one JSON cleaner for reports and CLI payloads
 from .harness import _run_one_path  # one path through the ensemble's kernel dispatch
 from .problems import (
@@ -381,7 +382,10 @@ def cmd_simulate(cfg: dict, overrides: argparse.Namespace) -> int:
     out, fmt, name = _output_params(cfg, overrides)
 
     if n_paths == 1:
-        # the single path coincides with path 0 of an ensemble run at this seed
+        # the single path coincides with path 0 of an ensemble run at this
+        # seed, except under a constant volatility matrix that is not a
+        # multiple of I: pgd and mb-pgf then round one row's noise product
+        # apart from a block's, by about an ulp of the state
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         # recorded on the ensemble's grid, up to any divergence
         tr: Trajectory = _run_one_path(spec, rng)
@@ -493,15 +497,22 @@ def cmd_verify(cfg: dict, experiment: str, overrides: argparse.Namespace) -> int
             kind = _get(vsec, "kind", _as_str, required=True, where="verify")
             bound = _rate_bound(cfg, problem, kind)
             bound.evaluate(1)  # a missing constant or an inadmissible h fails now
-            picks = n_cp if "n_checkpoints" in vsec else None
-            if picks is not None and bound.point == "epoch":  # fails now, too
-                raise ConfigError(f"{kind!r} is checked at every epoch mark and "
-                                  "takes no n_checkpoints")
             spec = build_run_spec(cfg, problem, overrides,
                                   weights=bound.observable.endswith("_wavg"))
+            # the checked marks are picked on the configured grid, and the run
+            # records its first step and those only; a path's records do not
+            # depend on which other steps are recorded.  The first step keeps
+            # a second column on the grid: NumPy sums a lone (n_paths, 1)
+            # column pairwise, and so a mean differs from the full grid's
+            ks = spec.resolved_record_ks()
+            pos, _ = _bound_positions(bound, ks * spec.grid_spacing, n_checkpoints=(
+                n_cp if "n_checkpoints" in vsec else None))
+            spec.record_ks = np.union1d(ks[:1], ks[pos])
             t0 = time.perf_counter()
             stats = ensemble_run(spec, n_paths, seed)
-            report = verify_bound(stats, bound, slack_se=slack, n_checkpoints=picks)
+            # every mark of the reduced grid is checked
+            report = verify_bound(stats, bound, slack_se=slack, checkpoints=(
+                None if bound.point == "epoch" else bound.marks(stats.grid)[0]))
             # the run, not just the check
             report.runtime_seconds = time.perf_counter() - t0
             stem = name or f"report_bound_{kind}"

@@ -428,6 +428,31 @@ def _finish_report(experiment, checkpoints, empirical, reference, se,
 # -- bound verification ------------------------------------------------------
 
 
+def _bound_positions(bound: RateBound, times, checkpoints=None,
+                     n_checkpoints: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The positions on the record ``times`` that :func:`verify_bound` checks,
+    and the bound's point at each."""
+    pos, where = bound.marks(times)
+    if bound.point == "epoch":
+        for name, given in (("checkpoints", checkpoints),
+                            ("n_checkpoints", n_checkpoints)):
+            if given is not None:
+                raise ValueError(f"{bound.kind!r} is checked at every epoch mark "
+                                 f"on the record grid and takes no {name}")
+        return pos, where
+    if checkpoints is None:
+        pick = geometric_checkpoints(
+            pos.size, 30 if n_checkpoints is None else n_checkpoints) - 1
+    else:
+        picked = np.asarray(checkpoints, dtype=int)
+        if np.any((picked < 0) | (picked >= len(times))):
+            raise ValueError("checkpoint positions outside the record grid")
+        if not np.isin(picked, pos).all():
+            raise ValueError("checkpoints must sit at positive times/steps on marks")
+        pick = np.searchsorted(pos, picked)
+    return pos[pick], where[pick]
+
+
 def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
                  checkpoints: np.ndarray | None = None,
                  n_checkpoints: int | None = None) -> VerificationReport:
@@ -444,23 +469,7 @@ def verify_bound(stats: EnsembleStats, bound: RateBound, slack_se: float = 3.0,
         raise ValueError(f"stats lack the {key!r} observable required by "
                          f"{bound.kind!r} (run with weights=True?)")
     t0 = time.perf_counter()
-    pos, where = bound.marks(stats.grid)
-    if bound.point == "epoch":
-        if checkpoints is not None or n_checkpoints is not None:
-            raise ValueError(f"{bound.kind!r} is checked at every epoch mark on the "
-                             "record grid and takes no checkpoints or n_checkpoints")
-        pick = slice(None)
-    elif checkpoints is None:
-        pick = geometric_checkpoints(
-            pos.size, 30 if n_checkpoints is None else n_checkpoints) - 1
-    else:
-        picked = np.asarray(checkpoints, dtype=int)
-        if np.any((picked < 0) | (picked >= stats.record_ks.size)):
-            raise ValueError("checkpoint positions outside the record grid")
-        if not np.isin(picked, pos).all():
-            raise ValueError("checkpoints must sit at positive times/steps on marks")
-        pick = np.searchsorted(pos, picked)
-    pos, where = pos[pick], where[pick]
+    pos, where = _bound_positions(bound, stats.grid, checkpoints, n_checkpoints)
 
     reference = bound.curve(where)
     empirical = stats.mean[key][pos]

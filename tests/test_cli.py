@@ -6,6 +6,7 @@ the CLI documents (master seed -> spawned per-path generators), so the files
 are pinned bitwise, not just approximately.
 """
 
+import argparse
 import hashlib
 import json
 import re
@@ -19,7 +20,12 @@ from sgflow.bounds import BoundInputs, RateBound
 import sgflow.cli as cli
 from sgflow.cli import DEFAULT_SEED, load_config, main
 from sgflow.discrete import run_mb_sgd
-from sgflow.harness import EnsembleDivergenceError, RunSpec, ensemble_run
+from sgflow.harness import (
+    EnsembleDivergenceError,
+    RunSpec,
+    ensemble_run,
+    verify_bound,
+)
 from sgflow.problems import make_perturbed_quadratic, make_spread_quadratic
 from sgflow.schedules import AdjustmentSchedule, BatchSchedule
 
@@ -879,6 +885,79 @@ def test_verify_vr_bound_with_n_checkpoints_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error: " in err and "takes no n_checkpoints" in err
     assert not out.exists()
+
+
+# a time kind, a step kind, a weighted kind and both epoch kinds
+RECORDED_BOUND_CONFIGS = ["09_pl_ct.ini", "06_pl_dt_constant.ini",
+                          "08_smooth_ct.ini", "04_svrg_contraction.ini",
+                          "05_vr_sdde_contraction.ini"]
+
+
+@pytest.mark.parametrize("config", RECORDED_BOUND_CONFIGS)
+def test_verify_bound_records_step_0_and_the_checked_marks(tmp_path, monkeypatch,
+                                                           config):
+    grids = []
+
+    def spy(spec, *args, **kwargs):
+        grids.append(spec.resolved_record_ks())
+        return ensemble_run(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ensemble_run", spy)
+    out = tmp_path / "out"
+    assert main(["verify", "bound", "--config", str(CONFIGS_DIR / config),
+                 "--seed", "4242", "--out", str(out)]) == 0
+    (ks,) = grids
+    (report,) = [json.loads(p.read_text()) for p in out.glob("*.json")]
+    # step 0, then one record per checked mark and no other
+    assert ks[0] == 0 and ks.size <= 30 + 1
+    assert len(report["checkpoints"]) == ks.size - 1
+
+
+def _masked(path):
+    return re.sub(rb'"runtime_seconds": [^,\n}]+', b'"runtime_seconds": 0',
+                  path.read_bytes())
+
+
+FULL_GRID_CASES = [(config, None) for config in (
+    "04_svrg_contraction.ini", "05_vr_sdde_contraction.ini",
+    "06_pl_dt_constant.ini", "07_pl_dt_power.ini", "08_smooth_ct.ini",
+    "09_pl_ct.ini")] + [
+    # 1 pick leaves step 0 and step 1 on the grid: a lone (n_paths, 1) column
+    # would be summed pairwise, apart from the full grid's sums
+    ("06_pl_dt_constant.ini", n) for n in (1, 2, 5)]
+
+
+@pytest.mark.parametrize("config, n", FULL_GRID_CASES)
+def test_verify_bound_writes_the_full_grid_check(tmp_path, config, n):
+    # the report and curve of verify_bound on a run of the configured record
+    # grid, written as the CLI writes them, byte for byte
+    path = write(tmp_path, config, (CONFIGS_DIR / config).read_text()
+                 if n is None else with_checkpoints(config, n))
+    out = tmp_path / "cli"
+    assert main(["verify", "bound", "--config", str(path), "--seed", "4242",
+                 "--out", str(out)]) == 0
+
+    cfg = load_config(path)
+    problem = cli.build_problem(cfg)
+    kind = cfg["verify"]["kind"]
+    bound = cli._rate_bound(cfg, problem, kind)
+    spec = cli.build_run_spec(cfg, problem, argparse.Namespace(),
+                              weights=bound.observable.endswith("_wavg"))
+    stats = ensemble_run(spec, int(cfg["ensemble"]["n_paths"]), 4242)
+    report = verify_bound(stats, bound, n_checkpoints=n)
+    name = cfg["output"].get("name")
+    lib = tmp_path / "lib"
+    payload = report.to_json_dict()
+    payload["seed"] = 4242
+    cli._write_json(lib / f"{name or 'report_bound_' + kind}.json", payload)
+    cli._write_csv(lib / (f"{name}_curve.csv" if name else f"curve_{kind}.csv"),
+                   ["t", "empirical_mean", "se", "bound"],
+                   [report.checkpoints.astype(float), report.empirical,
+                    report.se, report.reference])
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(p.name for p in lib.iterdir()) and len(written) == 2
+    for file in written:
+        assert _masked(out / file) == _masked(lib / file), file
 
 
 # (config, experiment, a [verify] key that experiment does not read)

@@ -203,6 +203,19 @@ def test_kernel_fingerprint(case):
     assert _digests(res) == GOLDEN[case]
 
 
+def test_sgd_batch_of_one_is_the_reference_loop_bit_for_bit():
+    # with every b_k = 1 the kernel steps without the mean over the batch: its
+    # states must keep every bit of the per-path loop's mean of one gradient
+    adj, batch = _adj(), BatchSchedule(b=1)
+    res = kernel_mb_sgd(_noisy(), adj, batch, X0, N_STEPS, _gens(),
+                        np.arange(N_STEPS + 1))
+    assert not res.diverged.any()
+    for path, rng in enumerate(_gens()):
+        ref = reference.run_mb_sgd(_noisy(), adj, batch, X0, N_STEPS, rng)
+        assert np.array_equal(res.states[path].view(np.uint64),
+                              ref.states.view(np.uint64))
+
+
 @pytest.mark.parametrize("adj", [
     AdjustmentSchedule(h=0.1, family="power", a=0.5),
     AdjustmentSchedule(h=0.05, family="power", a=1.0),

@@ -335,6 +335,25 @@ def test_run_one_path_records_path_0_of_the_ensemble(monkeypatch):
     assert np.array_equal(tr.times, [0.0, 0.75, 2.5, 12.25, 12.5])
     assert np.array_equal(tr.states, runs[0].states[0])
 
+    # over 200 steps, on 8 paths: sgd and a scalar volatility give path 0's
+    # bits; a matrix volatility's noise product rounds apart by up to 2^-53
+    # (pgd) and 2^-52 (mb-pgf) on these states, of size up to 3
+    iso = make_isotropic_quadratic(1.0, 2, sigma_star_sq=0.2)
+    cases = [(sgd_spec(n_steps=200), 0.0)]
+    for problem, atol in ((iso, 0.0), (noisy_problem(), 2.0 ** -52)):
+        cases += [(sgd_spec(mode="pgd", problem=problem, n_steps=200), atol),
+                  (sgd_spec(mode="mb-pgf", problem=problem, n_steps=None,
+                            dt=0.05, T=10.0), atol)]
+    for spec, atol in cases:
+        ks = spec.resolved_record_ks()
+        gens = [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(8)]
+        path_0 = _kernel_dispatch(spec, gens, ks).states[0]
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        one = _run_one_path(spec, rng).states
+        assert one.shape == path_0.shape == (201, 2)
+        assert np.max(np.abs(one - path_0)) <= atol, spec.mode
+
 
 # -- the engine --------------------------------------------------------------
 
@@ -966,6 +985,27 @@ def test_verify_bound_on_a_grid_that_starts_after_step_0():
     assert report.checkpoints[0] == 5 and report.checkpoints[-1] == 100
     assert np.isin(report.checkpoints, stats.record_ks).all()
     assert report.passed
+
+
+def test_a_run_on_its_picked_steps_checks_what_the_full_grid_checks():
+    # verify bound's plan: pick the marks on the run's record grid, record
+    # step 0 and the picked steps only, then check every mark of that grid
+    problem, adj = noisy_problem(), AdjustmentSchedule(h=0.25)
+    bound = RateBound("pl_dt", BoundInputs.from_problem(problem, X0, adj))
+    spec = sgd_spec(n_steps=400)
+    full = verify_bound(ensemble_run(spec, 50, seed), bound)
+    ks = spec.resolved_record_ks()
+    pos, where = harness._bound_positions(bound, ks * spec.grid_spacing)
+    assert np.array_equal(where, full.checkpoints)
+    stats = ensemble_run(replace(spec, record_ks=np.union1d(ks[:1], ks[pos])),
+                         50, seed)
+    marks, _ = bound.marks(stats.grid)
+    assert np.array_equal(marks, np.arange(1, pos.size + 1))
+    report = verify_bound(stats, bound, checkpoints=marks)
+    for name in ("checkpoints", "empirical", "reference", "se"):
+        assert np.array_equal(getattr(report, name), getattr(full, name))
+    # picking again on the picked grid would drop some of them
+    assert verify_bound(stats, bound).checkpoints.size < pos.size
 
 
 # -- experiments -------------------------------------------------------------

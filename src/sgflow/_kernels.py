@@ -31,14 +31,14 @@ array operations, correctly rounded like their scalar forms, so every entry
 is the per-step scalar expression's value.
 
 :class:`_BlockRecorder` does the bookkeeping: the record grid, the
-divergence flags, the snapshots (or, for a caller that reads no state, their
-observables, reduced a buffer of snapshots at a time) and the running
-``psi``-weighted sums behind the randomized-output guarantees.  It also
-drives the SGD, PGD and diffusion kernels (:meth:`_BlockRecorder.drive`) in
-segments from one recorded step to the next, with one divergence test per
-segment; a segment in which a path turns non-finite is replayed step by
-step, so the flags are those of a per-step test.  A run of consecutive
-recorded steps is one dense segment whose flags are read from its
+divergence flags, the snapshots, their observables, reduced a buffer of
+snapshots at a time, and, from those reductions, the ``psi``-weighted sums
+behind the randomized-output guarantees.  It also drives the SGD, PGD and
+diffusion kernels (:meth:`_BlockRecorder.drive`) in segments from one
+snapshot step to the next, with one divergence test per segment; a segment
+in which a path turns non-finite is replayed step by step, so the flags are
+those of a per-step test.  A run of consecutive snapshot steps (every step
+of a weighted run) is one dense segment whose flags are read from its
 snapshots.  A chunk is path-major, so one step's draws lie a row apart per
 path; the driven kernels read them from step-major tiles instead
 (:func:`_step_tiles`): a chunk of several paths whose rows are narrower than
@@ -94,8 +94,8 @@ __all__ = [
 # per generator call, never the values themselves.
 _CHUNK_DOUBLES = 5_000_000
 
-# Snapshot values (~0.5 MB) a run without a state block collects before it
-# reduces them to observables in one call; at least one record is collected.
+# Snapshot values (~0.5 MB) a run collects before it reduces them to
+# observables in one call; at least one snapshot is collected.
 _REDUCE_DOUBLES = 65_536
 
 # Draws (~0.5 MB, within L2) in one step-major tile that a driven kernel
@@ -108,7 +108,7 @@ _TILE_DOUBLES = 65_536
 # on floats against 3.9 / 3.9 / 4.0 / 4.2 us on NumPy at 4 / 8 / 12 / 16
 # values (2 vCPU, Python 3.11, NumPy 2.4).  A float call also converts, at
 # about 2 us plus 2.3 us a value: 8 values recorded every 9 steps took 3.9 us
-# a step either way, and a weighted run's one-step calls 31 against 26 us.
+# a step either way, and one-step calls 31 against 26 us.
 _NARROW_VALUES = 8
 
 # The Python float operation that rounds as each ufunc of an elementwise step
@@ -118,14 +118,13 @@ _FLOAT_OPS = {np.add: operator.add, np.subtract: operator.sub,
 
 @dataclass
 class KernelResult:
-    """States or observables (and optional weighted sums) at the recorded steps.
+    """Observables, states and optional weighted sums at the recorded steps.
 
-    A run that keeps its state block (the default) has ``states``, of shape
-    (n_paths, n_records, d), and ``observables`` None.  A run that keeps no
-    block (``keep_states=False``, for callers that read no state) has
-    ``states`` None and ``observables``, of shape (3, n_paths, n_records):
+    Every kernel run sets ``observables``, of shape (3, n_paths, n_records):
     f - f*, |grad f|^2 and |x - x*|^2 of each recorded snapshot
-    (:func:`_observable_arrays`).  Recorded entries of paths that diverged
+    (:func:`_observable_arrays`).  ``states``, of shape (n_paths, n_records,
+    d), is set only by a run with ``keep_states`` (the default), and None
+    for callers that read no state.  Recorded entries of paths that diverged
     are whatever non-finite values the recursion produced and must be masked
     via ``diverged`` by the consumer.  ``wsum_f_gap`` and
     ``wsum_grad_sq`` are (n_paths, n_records) running weighted sums of
@@ -272,10 +271,11 @@ def _grad_block(problem: FiniteSumProblem):
 def _observable_arrays(problem: FiniteSumProblem, X: np.ndarray):
     """(f - f*, |grad f|^2, |x - x*|^2) for each row of a (n, d) block of states.
 
-    The one observable formula: ensembles reduce their snapshots with it,
-    :class:`_BlockRecorder` weights it, and single paths take it once for
-    their recorded states.  Its sums are NumPy's own (``einsum``), with no
-    BLAS call, whose kernel OpenBLAS picks for the CPU at run time.
+    The one observable formula: :class:`_BlockRecorder` reduces every
+    kernel run's snapshots with it, and the generic Euler-Maruyama path
+    (:func:`sgflow.continuous.euler_maruyama`) its recorded states.  Its
+    sums are NumPy's own (``einsum``), with no BLAS call, whose kernel
+    OpenBLAS picks for the CPU at run time.
     """
     U = X - problem.x_star
     if problem.affine is not None:
@@ -524,28 +524,28 @@ class _BlockRecorder:
     """The bookkeeping every ensemble shares for its (n_paths, d) state block.
 
     It resolves the record grid, flags the paths whose state turns
-    non-finite, snapshots the block at the recorded steps and, given the
-    weights ``psi`` (per step index, or per grid node with ``dt``; see
-    :func:`_psi_table`), accumulates every alive path's psi-weighted sums
-    of f - f* and |grad f|^2 and the matching sums of psi alone: prefix
-    sums over the iterates without ``dt``, trapezoid integrals over the
-    grid with it.  A kernel starts its block with :meth:`start` and either
-    calls :meth:`record` once after every step, or hands its step loop to
-    :meth:`drive`, which books the recorded steps itself.
+    non-finite, snapshots the block and reduces the snapshots to the three
+    observables of :func:`_observable_arrays`, and, given the weights
+    ``psi`` (per step index, or per grid node with ``dt``; see
+    :func:`_psi_table`), builds every alive path's psi-weighted sums of
+    f - f* and |grad f|^2 and the matching sums of psi alone: prefix sums
+    over the iterates without ``dt``, trapezoid integrals over the grid with
+    it.  A kernel starts its block with :meth:`start` and either calls
+    :meth:`record` once after every step, or hands its step loop to
+    :meth:`drive`, which books the snapshot steps itself.
 
-    With ``keep_states`` (the default) a snapshot is a copy of the block
-    into the (n_paths, n_records, d) snapshot array, which the consumer
-    reduces after the run.  Without it no such array is allocated: the
-    snapshots go to a buffer of at most ``_REDUCE_DOUBLES`` values (at least
-    one record), and each full buffer is reduced to the three observables
-    of its rows by one :func:`_observable_arrays` call, into a (3, n_paths,
-    n_records) array.  The observables of a row do not depend on the block
-    it sits in, so both give the same bits.  Only runs whose caller reads no
-    state drop the block.  The others keep reducing after the run: running
-    the bound and probe ensembles without the block left a larger heap to
-    the runs that follow in one process (the record-every-step bound configs
-    before a ball config; see the README's ensemble section for the
-    measurements).
+    The snapshot steps are the recorded steps, or every step of a weighted
+    run.  Snapshots go into a buffer of at most ``_REDUCE_DOUBLES`` values
+    (at least one snapshot), and each full buffer, and the last, is reduced
+    by one :func:`_observable_arrays` call, the only one a run makes.  The
+    recorded rows' observables are kept, of shape (3, n_paths, n_records),
+    and with ``keep_states`` (the default) their states, (n_paths,
+    n_records, d); a row's observables do not depend on its block.  A
+    weighted buffer's terms, psi_k times each observable (prefix) or
+    (0.5 dt)(wf_{k-1} + wf_k), wf = psi times it (trapezoid, 0 at k = 0),
+    are 0.0 from a path's divergence step on, and one ``cumsum`` along the
+    steps adds them to the running total: the per-step loop's additions, in
+    its order, so a diverged path's sums keep their last finite values.
 
     :meth:`drive` tests for divergence once per segment, which is exact
     only where non-finite values are absorbing.  They are in
@@ -560,33 +560,38 @@ class _BlockRecorder:
     def __init__(self, problem: FiniteSumProblem, n_steps: int, n_paths: int,
                  record_ks, psi=None, dt: float | None = None,
                  keep_states: bool = True):
-        self.record_ks = record_steps(n_steps, record_ks=record_ks)
-        n_rec, d = self.record_ks.size, problem.d
+        self.record_ks = ks = record_steps(n_steps, record_ks=record_ks)
+        n_rec, d = ks.size, problem.d
         self.problem = problem
         self.states = np.empty((n_paths, n_rec, d)) if keep_states else None
-        self.observables = None if keep_states else np.empty((3, n_paths, n_rec))
-        # (slots, n_paths, d) snapshots not yet reduced, from record _reduced on
-        self._buffer = None if keep_states else np.empty(
-            (max(1, min(n_rec, _REDUCE_DOUBLES // (n_paths * d))), n_paths, d))
-        self._reduced = 0
+        self.observables = np.empty((3, n_paths, n_rec))
         self.alive = np.ones(n_paths, dtype=bool)
         self.diverged = np.zeros(n_paths, dtype=bool)
         self.div_step = np.full(n_paths, -1)
-        self.psi = None if psi is None else np.asarray(psi, dtype=float).tolist()
-        self.dt = dt
-        self.acc_f = np.zeros(n_paths)
-        self.acc_g = np.zeros(n_paths)
-        self.acc_w = 0.0
-        self.wsum_f = np.zeros((n_paths, n_rec)) if psi is not None else None
-        self.wsum_g = np.zeros((n_paths, n_rec)) if psi is not None else None
-        self.wsum_w = np.zeros(n_rec) if psi is not None else None
-        self._steps = self.record_ks.tolist() + [n_steps + 1]  # past the grid
-        # _following[i]: the records after record i that are one step apart
-        ks = self.record_ks
-        ends = np.append(np.flatnonzero(np.diff(ks) != 1), n_rec - 1)
-        self._following = (ends[np.searchsorted(ends, np.arange(n_rec))]
-                           - np.arange(n_rec)).tolist()
+        snap_ks = ks if psi is None else np.arange(n_steps + 1)
+        self._record_snap = np.searchsorted(snap_ks, ks)  # record i's snapshot
+        self._steps = snap_ks.tolist() + [n_steps + 1]  # past the grid
+        # _following[i]: the snapshots after snapshot i that are one step apart
+        n_snap = snap_ks.size
+        ends = np.append(np.flatnonzero(np.diff(snap_ks) != 1), n_snap - 1)
+        self._following = (ends[np.searchsorted(ends, np.arange(n_snap))]
+                           - np.arange(n_snap)).tolist()
         self._cursor = 0
+        # (slots, n_paths, d) snapshots not yet reduced, from snapshot _reduced on
+        self._buffer = np.empty(
+            (max(1, min(n_snap, _REDUCE_DOUBLES // (n_paths * d))), n_paths, d))
+        self._reduced = 0
+        self.dt = dt
+        self.psi = self.wsum = self.denominators = None
+        if psi is not None:
+            self.psi = np.asarray(psi, dtype=float)
+            self.wsum = np.empty((2, n_paths, n_rec))  # f - f*, |grad f|^2
+            self._total = np.zeros((2, n_paths))  # the sums up to _reduced
+            self._last = np.zeros((2, n_paths))  # trapezoid: the last wf
+            terms = (self.psi if dt is None else np.append(
+                0.0, (0.5 * dt) * (self.psi[:-1] + self.psi[1:])))
+            w = np.cumsum(terms)[ks]
+            self.denominators = np.where(w > 0, w, np.nan)
 
     def start(self, x0) -> np.ndarray:
         """The block of n_paths copies of x0, recorded as step 0."""
@@ -596,25 +601,14 @@ class _BlockRecorder:
         return X
 
     def record(self, k: int, X: np.ndarray) -> None:
-        """Flag, accumulate and (on the grid) record the block after step k."""
+        """Flag the block after step k and, at a snapshot step, snapshot it."""
         # a finite sum implies finite entries; a sum that overflows on finite
         # entries falls through to the exact per-row test, which flags nothing
         if k and not math.isfinite(X.sum()):
             self._flag(k, X)
-        if self.psi is not None:
-            self._accumulate(k, X)
-        i = self._cursor
-        if k != self._steps[i]:
-            return
-        if self.states is not None:
-            self.states[:, i, :] = X
-        else:
+        if k == self._steps[self._cursor]:
             self._slots(1)[:, 0] = X
-        if self.wsum_f is not None:
-            self.wsum_f[:, i] = self.acc_f
-            self.wsum_g[:, i] = self.acc_g
-            self.wsum_w[i] = self.acc_w
-        self._cursor = i + 1
+            self._cursor += 1
 
     def check(self, k: int, X: np.ndarray) -> None:
         """Flag the paths whose state is non-finite after step k, unrecorded."""
@@ -631,9 +625,7 @@ class _BlockRecorder:
         width) draws Z[i], and writes the state after each step into its
         slot of ``snaps``, given; a stretch of steps that crosses tiles is
         one ``advance`` call per tile.  Each chunk is stepped in segments
-        that end at the next recorded step or at the chunk's end; with
-        psi-weights every segment is one step, since the weighted sums take
-        every step.  After a
+        that end at the next snapshot step or at the chunk's end.  After a
         segment of several steps one sum tests the block; if a path still
         alive has turned non-finite, the block saved at the segment's start
         is restored and the segment replayed one step at a time, each step
@@ -643,14 +635,14 @@ class _BlockRecorder:
         a segment with no new non-finite row at its end had none at any of
         its steps.  Closing the tiles, on the way out, ends the fills.
 
-        Recorded steps that follow a recorded step are one dense segment (up
-        to the chunk's end, or a full snapshot buffer): one ``advance`` call
-        per tile writes each step's state into its snapshot slot, and the
-        flags are read once, from the snapshots -- a path is new to
-        non-finite values in the segment if its last snapshot is, and then
-        it first was at its first non-finite snapshot.
+        Snapshot steps that follow a snapshot step (every step of a weighted
+        run) are one dense segment (up to the chunk's end, or a full
+        snapshot buffer): one ``advance`` call per tile writes each step's
+        state into its snapshot slot, and the flags are read once, from the
+        snapshots -- a path is new to non-finite values in the segment if
+        its last snapshot is, and then it first was at its first non-finite
+        snapshot.
         """
-        weighted = self.psi is not None
         saved = np.empty_like(X)
         tiles = _step_tiles(chunks)
 
@@ -666,7 +658,7 @@ class _BlockRecorder:
                 i0 = 0
                 while i0 < n:
                     due = self._steps[self._cursor]
-                    i1 = i0 + 1 if weighted else min(n, due - k0)
+                    i1 = min(n, due - k0)
                     if i1 - i0 > 1:
                         np.copyto(saved, X)
                         steps(tile, k0, i0, i1)
@@ -679,9 +671,7 @@ class _BlockRecorder:
                     else:
                         steps(tile, k0, i0, i1)
                     k = k0 + i1
-                    if weighted:
-                        self.record(k, X)
-                    elif k == due:
+                    if k == due:
                         self.record(k, X)
                         i1 += self._dense(X, tile, k0, n, i1, advance)
                     else:
@@ -692,7 +682,7 @@ class _BlockRecorder:
 
     def _dense(self, X: np.ndarray, tile, k0: int, n: int, i0: int,
                advance) -> int:
-        """Step and record the run of recorded steps from k0 + i0 + 1 on.
+        """Step and snapshot the run of snapshot steps from k0 + i0 + 1 on.
 
         The run ends at the chunk's end (n steps) or a full buffer; each of
         its tiles is one ``advance`` call, with the run's snapshot slots in
@@ -721,29 +711,57 @@ class _BlockRecorder:
         return m
 
     def _slots(self, m: int) -> np.ndarray:
-        """(n_paths, <= m, d) views of the snapshot slots from the cursor on.
+        """(n_paths, <= m, d) views of the buffer's slots from the cursor on.
 
-        Without a state block a full buffer is reduced first, and the views
-        end at the buffer's end.
+        A full buffer is reduced first, and the views end at the buffer's end.
         """
-        i = self._cursor
-        if self.states is not None:
-            return self.states[:, i:i + m]
-        j = i - self._reduced
+        j = self._cursor - self._reduced
         if j == len(self._buffer):
             self._reduce()
             j = 0
         return self._buffer[j:j + m].transpose(1, 0, 2)
 
     def _reduce(self) -> None:
-        """Reduce the buffered snapshots to their observables, in one call."""
-        i0, i1 = self._reduced, self._cursor
-        if i1 > i0:
-            buf = self._buffer[:i1 - i0]
-            obs = _observable_arrays(self.problem, buf.reshape(-1, buf.shape[2]))
-            self.observables[:, :, i0:i1] = np.reshape(
-                obs, (3, i1 - i0, buf.shape[1])).transpose(0, 2, 1)
-        self._reduced = i1
+        """Reduce the buffered snapshots in one call, and book their records.
+
+        A diverged path's rows are reduced too, silently; their values are
+        masked by every consumer.
+        """
+        s0, s1 = self._reduced, self._cursor
+        self._reduced = s1
+        if s1 == s0:
+            return
+        snaps = self._buffer[:s1 - s0]
+        m, n_paths, d = snaps.shape
+        r0, r1 = np.searchsorted(self._record_snap, (s0, s1))
+        rows = self._record_snap[r0:r1] - s0
+        with np.errstate(over="ignore", invalid="ignore"):
+            obs = [a.reshape(m, n_paths) for a in
+                   _observable_arrays(self.problem, snaps.reshape(-1, d))]
+            if self.psi is not None:
+                self._weigh(s0, np.stack(obs[:2]), rows, r0, r1)
+        for out, a in zip(self.observables, obs):
+            out[:, r0:r1] = a[rows].T
+        if self.states is not None:
+            self.states[:, r0:r1] = snaps[rows].transpose(1, 0, 2)
+
+    def _weigh(self, k0: int, obs: np.ndarray, rows, r0: int, r1: int) -> None:
+        """Book the weighted sums of steps k0 on, obs their (2, m, n_paths) values."""
+        m = obs.shape[1]
+        ks = np.arange(k0, k0 + m)
+        terms = self.psi[k0:k0 + m, None] * obs
+        if self.dt is not None:
+            wf = terms
+            terms = (0.5 * self.dt) * (
+                np.concatenate((self._last[:, None], wf[:, :-1]), axis=1) + wf)
+            if k0 == 0:
+                terms[:, 0] = 0.0
+            self._last = wf[:, -1]
+        terms[:, self.diverged & (self.div_step <= ks[:, None])] = 0.0
+        terms[:, 0] += self._total
+        sums = np.cumsum(terms, axis=1)
+        self._total = sums[:, -1]
+        self.wsum[:, :, r0:r1] = sums[:, rows].transpose(0, 2, 1)
 
     def _newly_non_finite(self, X: np.ndarray) -> np.ndarray:
         """The paths still alive whose state has a non-finite entry."""
@@ -756,31 +774,14 @@ class _BlockRecorder:
             self.div_step[bad] = k
             self.alive &= ~bad
 
-    def _accumulate(self, k: int, X: np.ndarray) -> None:
-        alive, w = self.alive, self.psi[k]
-        f_gap, grad_sq, _ = _observable_arrays(self.problem, X)
-        if self.dt is None:
-            self.acc_f[alive] += w * f_gap[alive]
-            self.acc_g[alive] += w * grad_sq[alive]
-            self.acc_w += w
-            return
-        wf, wg = w * f_gap, w * grad_sq
-        if k > 0:
-            self.acc_f[alive] += (0.5 * self.dt) * (self._prev_f + wf)[alive]
-            self.acc_g[alive] += (0.5 * self.dt) * (self._prev_g + wg)[alive]
-            self.acc_w += (0.5 * self.dt) * (self._prev_w + w)
-        self._prev_f, self._prev_g, self._prev_w = wf, wg, w
-
     def finish(self, jump_period: int | None = None) -> KernelResult:
-        assert self._cursor == self.record_ks.size, "missed a recording step"
-        if self._buffer is not None:
-            self._reduce()
-        w = self.wsum_w
+        assert self._cursor == len(self._steps) - 1, "missed a snapshot step"
+        self._reduce()
+        wsum = (None, None) if self.wsum is None else self.wsum
         return KernelResult(record_ks=self.record_ks, states=self.states,
                             diverged=self.diverged, divergence_step=self.div_step,
-                            wsum_f_gap=self.wsum_f, wsum_grad_sq=self.wsum_g,
-                            denominators=None if w is None
-                            else np.where(w > 0, w, np.nan),
+                            wsum_f_gap=wsum[0], wsum_grad_sq=wsum[1],
+                            denominators=self.denominators,
                             observables=self.observables,
                             jump_period=jump_period)
 

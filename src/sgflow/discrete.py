@@ -8,7 +8,7 @@ per-path generators from a master seed (see :mod:`sgflow.harness`).
 
 Each simulator runs its path through the recursion's kernel in
 :mod:`sgflow._kernels`, as ensembles do, and takes the observables of the
-recorded states from the one function ensembles reduce with
+recorded states from the kernel's one reduction
 (:func:`sgflow._kernels._observable_arrays`), so a path's observables are
 the same bits on every CPU NumPy and OpenBLAS dispatch for.  Divergent paths
 (non-finite iterates, e.g. from an inadmissible stepsize) are truncated and
@@ -55,17 +55,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _observed(problem: FiniteSumProblem | None, times: np.ndarray,
-              states: np.ndarray, jump_flags: np.ndarray | None,
-              divergence_step: int | None) -> Trajectory:
-    """The trajectory of the recorded states, with their observables."""
-    obs = ((None,) * 3 if problem is None
-           else _kernels._observable_arrays(problem, states))
-    return Trajectory(times, states, *obs, jump_flags=jump_flags,
-                      diverged=divergence_step is not None,
-                      divergence_step=divergence_step)
-
-
 class _Recorder:
     """Accumulates a path's states with an optional thinning stride.
 
@@ -97,9 +86,14 @@ class _Recorder:
 
     def finish(self) -> Trajectory:
         n = self._cursor
-        return _observed(self.problem, self.times[:n], self.states[:n],
-                         None if self.jump_flags is None else self.jump_flags[:n],
-                         self.divergence_step)
+        states = self.states[:n]
+        obs = ((None,) * 3 if self.problem is None
+               else _kernels._observable_arrays(self.problem, states))
+        return Trajectory(self.times[:n], states, *obs,
+                          jump_flags=None if self.jump_flags is None
+                          else self.jump_flags[:n],
+                          diverged=self.divergence_step is not None,
+                          divergence_step=self.divergence_step)
 
 
 def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
@@ -114,8 +108,9 @@ def _trajectory(problem: FiniteSumProblem, res: _kernels.KernelResult,
     n = ks.size if div is None else int(np.searchsorted(ks, div))
     ks = ks[:n]
     q = res.jump_period
-    jumps = None if q is None else (ks > 0) & (ks % q == 0)
-    return _observed(problem, ks * dt, res.states[0, :n], jumps, div)
+    return Trajectory(ks * dt, res.states[0, :n], *res.observables[:, 0, :n],
+                      jump_flags=None if q is None else (ks > 0) & (ks % q == 0),
+                      diverged=div is not None, divergence_step=div)
 
 
 def run_mb_sgd(problem: FiniteSumProblem, adj: AdjustmentSchedule,

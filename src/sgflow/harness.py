@@ -29,7 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels, bounds
-# ensemble_run reduces through this name, which perfbench/layers.py wraps
+# unused here, since the kernels' recorder reduces every snapshot; imported
+# only so that perfbench/layers.py can wrap this name
 from ._kernels import _observable_arrays
 from .bounds import (
     BoundInputs,
@@ -266,13 +267,13 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed, *,
     (:func:`_kernel_dispatch`).  Paths that diverge are masked out of the statistics and
     counted; more than 50% divergence raises :class:`EnsembleDivergenceError`.
 
-    With ``keep_states`` (the default) the kernel keeps the (n_paths,
-    n_records, d) state block, the observables are computed once after the
-    run, in chunks of whole paths, and the stats include the "state"
-    moments.  A caller that reads no ``mean["state"]``/``variance["state"]``
-    passes ``keep_states=False``: the kernel then reduces each snapshot to
-    its observables as it records it, keeps no block, and the stats have no
-    "state" key.  Every other statistic has the same bits either way.
+    The kernel's recorder reduces every snapshot to its observables as the
+    run goes (``KernelResult.observables``).  With ``keep_states`` (the
+    default) it also keeps the (n_paths, n_records, d) state block, and the
+    stats include the "state" moments.  A caller that reads no
+    ``mean["state"]``/``variance["state"]`` passes ``keep_states=False``:
+    the kernel keeps no block, and the stats have no "state" key.  Every
+    other statistic has the same bits either way.
     """
     if n_paths < 2:
         raise ValueError("an ensemble needs n_paths >= 2")
@@ -292,22 +293,14 @@ def ensemble_run(spec: RunSpec, n_paths: int, master_seed, *,
     # a mask copies the whole block; all alive takes a view instead
     alive = ~result.diverged if div_count else slice(None)
 
-    if keep_states:
-        states = result.states[alive]
-        n_rec, d = ks.size, spec.problem.d
-        obs = np.empty((3, n_alive, n_rec))
-        rows = max(1, _kernels._CHUNK_DOUBLES // 8 // (n_rec * d))
-        for p0 in range(0, n_alive, rows):  # whole paths: each chunk is a view
-            obs[:, p0:p0 + rows] = np.reshape(_observable_arrays(
-                spec.problem, states[p0:p0 + rows].reshape(-1, d)), (3, -1, n_rec))
-    else:
-        obs = result.observables[:, alive]
     stats = EnsembleStats(grid=ks * spec.grid_spacing, record_ks=ks,
                           n_paths=n_alive, divergence_count=div_count)
-    for key, block in zip(("f_gap", "grad_norm_sq", "dist_sq"), obs):
+    for key, block in zip(("f_gap", "grad_norm_sq", "dist_sq"),
+                          result.observables[:, alive]):
         stats.mean[key] = block.mean(axis=0)
         stats.variance[key] = block.var(axis=0, ddof=1)
     if keep_states:
+        states = result.states[alive]
         stats.mean["state"] = states.mean(axis=0)
         stats.variance["state"] = states.var(axis=0, ddof=1)
     if spec.weights:

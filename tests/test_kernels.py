@@ -135,8 +135,9 @@ def _observable_problems(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 100])
 @pytest.mark.parametrize("kind", ["affine", "callable"])
 def test_observable_rows_do_not_depend_on_the_block(kind, d):
-    # a run without a state block reduces one record (n_paths rows) at a
-    # time, the others whole (paths x records) blocks: the rows must agree
+    # the recorder reduces a buffer of snapshots at a time, one record
+    # (n_paths rows) where a record fills the buffer, and a single path's
+    # states may be reduced as one block of records: the rows must agree
     problem = _observable_problems(d)[kind]
     n, n_rec = 4, 5
     states = 3.0 * np.random.default_rng(seed).normal(size=(n, n_rec, d))
@@ -1412,3 +1413,97 @@ def test_observables_without_states_are_the_kept_states_reduction(
     assert lean.states is None
     assert lean.observables.tobytes() == want.tobytes()
     assert lean.diverged.tobytes() == full.diverged.tobytes()
+
+
+def test_one_reduction_per_snapshot_buffer(monkeypatch):
+    # config 08's shape: 400 paths x d = 2, 2 000 weighted mb-pgf steps,
+    # recorded at its marks only, with the state block kept; a weighted run
+    # snapshots every step, and each full buffer of snapshots is reduced in
+    # one call, from which the weighted sums, the recorded observables and
+    # the statistics all come
+    import sgflow.harness as harness
+    calls = {"kernels": 0, "harness": 0}
+    for owner, name in ((knl, "kernels"), (harness, "harness")):
+        real = owner._observable_arrays
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, "_observable_arrays", counted)
+    p = make_perturbed_quadratic([1.0, 2.0], [0.0, 0.0], NOISE)
+    spec = RunSpec(mode="mb-pgf", problem=p, x0=np.ones(2),
+                   adj=AdjustmentSchedule(h=0.25), batch=BatchSchedule(),
+                   dt=0.05, T=100.0, volatility_mode="exact", weights=True,
+                   record_ks=np.append(0, harness.geometric_checkpoints(2000)))
+    stats = ensemble_run(spec, 400, seed)
+    slots = knl._REDUCE_DOUBLES // (400 * 2)
+    assert 0 < calls["kernels"] <= math.ceil(2001 / slots)
+    assert calls["harness"] == 0
+    assert np.isfinite(stats.mean["grad_norm_sq_wavg"][1:]).all()
+
+
+def _weighted_reference(kind, rng, n_steps):
+    """A path's weighted sums, and the psi sums, after each step, step by step.
+
+    The per-path loop of :mod:`reference` and its observables (the one
+    block formula; the row formulas ``gap`` and ``g @ g`` round apart from
+    it), then per-step scalar sums of psi_k (f - f*) and psi_k |grad f|^2
+    (sgd, pgd), or their trapezoid (mb-pgf, dt = 1).  From the path's
+    divergence step on its sums keep their last values; the psi sums go on.
+    """
+    traj = _reference_path(kind, rng, n_steps)
+    adj = AdjustmentSchedule(h=1.0, family="power", a=0.1)
+    acc = [0.0, 0.0, 0.0]
+    prev = None
+    out = []
+    for k in range(n_steps + 1):
+        alive = k < len(traj)
+        f, g = ((float(traj.f_gap[k]), float(traj.grad_norm_sq[k])) if alive
+                else (math.nan, math.nan))
+        if kind == "mb-pgf":
+            w = adj.psi(k * 1.0)
+            now = (w * f, w * g, w)
+            terms = (0.0,) * 3 if k == 0 else [0.5 * (a + b)
+                                               for a, b in zip(prev, now)]
+            prev = now
+        else:
+            w = adj.psi_k(k)
+            terms = (w * f, w * g, w)
+        for i, term in enumerate(terms):
+            if alive or i == 2:
+                acc[i] = acc[i] + term
+        out.append(tuple(acc))
+    return traj, np.array(out)
+
+
+def _largest_divisor(n, most):
+    return max(s for s in range(1, most + 1) if n % s == 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["sgd", "pgd", "mb-pgf"])
+def test_weighted_sums_across_buffers_freeze_at_divergence(kind, monkeypatch):
+    # every path overflows; snapshot buffers small enough for at least 3 of
+    # them, with a boundary at the first divergence step, or right after it
+    probe = _segmented_run(kind, "scalar", False, 3000, np.arange(3001))
+    assert probe.diverged.all()
+    n = int(np.unique(probe.divergence_step)[-2])  # some paths survive
+    first, second = (int(s) for s in np.unique(probe.divergence_step)[:2])
+    refs = [_weighted_reference(kind, rng, n)
+            for rng in gen_list(seed, SEGMENT_PATHS)]
+    div = np.array([-1 if t.divergence_step is None else t.divergence_step
+                    for t, _ in refs])
+    sums = np.stack([s for _, s in refs], axis=1)  # (n + 1, paths, 3)
+    assert 0 < (div > 0).sum() < SEGMENT_PATHS
+    for boundary in (first, first + 1):
+        slots = _largest_divisor(boundary, (n + 1) // 3)
+        monkeypatch.setattr(knl, "_REDUCE_DOUBLES", slots * SEGMENT_PATHS * 2)
+        for ks in (np.arange(n + 1), np.unique([0, 5, first - 1, first,
+                                                second, n])):
+            res = _segmented_run(kind, "scalar", True, n, ks)
+            assert res.divergence_step.tobytes() == div.tobytes()
+            assert res.wsum_f_gap.tobytes() == sums[ks, :, 0].T.tobytes()
+            assert res.wsum_grad_sq.tobytes() == sums[ks, :, 1].T.tobytes()
+            want_w = sums[ks, 0, 2]  # the empty integral at t = 0 is NaN
+            assert res.denominators.tobytes() == np.where(
+                want_w > 0, want_w, np.nan).tobytes()
